@@ -12,6 +12,7 @@ from .errors import (
     CapacityError,
     ConfigurationError,
     FitError,
+    HorizonExceeded,
     ParseError,
     SplitsimError,
     ValidationError,
@@ -78,9 +79,9 @@ __version__ = "0.1.0"
 __all__ = [
     "A100_PAIR", "Batch", "CapacityError", "Cluster", "ClusterConfig",
     "ConfigurationError", "DESIGNS", "DesignPoint", "FitError", "FitReport",
-    "H100_PAIR", "MACHINE_SPECS", "MIXED", "Machine", "MachineSpec",
-    "MetricsReport", "PRESETS", "ParseError", "PerfModel", "PROMPT",
-    "ProfileSample", "Request", "RequestRecord", "RoutingDecision",
+    "H100_PAIR", "HorizonExceeded", "MACHINE_SPECS", "MIXED", "Machine",
+    "MachineSpec", "MetricsReport", "PRESETS", "ParseError", "PerfModel",
+    "PROMPT", "ProfileSample", "Request", "RequestRecord", "RoutingDecision",
     "SchedulerConfig", "SearchResult", "SearchSpec", "SimResult",
     "Simulator", "SizeDistribution", "SloTable", "SplitsimError", "TOKEN",
     "Task", "Trace", "TransferConfig", "TransferPlan", "ValidationError",

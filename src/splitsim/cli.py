@@ -74,7 +74,6 @@ def _cluster_config(args, cfg) -> ClusterConfig:
     sched = SchedulerConfig(
         prompt_token_cap=cfg["mls.prompt_token_cap"],
         max_preemptions=cfg["mls.max_preemptions"],
-        aging_rate=cfg["mls.aging_rate"],
         queue_threshold_tokens=cfg["cls.queue_threshold_tokens"],
         mixing_rule=cfg["mls.mixing_rule"],
     )

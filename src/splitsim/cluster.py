@@ -79,11 +79,6 @@ class RoutingDecision:
     decided_at: float
 
 
-def pending_tokens(machine: Machine) -> int:
-    """JSQ queue length: queued prompt sizes plus one per live token task."""
-    return machine.pending_token_count
-
-
 class Cluster:
     """Machine pools plus the routing and pool-maintenance policies."""
 
@@ -126,26 +121,36 @@ class Cluster:
 
     # -- routing -----------------------------------------------------------
 
-    def _argmin(self, machines) -> Machine | None:
-        best = None
-        for m in machines:
-            if best is None or (pending_tokens(m), m.id) < (pending_tokens(best), best.id):
-                best = m
+    @staticmethod
+    def _argmin(machines) -> Machine | None:
+        """Least-loaded machine by (pending tokens, id)."""
+        return min(machines, key=lambda m: (m.pending_token_count, m.id), default=None)
+
+    def _pool_minima(self) -> dict[str, Machine]:
+        """Each non-empty pool's least-loaded machine, in one pass.
+
+        Machines are kept in ascending id order, so the first machine with
+        the lowest count wins the (pending tokens, id) tie-break.
+        """
+        best: dict[str, Machine] = {}
+        for m in self.machines.values():
+            b = best.get(m.current_pool)
+            if b is None or m.pending_token_count < b.pending_token_count:
+                best[m.current_pool] = m
         return best
 
-    def _pick(self, role: str):
+    def _pick(self, role: str, minima: dict[str, Machine]) -> Machine:
         """JSQ pick with threshold overflow: own pool, then mixed, then the
         opposite pool (which moves the chosen machine into the mixed pool
         once the opposite-kind task is enqueued)."""
         threshold = self.config.sched.queue_threshold_tokens
         opposite = TOKEN if role == PROMPT else PROMPT
-        order = [self.pool(role), self.pool(MIXED), self.pool(opposite)]
-        for candidates in order:
-            best = self._argmin(candidates)
-            if best is not None and pending_tokens(best) <= threshold:
+        for name in (role, MIXED, opposite):
+            best = minima.get(name)
+            if best is not None and best.pending_token_count <= threshold:
                 return best
         # every pool saturated: least-loaded machine able to serve the role
-        best = self._argmin(self.pool(role) + self.pool(MIXED) + self.pool(opposite))
+        best = self._argmin(minima.values())
         if best is None:
             raise ConfigurationError("no machines available for routing")
         return best
@@ -155,8 +160,9 @@ class Cluster:
         if self.config.is_baseline:
             best = self._argmin(self.machines.values())
             return RoutingDecision(request_id, best.id, best.id, now)
-        pm = self._pick(PROMPT)
-        tm = self._pick(TOKEN)
+        minima = self._pool_minima()
+        pm = self._pick(PROMPT, minima)
+        tm = self._pick(TOKEN, minima)
         return RoutingDecision(request_id, pm.id, tm.id, now)
 
     # -- pool maintenance --------------------------------------------------

@@ -25,7 +25,6 @@ KNOWN_KEYS = {
     "cluster.token_type": (str, None),
     "mls.prompt_token_cap": (int, 2048),
     "mls.max_preemptions": (int, 4),
-    "mls.aging_rate": (float, 1.0),
     "mls.mixing_rule": (str, "sum"),
     "cls.queue_threshold_tokens": (int, 4096),
     "cls.repurpose_window_s": (float, 300.0),

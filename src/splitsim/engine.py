@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cluster import Cluster, ClusterConfig
-from .errors import ValidationError
+from .errors import HorizonExceeded, ValidationError
 from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .trace import Request, Trace
@@ -179,7 +179,6 @@ class Simulator:
         self._dirty: set[int] = set()
         self.records: dict[int, RequestRecord] = {}
         self._completed = 0
-        self._prompt_compute_ms: dict[int, float] = {}  # batch id -> prompt ms
         self._batched_token_time: dict[int, float] = {}
 
     # -- plumbing ----------------------------------------------------------
@@ -209,7 +208,7 @@ class Simulator:
         while self._heap and self._completed < len(self.trace.requests):
             time, seq, kind, payload = heapq.heappop(self._heap)
             if time > self._horizon_ms:
-                raise RuntimeError(
+                raise HorizonExceeded(
                     f"simulation exceeded horizon {self.horizon:.1f}s with "
                     f"{len(self.trace.requests) - self._completed} requests unfinished")
             if kind == ARRIVAL:
@@ -250,7 +249,6 @@ class Simulator:
     def _on_iteration(self, time, mid):
         machine = self.cluster.machines[mid]
         batch = machine.running
-        prompt_ms = self._prompt_compute_ms.pop(id(batch), 0.0)
         events = machine.complete_iteration(batch, time)
         self._emit(time, ITERATION, f"machine={mid}")
         for kind, task in events:
@@ -261,7 +259,7 @@ class Simulator:
                 self._emit(time, "prompt_finished",
                            f"request={task.request_id} machine={mid} tokens={task.tokens}")
                 if task.output_tokens > 1:
-                    self._start_token_phase(time, rec, prompt_ms)
+                    self._start_token_phase(time, rec, batch.prompt_ms)
             elif kind == "token_emitted":
                 rec.emissions.append(time)
             elif kind == "request_finished":
@@ -320,11 +318,8 @@ class Simulator:
             duration = batch.iteration_time  # ms
             machine.busy_until = time + duration
             machine.busy_time += duration
-            active = sum(t.tokens for t in batch.prompt_tasks) + len(batch.token_tasks)
+            active = batch.prompt_tokens + len(batch.token_tasks)
             self._batched_token_time[active] = self._batched_token_time.get(active, 0.0) + duration
-            if batch.prompt_tasks:
-                self._prompt_compute_ms[id(batch)] = machine.perf.prompt_time(
-                    sum(t.tokens for t in batch.prompt_tasks))
             self._assert_memory(machine)
             self._push(time + duration, ITERATION, mid)
             if self.record_log:

@@ -29,3 +29,8 @@ class CapacityError(SplitsimError):
 
 class ConfigurationError(SplitsimError):
     """Inconsistent or incomplete cluster/run configuration."""
+
+
+class HorizonExceeded(SplitsimError, RuntimeError):
+    """A simulation ran past its horizon with requests unfinished: the
+    cluster cannot keep up with the offered load."""

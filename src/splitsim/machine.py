@@ -1,17 +1,22 @@
 """Machine-level scheduling (MLS): per-machine queues, per-iteration batch
-formation, memory accounting, and token preemption with aging.
+formation, memory accounting, and token preemption.
 
 Prompt machines batch prompts FCFS up to a total-token cap; token machines
 batch tokens FCFS until memory or the batch-size limit is hit; mixed
 machines prioritize prompts and may preempt running token tasks for batch
-slots.  Preemption pauses compute but not residency: a parked token task
-keeps its KV memory on the machine, so preemption never reclaims memory.
+slots.  Token tasks are taken capped-first: a task preempted
+``max_preemptions`` times is non-preemptable and keeps its slot.  The rest
+are taken FCFS by enqueue time.  Preemption pauses compute but not
+residency: a parked token task keeps its KV memory on the machine, so
+preemption never reclaims memory.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import SplitsimError, ValidationError
 from .perf import PerfModel, MachineSpec
@@ -20,10 +25,6 @@ PROMPT = "prompt"
 TOKEN = "token"
 MIXED = "mixed"
 
-# Priority bonus that puts a preemption-capped task above any achievable
-# aged priority, making it non-preemptable.
-NON_PREEMPTABLE_BONUS = 1e18
-
 _task_seq = itertools.count()
 
 
@@ -31,22 +32,23 @@ _task_seq = itertools.count()
 class SchedulerConfig:
     prompt_token_cap: int = 2048
     max_preemptions: int = 4
-    aging_rate: float = 1.0            # priority per unit of engine-clock waiting
     queue_threshold_tokens: int = 4096  # CLS overflow threshold (2x prompt cap)
     mixing_rule: str = "sum"           # mixed-batch time: "sum" or "max"
 
     def __post_init__(self):
-        if min(self.prompt_token_cap, self.max_preemptions) <= 0:
-            raise ValidationError("scheduler config values must be positive")
-        if self.aging_rate <= 0 or self.queue_threshold_tokens <= 0:
+        if min(self.prompt_token_cap, self.max_preemptions,
+               self.queue_threshold_tokens) <= 0:
             raise ValidationError("scheduler config values must be positive")
         if self.mixing_rule not in ("sum", "max"):
             raise ValidationError("mixing_rule must be 'sum' or 'max'")
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
-    """One phase of one request on one machine."""
+    """One phase of one request on one machine.
+
+    Tasks compare by identity: ``seq`` is unique, so no two are equal.
+    """
 
     request_id: int
     kind: str                  # PROMPT or TOKEN
@@ -59,13 +61,8 @@ class Task:
     seq: int = field(default_factory=lambda: next(_task_seq))
 
 
-def aging_priority(task: Task, now: float, config: SchedulerConfig) -> float:
-    """Token-task priority: grows with queueing age; capped tasks become
-    non-preemptable via a dominating bonus."""
-    base = config.aging_rate * (now - task.enqueue_time)
-    if task.preempt_count >= config.max_preemptions:
-        base += NON_PREEMPTABLE_BONUS
-    return base
+# FCFS order of token tasks: enqueue time, ties broken by creation
+_fcfs_key = attrgetter("enqueue_time", "seq")
 
 
 @dataclass
@@ -73,6 +70,8 @@ class Batch:
     prompt_tasks: list[Task]
     token_tasks: list[Task]
     iteration_time: float  # ms
+    prompt_tokens: int = 0  # total prompt tokens
+    prompt_ms: float = 0.0  # prompt compute, which a layer-wise transfer overlaps
 
     @property
     def kind(self):
@@ -116,9 +115,7 @@ class Machine:
     # -- memory ------------------------------------------------------------
 
     def memory_used(self) -> float:
-        running_prompt = 0
-        if self.running is not None:
-            running_prompt = sum(t.tokens for t in self.running.prompt_tasks)
+        running_prompt = self.running.prompt_tokens if self.running is not None else 0
         return self.perf.weight_memory + \
             self.perf.kv_cache_bytes(self._resident_context + running_prompt)
 
@@ -138,7 +135,7 @@ class Machine:
             self.pending_prompts.append(task)
             self.pending_token_count += task.tokens
         else:
-            self.pending_tokens_q.append(task)
+            bisect.insort(self.pending_tokens_q, task, key=_fcfs_key)
             self.pending_token_count += 1
 
     def has_opposite_work(self) -> bool:
@@ -160,11 +157,6 @@ class Machine:
 
     # -- batch formation ---------------------------------------------------
 
-    def _allows(self, kind: str) -> bool:
-        if self.current_pool == MIXED:
-            return True
-        return self.current_pool == kind
-
     def form_batch(self, now: float) -> Batch | None:
         """Decide the batch for the next iteration, or None if idle.
 
@@ -176,71 +168,86 @@ class Machine:
         if self.running is not None:
             raise SplitsimError("form_batch called mid-iteration")
         sched = self.sched
-        mixed = self.current_pool == MIXED
-
-        # Non-preemptable resident tokens keep their slots ahead of prompts.
-        reserved = sum(1 for t in self.resident
-                       if not t.parked and t.preempt_count >= sched.max_preemptions)
+        perf = self.perf
+        pool = self.current_pool
+        cap = sched.max_preemptions
 
         prompt_batch: list[Task] = []
-        if self._allows(PROMPT) and self.pending_prompts:
-            prompt_slots = (self.perf.max_token_batch - reserved) if mixed else None
-            total = 0
-            for task in list(self.pending_prompts):
-                if prompt_slots is not None and len(prompt_batch) >= prompt_slots:
+        prompt_tokens = 0
+        pending = self.pending_prompts
+        if pending and pool != TOKEN:
+            slots = len(pending)  # no slot limit in the prompt pool
+            if pool == MIXED:
+                # non-preemptable resident tokens keep their slots ahead of prompts
+                slots = perf.max_token_batch - sum(
+                    1 for t in self.resident if not t.parked and t.preempt_count >= cap)
+            for task in pending:
+                if len(prompt_batch) >= slots:
                     break
                 # always admit the head prompt, even above the cap
-                if prompt_batch and total + task.tokens > sched.prompt_token_cap:
+                if prompt_batch and prompt_tokens + task.tokens > sched.prompt_token_cap:
                     break
-                if not self._memory_fits(total + task.tokens):
+                if not self._memory_fits(prompt_tokens + task.tokens):
                     break
                 prompt_batch.append(task)
-                total += task.tokens
+                prompt_tokens += task.tokens
             # note: pending_token_count keeps counting admitted prompts until
             # they finish, so JSQ sees in-flight prompt work
+            del pending[:len(prompt_batch)]
             for task in prompt_batch:
-                self.pending_prompts.remove(task)
                 self._queued_ids.discard((task.request_id, PROMPT))
 
         token_batch: list[Task] = []
-        if self._allows(TOKEN):
-            slots = self.perf.max_token_batch - len(prompt_batch)
-            queued = set(id(t) for t in self.pending_tokens_q)
-            candidates = sorted(
-                self.resident + self.pending_tokens_q,
-                key=lambda t: (-aging_priority(t, now, sched), t.seq))
-            prompt_kv = sum(t.tokens for t in prompt_batch)
-            for task in candidates:
+        if pool != PROMPT:
+            slots = perf.max_token_batch - len(prompt_batch)
+            resident = self.resident
+            capped = [t for t in resident if t.preempt_count >= cap]
+            uncapped = [t for t in resident if t.preempt_count < cap] if capped else resident
+            token_batch = capped[:slots]
+            # FCFS merge of the uncapped residents with the queue (queued
+            # tasks have never run, so none of them is capped)
+            queue = self.pending_tokens_q
+            i = admitted = 0
+            for task in queue:
+                # residents ahead of this queued task go first
+                ahead = bisect.bisect_left(uncapped, _fcfs_key(task), i, key=_fcfs_key)
+                ahead = min(ahead, i + slots - len(token_batch))
+                token_batch += uncapped[i:ahead]
+                i = ahead
                 if len(token_batch) >= slots:
                     break
-                if id(task) in queued:
-                    if not self._memory_fits(prompt_kv + task.tokens + task.remaining_output):
-                        break  # FCFS: do not skip ahead of a blocked task
-                    self.pending_tokens_q.remove(task)
-                    self._queued_ids.discard((task.request_id, TOKEN))
-                    self.resident.append(task)
-                    self._resident_context += task.tokens
-                    self._resident_projected += task.tokens + task.remaining_output
-                task.parked = False
+                need = task.tokens + task.remaining_output
+                if not self._memory_fits(prompt_tokens + need):
+                    break  # FCFS: do not skip ahead of a blocked task
+                self._resident_projected += need
+                self._resident_context += task.tokens
                 token_batch.append(task)
-            # resident tokens that lost their slot to a prompt get parked
-            batched = set(id(t) for t in token_batch)
-            for task in self.resident:
-                if id(task) not in batched and not task.parked:
+                admitted += 1
+            else:
+                rest = uncapped[i:i + slots - len(token_batch)]
+                token_batch += rest
+                i += len(rest)
+            # resident tokens that lost their slot get parked
+            for task in itertools.chain(capped[slots:], uncapped[i:]):
+                if not task.parked:
                     task.parked = True
                     task.preempt_count += 1
+            for task in token_batch:
+                task.parked = False
+            for task in queue[:admitted]:
+                self._queued_ids.discard((task.request_id, TOKEN))
+                bisect.insort(resident, task, key=_fcfs_key)
+            del queue[:admitted]
 
         if not prompt_batch and not token_batch:
             return None
-        return Batch(prompt_batch, token_batch,
-                     self._iteration_time(prompt_batch, token_batch))
-
-    def _iteration_time(self, prompt_tasks, token_tasks) -> float:
-        p = self.perf.prompt_time(sum(t.tokens for t in prompt_tasks)) if prompt_tasks else 0.0
-        t = self.perf.token_iter_time(len(token_tasks)) if token_tasks else 0.0
-        if prompt_tasks and token_tasks and self.sched.mixing_rule == "max":
-            return max(p, t)
-        return p + t
+        prompt_ms = perf.prompt_time(prompt_tokens) if prompt_batch else 0.0
+        token_ms = perf.token_iter_time(len(token_batch)) if token_batch else 0.0
+        if prompt_batch and token_batch and sched.mixing_rule == "max":
+            iteration_ms = max(prompt_ms, token_ms)
+        else:
+            iteration_ms = prompt_ms + token_ms
+        return Batch(prompt_batch, token_batch, iteration_ms, prompt_tokens, prompt_ms)
 
     # -- iteration completion ---------------------------------------------
 

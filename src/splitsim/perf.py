@@ -115,12 +115,20 @@ class PerfModel:
                             np.asarray(self.token_knots[1], dtype=float))
         if self.kv_bytes_per_token <= 0:
             raise ValidationError("kv_bytes_per_token must be positive")
+        # exact lookups: the same floats _piecewise_eval gives, computed once
+        self._token_ms = [0.0] + [_piecewise_eval(b, *self.token_knots)
+                                  for b in range(1, self.max_token_batch + 1)]
+        self._prompt_ms: dict[int, float] = {}
 
     def prompt_time(self, total_prompt_tokens: int) -> float:
         """Prompt-phase time in ms for a batch totalling this many tokens."""
-        if total_prompt_tokens < 1:
-            raise ValidationError("prompt tokens must be >= 1")
-        return _piecewise_eval(total_prompt_tokens, *self.prompt_knots)
+        ms = self._prompt_ms.get(total_prompt_tokens)
+        if ms is None:
+            if total_prompt_tokens < 1:
+                raise ValidationError("prompt tokens must be >= 1")
+            ms = self._prompt_ms[total_prompt_tokens] = _piecewise_eval(
+                total_prompt_tokens, *self.prompt_knots)
+        return ms
 
     def token_iter_time(self, batch_size: int) -> float:
         """One token-generation iteration in ms at the given batch size."""
@@ -129,7 +137,7 @@ class PerfModel:
         if batch_size > self.max_token_batch:
             raise CapacityError(
                 f"batch {batch_size} exceeds max_token_batch {self.max_token_batch}")
-        return _piecewise_eval(batch_size, *self.token_knots)
+        return self._token_ms[batch_size]
 
     def kv_cache_bytes(self, context_tokens: int) -> float:
         if context_tokens < 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .cluster import ClusterConfig, normalize_design
 from .engine import SloTable, Simulator, reference_latencies, check_slo
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, HorizonExceeded, ValidationError
 from .machine import SchedulerConfig
 from .perf import PerfModel, get_calibration
 from .trace import SizeDistribution, generate_trace
@@ -139,8 +139,8 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
             result = Simulator(config_i, models, trace, seed=seed,
                                reference_model=reference, record_log=False,
                                tbt_mode="pooled").run()
-        except RuntimeError:
-            return False  # non-terminating at this load
+        except HorizonExceeded:
+            return False  # the cluster cannot keep up with this load
         refs = {r.request.id: reference_latencies(r.request, reference)
                 for r in result.report.records}
         verdict = check_slo(result.report, slo, refs)

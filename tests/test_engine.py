@@ -2,9 +2,11 @@ import pytest
 
 from splitsim import (
     ClusterConfig,
+    HorizonExceeded,
     Request,
     Simulator,
     SloTable,
+    SplitsimError,
     Trace,
     ValidationError,
     check_slo,
@@ -173,6 +175,15 @@ class TestEngineBehavior:
             Simulator(ClusterConfig("Baseline-A100", 1, 0),
                       {"A100": get_calibration("llama2-70b", "A100")},
                       trace, horizon=15.0).run()
+
+    def test_horizon_error_is_typed(self):
+        p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
+        trace = generate_trace(p, o, 20.0, 5.0, seed=2)
+        with pytest.raises(HorizonExceeded) as info:
+            Simulator(ClusterConfig("Baseline-A100", 1, 0),
+                      {"A100": get_calibration("llama2-70b", "A100")},
+                      trace, horizon=6.0).run()
+        assert isinstance(info.value, SplitsimError)
 
     def test_empty_trace(self):
         res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),

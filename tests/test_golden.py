@@ -1,0 +1,124 @@
+"""Golden outputs: sha256 of the request, TBT and event-log CSVs for small
+fixed runs.
+
+These pin simulated behaviour byte for byte across refactors.  A change
+that alters any hash changes what the simulator does and must say why.
+"""
+
+import hashlib
+import math
+
+import pytest
+
+from splitsim import (
+    ClusterConfig,
+    PRESETS,
+    SchedulerConfig,
+    SizeDistribution,
+    Simulator,
+    generate_trace,
+    get_calibration,
+)
+from splitsim import engine
+
+# long-output decode load: one machine near saturation preempts often
+DECODE = (SizeDistribution.lognormal(math.log(256), 0.5, 16, 4096),
+          SizeDistribution.lognormal(math.log(400), 0.5, 16, 2048))
+
+# name -> (cluster config kwargs, workload, rate, duration_s, seed)
+CASES = {
+    "baseline-a100": (dict(design="Baseline-A100", prompt_machines=2, token_machines=0),
+                      "coding", 4.0, 20.0, 3),
+    "baseline-h100": (dict(design="Baseline-H100", prompt_machines=2, token_machines=0),
+                      "coding", 4.0, 20.0, 3),
+    "splitwise-aa": (dict(design="Splitwise-AA", prompt_machines=2, token_machines=1),
+                     "coding", 4.0, 20.0, 3),
+    "splitwise-hh": (dict(design="Splitwise-HH", prompt_machines=2, token_machines=1),
+                     "coding", 4.0, 20.0, 3),
+    "splitwise-hhcap": (dict(design="Splitwise-HHcap", prompt_machines=2, token_machines=1),
+                        "coding", 4.0, 20.0, 3),
+    "splitwise-ha": (dict(design="Splitwise-HA", prompt_machines=2, token_machines=1),
+                     "coding", 4.0, 20.0, 3),
+    # max_preemptions=1: every preempted task becomes non-preemptable
+    "baseline-h100-capped": (dict(design="Baseline-H100", prompt_machines=1, token_machines=0,
+                                  sched=SchedulerConfig(max_preemptions=1)),
+                             DECODE, 4.0, 20.0, 5),
+    # a low overflow threshold keeps machines moving through the mixed
+    # pool; a short window makes repurposing flip home roles
+    "splitwise-hh-repurpose": (dict(design="Splitwise-HH", prompt_machines=2, token_machines=1,
+                                    sched=SchedulerConfig(queue_threshold_tokens=256),
+                                    repurpose_enabled=True, repurpose_window_s=5.0),
+                               "conversation", 6.0, 30.0, 7),
+}
+
+# name -> (requests_csv, tbt_csv, event_log_csv) sha256
+GOLDEN = {
+    "baseline-a100": (
+        "b15262c842b3bd0f43c811daab327f746ce2b3573c74d76592acf0cb87c24a66",
+        "a60a886a015a504692c505a1e201cc59d180732ced6b569804b149587d08e016",
+        "969bcebb36d461a8f59cb23e0119a613fdf8c45814121129f78e0346cc3e66e6"),
+    "baseline-h100": (
+        "ebdac36a1c39bd4ec9220393fe10c1c082735b1c42a68c6ad2cbdaaee938cd84",
+        "c3b0a0f2469264da4b3da1627bb3d55c03bf8f7d962afa9806d11bd5e7f13112",
+        "f2c90108a305c63bcfefe3e942550e54c68645a8ae32005a9169274352e119f1"),
+    "baseline-h100-capped": (
+        "3490c08a86c3400093f0465be1aedeed5fd6b83682d85ee84ca1176c96c329ad",
+        "a4fa4af98c5759878bd23f8db48548c5a9b3c290de72e27247abb0a9dccbb9a1",
+        "1ce02cc21b25e9e91258ec3f901b102d18dd0225bfd92d3ec79ad8ac84d81e3c"),
+    "splitwise-aa": (
+        "45c6cd37f36f3827320c2d75f05c0f5968413ccfb6bae11ce480e3df9e94e1e5",
+        "22780bfeace5a20ccfdfbd5e9bb268b25fab14151c953cbc8c922ce7ccce1a69",
+        "4f2377f07dbefc169a077f1e0699fc7ef10a2e1d2e82e4123cede1ae43434fc7"),
+    "splitwise-ha": (
+        "81bfa81eaded654318453743006dba65fb2d246f651af968154dd019b0b8ea1c",
+        "96fcef22c79b331efdda8675da2f63f532f7b4fbc7acd1e3446ac602d64685d5",
+        "39f3b56d6836e31114f71fc7124fef1e27250f80ea711d44d4d3d845438aee52"),
+    "splitwise-hh": (
+        "8c92f1e3c8da2534e0fa5121d38b71a73ba12d2ad531519817ccc17b359ef5d9",
+        "6945376ee2a1f61ad2632cf8082d98797e8f8f0a5f885f053a28b01772667f62",
+        "8c0c5d7e8d5ab5c49577e6310a7d27844b185a7d452e00ee9b7ec170c64a7b96"),
+    "splitwise-hh-repurpose": (
+        "2e18a1184832d2129e28aee3725b7bc74225eb36f4de3ea06708b8717cffc57d",
+        "0a3a7402e0fcfe5a91b093135fb3d2b79bf1ae9b008cd7574033f0b5f8ed241a",
+        "ed6c6eaf860a2cd5a2b166ab4284220afea6bffa318f8a971cc6856f3adeab6f"),
+    "splitwise-hhcap": (
+        "94bcfa90f3e4b7d11df73cc2588ca089b944af1bfc4a66053bbdc313def56254",
+        "82ea0f4dbd289a7d4f8a165a15065a19ecea27108b5cf647855989652e4b71eb",
+        "cfc3124521b87dcdf84329889dd764139dc245cd4b5db2df4b4dbb99cc703f76"),
+}
+
+
+def run_case(name):
+    cluster_kwargs, workload, rate, duration, seed = CASES[name]
+    config = ClusterConfig(**cluster_kwargs)
+    models = {mt: get_calibration(config.llm, mt)
+              for mt in {config.prompt_type, config.token_type}}
+    if isinstance(workload, str):
+        prompt_dist, output_dist = PRESETS[workload]["prompt"], PRESETS[workload]["output"]
+    else:
+        prompt_dist, output_dist = workload
+    trace = generate_trace(prompt_dist, output_dist, rate, duration, seed)
+    return Simulator(config, models, trace,
+                     reference_model=get_calibration(config.llm, "A100"),
+                     record_log=True).run()
+
+
+def digests(result):
+    return tuple(hashlib.sha256(emit(result).encode()).hexdigest()
+                 for emit in (engine.requests_csv, engine.tbt_csv, engine.event_log_csv))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_hashes(name):
+    assert digests(run_case(name)) == GOLDEN[name]
+
+
+def test_capped_case_reaches_the_cap():
+    result = run_case("baseline-h100-capped")
+    cap = CASES["baseline-h100-capped"][0]["sched"].max_preemptions
+    assert max(r.preempt_count for r in result.report.records) >= cap
+
+
+def test_repurpose_case_logs_pool_changes():
+    kinds = {kind for _, _, kind, _ in run_case("splitwise-hh-repurpose").event_log}
+    assert {"pool_transition", "pool_maintenance"} <= kinds

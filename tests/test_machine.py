@@ -9,7 +9,7 @@ from splitsim import (
     ValidationError,
     get_calibration,
 )
-from splitsim.machine import MIXED, PROMPT, TOKEN, aging_priority
+from splitsim.machine import MIXED, PROMPT, TOKEN
 
 
 def make_machine(home=PROMPT, always_mixed=False, sched=None, machine_type="H100"):
@@ -195,7 +195,6 @@ class TestMixedBatching:
         t = token_task(0, 100, out=1000)
         m.enqueue(t, 0.0)
         t.preempt_count = sched.max_preemptions
-        assert aging_priority(t, 1.0, sched) > 1e17
         b = m.form_batch(0.0)
         m.running = b
         m.complete_iteration(b, 31.0)
@@ -222,9 +221,48 @@ class TestMixedBatching:
     def test_aging_orders_token_candidates(self):
         m = make_machine(home=TOKEN)
         m.enqueue(token_task(0, 100, t=5.0), 5.0)
-        m.enqueue(token_task(1, 100, t=0.0), 0.0)  # older, higher aged priority
+        m.enqueue(token_task(1, 100, t=0.0), 0.0)  # older: FCFS by enqueue time
         batch = m.form_batch(10.0)
         assert [t.request_id for t in batch.token_tasks][:1] == [1]
+
+
+    def test_token_order_capped_first_then_fcfs(self):
+        def run(m, now):
+            batch = m.form_batch(now)
+            m.running = batch
+            m.complete_iteration(batch, now + 1.0)
+            return [t.request_id for t in batch.token_tasks]
+
+        # capped residents go first, whatever their enqueue time
+        m = make_machine(home=TOKEN, always_mixed=True,
+                         sched=SchedulerConfig(max_preemptions=1))
+        for rid in range(3):
+            m.enqueue(token_task(rid, 100, out=50, t=float(rid)), float(rid))
+        assert run(m, 3.0) == [0, 1, 2]
+        m.resident[2].preempt_count = 1
+        assert run(m, 5.0) == [2, 0, 1]
+
+        # residents and queued tasks merge by enqueue time, not by the
+        # order they were enqueued in
+        m = make_machine(home=TOKEN)
+        m.enqueue(token_task(0, 100, out=50, t=10.0), 10.0)
+        assert run(m, 10.0) == [0]
+        m.enqueue(token_task(1, 100, out=50, t=20.0), 20.0)
+        m.enqueue(token_task(2, 100, out=50, t=5.0), 20.0)
+        assert run(m, 20.0) == [2, 0, 1]
+        assert run(m, 21.0) == [2, 0, 1]  # and stay in that order once resident
+
+        # FCFS stops at a memory-blocked queued task: neither a later
+        # queued task nor a later resident runs ahead of it
+        m = make_machine(home=TOKEN)
+        free = int((m.perf.memory_capacity - m.perf.weight_memory) / m.perf.kv_bytes_per_token)
+        m.enqueue(token_task(0, 100, out=50, t=0.0), 0.0)
+        m.enqueue(token_task(1, 100, out=50, t=3.0), 3.0)
+        assert run(m, 3.0) == [0, 1]
+        m.enqueue(token_task(2, free, out=10, t=1.0), 4.0)  # does not fit
+        m.enqueue(token_task(3, 10, out=10, t=4.0), 4.0)    # would fit, must wait
+        assert run(m, 4.0) == [0]
+        assert [t.request_id for t in m.pending_tokens_q] == [2, 3]
 
 
 class TestInvariants:

@@ -3,8 +3,10 @@ import pytest
 from splitsim import (
     ConfigurationError,
     DesignPoint,
+    HorizonExceeded,
     PRESETS,
     SearchSpec,
+    Simulator,
     ValidationError,
     Workload,
     budget_max_count,
@@ -101,6 +103,23 @@ class TestThroughputSearch:
         w = conversation_workload()
         assert not slo_pass_at_rate("Baseline-A100", 1, 0, w, 50.0,
                                     duration=60.0, seeds=(1,))
+
+    def test_horizon_overrun_fails_the_probe(self, monkeypatch):
+        def overrun(self):
+            raise HorizonExceeded("simulation exceeded horizon")
+        monkeypatch.setattr(Simulator, "run", overrun)
+        assert not slo_pass_at_rate("Baseline-A100", 1, 0, conversation_workload(), 1.0,
+                                    duration=10.0, seeds=(1,))
+
+    def test_invariant_failure_propagates(self, monkeypatch):
+        # only a horizon overrun means "too much load"; any other failure
+        # is a defect and must not read as an SLO fail
+        def broken(self):
+            raise RuntimeError("machine 0 memory exceeds capacity")
+        monkeypatch.setattr(Simulator, "run", broken)
+        with pytest.raises(RuntimeError, match="memory"):
+            slo_pass_at_rate("Baseline-A100", 1, 0, conversation_workload(), 1.0,
+                             duration=10.0, seeds=(1,))
 
 
 class TestPareto:
