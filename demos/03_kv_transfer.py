@@ -10,7 +10,7 @@ almost the whole transfer behind compute.
 
 import argparse
 
-from splitsim import A100_PAIR, H100_PAIR, TransferConfig, get_calibration, plan_transfer
+from splitsim import LLM_SPECS, default_transfer_config, get_calibration, plan_transfer
 
 
 def main():
@@ -19,9 +19,9 @@ def main():
     args = parser.parse_args()
 
     model = get_calibration(args.llm, "H100")
-    num_layers = 80 if args.llm == "llama2-70b" else 70
-    for name, pair in (("H100 pair", H100_PAIR), ("A100 pair", A100_PAIR)):
-        link = TransferConfig(num_layers=num_layers, **pair)
+    num_layers = LLM_SPECS[args.llm].num_layers
+    for name, machine_type in (("H100 pair", "H100"), ("A100 pair", "A100")):
+        link = default_transfer_config(machine_type, machine_type, num_layers)
         print(f"{name}: {link.bandwidth/1e9:.0f} Gbit/s, layer-wise overlap "
               f"from {link.mode_threshold_tokens} prompt tokens")
         print(f"  {'tokens':>7} {'compute':>10} {'raw':>10} {'visible':>10}  mode")

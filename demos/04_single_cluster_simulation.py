@@ -36,7 +36,7 @@ def main():
                            args.token_machines)
     models = {t: get_calibration(config.llm, t)
               for t in (config.prompt_type, config.token_type)}
-    sim = Simulator(config, models, trace, seed=args.seed,
+    sim = Simulator(config, models, trace,
                     reference_model=get_calibration(config.llm, "A100"),
                     record_log=False)
     result = sim.run()

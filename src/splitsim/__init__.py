@@ -13,6 +13,7 @@ from .errors import (
     ConfigurationError,
     FitError,
     HorizonExceeded,
+    InvariantError,
     ParseError,
     SplitsimError,
     ValidationError,
@@ -28,8 +29,10 @@ from .trace import (
     trace_stats,
 )
 from .perf import (
+    LLM_SPECS,
     MACHINE_SPECS,
     FitReport,
+    LlmSpec,
     MachineSpec,
     PerfModel,
     ProfileSample,
@@ -39,8 +42,6 @@ from .perf import (
     parse_profile_csv,
 )
 from .transfer import (
-    A100_PAIR,
-    H100_PAIR,
     TransferConfig,
     TransferPlan,
     default_transfer_config,
@@ -77,10 +78,11 @@ from .provision import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "A100_PAIR", "Batch", "CapacityError", "Cluster", "ClusterConfig",
+    "Batch", "CapacityError", "Cluster", "ClusterConfig",
     "ConfigurationError", "DESIGNS", "DesignPoint", "FitError", "FitReport",
-    "H100_PAIR", "HorizonExceeded", "MACHINE_SPECS", "MIXED", "Machine",
-    "MachineSpec", "MetricsReport", "PRESETS", "ParseError", "PerfModel",
+    "HorizonExceeded", "InvariantError", "LLM_SPECS", "LlmSpec",
+    "MACHINE_SPECS", "MIXED", "Machine", "MachineSpec", "MetricsReport",
+    "PRESETS", "ParseError", "PerfModel",
     "PROMPT", "ProfileSample", "Request", "RequestRecord", "RoutingDecision",
     "SchedulerConfig", "SearchResult", "SearchSpec", "SimResult",
     "Simulator", "SizeDistribution", "SloTable", "SplitsimError", "TOKEN",

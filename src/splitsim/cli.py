@@ -11,6 +11,7 @@ the global seed default.  Exit codes: 0 success (all SLOs pass for
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -22,7 +23,13 @@ from .errors import SplitsimError
 from .machine import SchedulerConfig
 from .perf import fit_piecewise_linear, get_calibration, parse_profile_csv, export_profile_csv
 from .trace import PRESETS, SizeDistribution, generate_trace, parse_trace, serialize_trace, trace_stats
-from .transfer import TransferConfig
+
+# config key -> (TransferConfig field, scale to its unit)
+_TRANSFER_KEYS = {
+    "transfer.bandwidth_gbps": ("bandwidth", 1e9),
+    "transfer.threshold_tokens": ("mode_threshold_tokens", 1),
+    "transfer.layerwise_constant_ms": ("layerwise_constant_ms", 1),
+}
 
 
 def _default_seed():
@@ -69,35 +76,31 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
-def _cluster_config(args, cfg) -> ClusterConfig:
-    design = args.design or cfg["cluster.design"]
-    sched = SchedulerConfig(
+def _sched_config(cfg) -> SchedulerConfig:
+    return SchedulerConfig(
         prompt_token_cap=cfg["mls.prompt_token_cap"],
         max_preemptions=cfg["mls.max_preemptions"],
         queue_threshold_tokens=cfg["cls.queue_threshold_tokens"],
         mixing_rule=cfg["mls.mixing_rule"],
     )
-    transfer = None
-    if cfg["transfer.bandwidth_gbps"] is not None:
-        llm = args.llm or cfg["run.llm"]
-        transfer = TransferConfig(
-            bandwidth=cfg["transfer.bandwidth_gbps"] * 1e9,
-            mode_threshold_tokens=cfg["transfer.threshold_tokens"] or 512,
-            layerwise_constant_ms=cfg["transfer.layerwise_constant_ms"] or 5.0,
-            num_layers=80 if llm == "llama2-70b" else 70,
-        )
-    return ClusterConfig(
-        design,
+
+
+def _cluster_config(args, cfg) -> ClusterConfig:
+    config = ClusterConfig(
+        args.design or cfg["cluster.design"],
         args.prompt_machines if args.prompt_machines is not None
         else cfg["cluster.prompt_machines"],
         args.token_machines if args.token_machines is not None
         else cfg["cluster.token_machines"],
         llm=args.llm or cfg["run.llm"],
-        sched=sched,
-        transfer=transfer,
-        repurpose_window_s=cfg["cls.repurpose_window_s"],
-        repurpose_fraction=cfg["cls.repurpose_fraction"],
+        sched=_sched_config(cfg),
     )
+    # each transfer key overrides one field of the design's default link
+    overrides = {name: cfg[key] * scale for key, (name, scale) in _TRANSFER_KEYS.items()
+                 if cfg[key] is not None}
+    if overrides and config.transfer is not None:  # baseline designs transfer nothing
+        config.transfer = dataclasses.replace(config.transfer, **overrides)
+    return config
 
 
 def cmd_simulate(args) -> int:
@@ -124,8 +127,8 @@ def cmd_simulate(args) -> int:
         models = {mt: get_calibration(llm, mt)
                   for mt in {cluster_config.prompt_type, cluster_config.token_type}}
     reference = get_calibration(llm, "A100")
-    result = Simulator(cluster_config, models, trace, seed=args.seed,
-                       reference_model=reference, record_log=args.event_log).run()
+    result = Simulator(cluster_config, models, trace, reference_model=reference,
+                       record_log=args.event_log).run()
 
     outdir = args.output_dir or cfg["run.output_dir"]
     os.makedirs(outdir, exist_ok=True)
@@ -146,9 +149,6 @@ def cmd_simulate(args) -> int:
             fh.write(engine.event_log_csv(result))
 
     slo = result.report.slo
-    if slo is None:  # empty trace
-        print("empty trace: nothing simulated")
-        return 0
     for c in slo["constraints"]:
         print(f"{c['metric']:>4} P{int(c['percentile'] * 100):<3} "
               f"ratio={c['observed_ratio']:.3f} limit={c['multiplier']} "
@@ -184,7 +184,7 @@ def cmd_provision(args) -> int:
         design=args.design, objective=args.objective, constraint=constraint,
         budget=budget, prompt_counts=_parse_counts(args.prompt_counts),
         token_counts=_parse_counts(args.token_counts), workload=workload,
-        trace_duration=args.duration, seeds=tuple(args.seeds),
+        trace_duration=args.duration, seeds=tuple(args.seeds), sched=_sched_config(cfg),
     )
     result = provision.search(spec)
 

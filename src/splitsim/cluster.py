@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .machine import MIXED, PROMPT, TOKEN, Machine, SchedulerConfig
-from .perf import MACHINE_SPECS, PerfModel
+from .perf import LLM_SPECS, PerfModel
 from .transfer import TransferConfig, default_transfer_config
 
 # design name -> (prompt machine type, token machine type, baseline?)
@@ -43,7 +43,7 @@ class ClusterConfig:
     token_machines: int
     llm: str = "llama2-70b"
     sched: SchedulerConfig = field(default_factory=SchedulerConfig)
-    transfer: TransferConfig | None = None  # default derived from design
+    transfer: TransferConfig | None = None  # None: derived from design and llm
     repurpose_window_s: float = 300.0
     repurpose_fraction: float = 0.5
     repurpose_enabled: bool = False
@@ -57,6 +57,12 @@ class ClusterConfig:
         if self.is_baseline and self.token_machines not in (0, self.prompt_machines):
             raise ConfigurationError(
                 "baseline designs take a single machine count (prompt_machines)")
+        if self.transfer is None and not self.is_baseline:
+            if self.llm not in LLM_SPECS:
+                raise ConfigurationError(
+                    f"unknown llm {self.llm!r}; expected one of {sorted(LLM_SPECS)}")
+            self.transfer = default_transfer_config(
+                self.prompt_type, self.token_type, LLM_SPECS[self.llm].num_layers)
 
     @property
     def is_baseline(self) -> bool:
@@ -92,24 +98,20 @@ class Cluster:
         mid = 0
         if baseline:
             for _ in range(config.prompt_machines):
-                self.machines[mid] = Machine(mid, MACHINE_SPECS[ptype], perf_models[ptype],
-                                             home_role=MIXED, sched=config.sched,
-                                             always_mixed=True)
+                self.machines[mid] = Machine(mid, perf_models[ptype], home_role=MIXED,
+                                             sched=config.sched, always_mixed=True)
                 mid += 1
         else:
             for _ in range(config.prompt_machines):
-                self.machines[mid] = Machine(mid, MACHINE_SPECS[ptype], perf_models[ptype],
-                                             home_role=PROMPT, sched=config.sched)
+                self.machines[mid] = Machine(mid, perf_models[ptype], home_role=PROMPT,
+                                             sched=config.sched)
                 mid += 1
             for _ in range(config.token_machines):
-                self.machines[mid] = Machine(mid, MACHINE_SPECS[ttype], perf_models[ttype],
-                                             home_role=TOKEN, sched=config.sched)
+                self.machines[mid] = Machine(mid, perf_models[ttype], home_role=TOKEN,
+                                             sched=config.sched)
                 mid += 1
         if not self.machines:
             raise ConfigurationError("cluster has no machines")
-        if config.transfer is None and not baseline:
-            num_layers = 80 if config.llm == "llama2-70b" else 70
-            config.transfer = default_transfer_config(ptype, ttype, num_layers)
 
     # -- pools -------------------------------------------------------------
 

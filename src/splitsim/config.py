@@ -14,21 +14,15 @@ from .errors import ConfigurationError
 # key -> (type, default).  None default means "unset".
 KNOWN_KEYS = {
     "run.trace": (str, None),
-    "run.profile": (str, None),
     "run.output_dir": (str, "."),
     "run.llm": (str, "llama2-70b"),
-    "run.seed": (int, 0),
     "cluster.design": (str, "Baseline-A100"),
     "cluster.prompt_machines": (int, 1),
     "cluster.token_machines": (int, 0),
-    "cluster.prompt_type": (str, None),
-    "cluster.token_type": (str, None),
     "mls.prompt_token_cap": (int, 2048),
     "mls.max_preemptions": (int, 4),
     "mls.mixing_rule": (str, "sum"),
     "cls.queue_threshold_tokens": (int, 4096),
-    "cls.repurpose_window_s": (float, 300.0),
-    "cls.repurpose_fraction": (float, 0.5),
     "transfer.bandwidth_gbps": (float, None),
     "transfer.threshold_tokens": (int, None),
     "transfer.layerwise_constant_ms": (float, None),

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cluster import Cluster, ClusterConfig
-from .errors import HorizonExceeded, ValidationError
+from .errors import HorizonExceeded, InvariantError, ValidationError
 from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .trace import Request, Trace
@@ -121,6 +121,8 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict,
     are computed per request (per token gap for pooled TBT) and then
     percentiled.  Returns per-constraint verdicts plus overall pass.
     """
+    if tbt_mode not in ("pooled", "per_request"):
+        raise ValidationError(f"tbt_mode must be 'pooled' or 'per_request', not {tbt_mode!r}")
     ttft_ratios = []
     e2e_ratios = []
     tbt_ratios = []
@@ -161,16 +163,15 @@ class Simulator:
     """One simulation run over a single event queue."""
 
     def __init__(self, config: ClusterConfig, perf_models: dict[str, PerfModel],
-                 trace: Trace, seed: int = 0, reference_model: PerfModel | None = None,
+                 trace: Trace, reference_model: PerfModel | None = None,
                  record_log: bool = True, horizon: float | None = None,
-                 tbt_mode: str = "pooled"):
+                 slo: SloTable | None = None):
         self.config = config
         self.cluster = Cluster(config, perf_models)
         self.trace = trace
-        self.seed = seed
         self.reference_model = reference_model
         self.record_log = record_log
-        self.tbt_mode = tbt_mode
+        self.slo = slo or SloTable()
         self.horizon = horizon if horizon is not None else trace.duration + 600.0
         self._horizon_ms = self.horizon * 1000.0
         self._heap: list = []
@@ -223,7 +224,7 @@ class Simulator:
             self._dispatch(time)
 
         if self._completed < len(self.trace.requests):
-            raise RuntimeError("event queue drained with unfinished requests")
+            raise InvariantError("event queue drained with unfinished requests")
         return SimResult(self._build_report(), self.records, self._log, self.cluster)
 
     def _on_arrival(self, time, rid):
@@ -332,7 +333,7 @@ class Simulator:
 
     def _assert_memory(self, machine: Machine):
         if machine.memory_used() > machine.perf.memory_capacity + 1e-6:
-            raise RuntimeError(
+            raise InvariantError(
                 f"machine {machine.id} memory {machine.memory_used():.3e} exceeds "
                 f"capacity {machine.perf.memory_capacity:.3e}")
 
@@ -349,14 +350,14 @@ class Simulator:
         if self.reference_model is not None and records:
             refs = {r.request.id: reference_latencies(r.request, self.reference_model)
                     for r in records}
-            report.slo = check_slo(report, SloTable(), refs, self.tbt_mode)
+            report.slo = check_slo(report, self.slo, refs)
         return report
 
 
 def run(config: ClusterConfig, perf_models: dict[str, PerfModel], trace: Trace,
-        seed: int = 0, **kwargs) -> SimResult:
+        **kwargs) -> SimResult:
     """Convenience wrapper: build a Simulator and run it."""
-    return Simulator(config, perf_models, trace, seed, **kwargs).run()
+    return Simulator(config, perf_models, trace, **kwargs).run()
 
 
 # -- CSV emission ----------------------------------------------------------

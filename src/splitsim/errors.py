@@ -34,3 +34,7 @@ class ConfigurationError(SplitsimError):
 class HorizonExceeded(SplitsimError, RuntimeError):
     """A simulation ran past its horizon with requests unfinished: the
     cluster cannot keep up with the offered load."""
+
+
+class InvariantError(SplitsimError, RuntimeError):
+    """The simulator broke one of its own invariants: a defect, not load."""

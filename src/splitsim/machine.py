@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import SplitsimError, ValidationError
-from .perf import PerfModel, MachineSpec
+from .perf import PerfModel
 
 PROMPT = "prompt"
 TOKEN = "token"
@@ -79,18 +79,13 @@ class Batch:
             return MIXED
         return "prompt_only" if self.prompt_tasks else "token_only"
 
-    @property
-    def tasks(self):
-        return self.prompt_tasks + self.token_tasks
-
 
 class Machine:
     """A simulated server owned by the engine's single logical timeline."""
 
-    def __init__(self, machine_id: int, spec: MachineSpec, perf: PerfModel,
-                 home_role: str, sched: SchedulerConfig, always_mixed: bool = False):
+    def __init__(self, machine_id: int, perf: PerfModel, home_role: str,
+                 sched: SchedulerConfig, always_mixed: bool = False):
         self.id = machine_id
-        self.spec = spec
         self.perf = perf
         self.home_role = home_role
         self.always_mixed = always_mixed

@@ -19,31 +19,56 @@ import numpy as np
 
 from .errors import CapacityError, FitError, ParseError, ValidationError
 
-MACHINE_TYPES = ("A100", "H100", "H100cap")
-
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """Per-machine hardware rates, normalized to a DGX-A100 = 1.0."""
+    """Per-machine memory and the back-plane link that carries the KV cache."""
 
-    machine_type: str
-    power_rating: float
-    cost_rate: float
-    interconnect_bandwidth: float  # bits/second
-    memory_capacity: float         # bytes
+    memory_capacity: float            # bytes
+    interconnect_bandwidth: float     # bits/second
+    transfer_threshold_tokens: int    # below this, KV ships serialized
+    layerwise_constant_ms: float      # non-overlapped layer-wise sync floor
 
     def __post_init__(self):
-        if min(self.power_rating, self.cost_rate,
-               self.interconnect_bandwidth, self.memory_capacity) <= 0:
+        if min(self.memory_capacity, self.interconnect_bandwidth,
+               self.transfer_threshold_tokens, self.layerwise_constant_ms) <= 0:
             raise ValidationError("MachineSpec fields must be positive")
 
 
 # DGX-class machines: 8 GPUs x 80 GB HBM; Infiniband per the vendor data-sheet
-# ratios (A100 200 Gb/s, H100 400 Gb/s).  Power/cost normalized to A100.
+# ratios (A100 200 Gb/s, H100 400 Gb/s).  Benchmarked layer-wise floors are
+# ~5 ms over 400 Gb/s and ~8 ms over 200 Gb/s; the serialized/layer-wise
+# threshold scales inversely with bandwidth.  Cost and power live in
+# provision._COST_POWER.
 MACHINE_SPECS: dict[str, MachineSpec] = {
-    "A100": MachineSpec("A100", 1.0, 1.0, 200e9, 640e9),
-    "H100": MachineSpec("H100", 1.75, 2.35, 400e9, 640e9),
-    "H100cap": MachineSpec("H100cap", 1.23, 2.5, 400e9, 640e9),
+    "A100": MachineSpec(640e9, 200e9, 1024, 8.0),
+    "H100": MachineSpec(640e9, 400e9, 512, 5.0),
+    "H100cap": MachineSpec(640e9, 400e9, 512, 5.0),
+}
+
+
+@dataclass(frozen=True)
+class LlmSpec:
+    """Per-model architecture and serving limits."""
+
+    num_layers: int
+    hidden: int
+    weight_memory: float   # bytes
+    max_token_batch: int
+
+    @property
+    def kv_bytes_per_token(self) -> float:
+        """K and V, every layer, fp16: 2 * layers * hidden * 2 bytes."""
+        return float(2 * self.num_layers * self.hidden * 2)
+
+
+# Token batches scale up to 64 before memory runs out (Llama2-70B); the
+# weight figure includes framework/activation overhead beyond raw fp16
+# weights so that 64 contexts of the 2048-token calibration length fill
+# the 640 GB machine.
+LLM_SPECS: dict[str, LlmSpec] = {
+    "llama2-70b": LlmSpec(80, 8192, 295e9, 64),
+    "bloom-176b": LlmSpec(70, 14336, 420e9, 26),
 }
 
 
@@ -143,10 +168,6 @@ class PerfModel:
         if context_tokens < 0:
             raise ValidationError("context tokens must be >= 0")
         return context_tokens * self.kv_bytes_per_token
-
-    def memory_in_use(self, active_contexts) -> float:
-        """Weights plus the KV cache of every active context."""
-        return self.weight_memory + sum(self.kv_cache_bytes(c) for c in active_contexts)
 
 
 @dataclass
@@ -293,13 +314,8 @@ def fit_piecewise_linear(samples, knot_budget=32, holdout_fraction=0.0,
 # Llama2-70B prompt of 1500 tokens takes 185 ms (A100) / 95 ms (H100);
 # single-token iteration 52 ms (A100) / 31 ms (H100).  Beyond 2048 tokens
 # the prompt curve turns superlinear (attention cost grows quadratically
-# once the per-token linear terms stop dominating).  KV bytes per token
-# from the architecture (2 * layers * hidden * 2 bytes): Llama2-70B
-# 2*80*8192*2 = 2,621,440; BLOOM-176B 2*70*14336*2 = 4,014,080.
-# Token batches scale up to 64 before memory runs out (Llama2-70B); the
-# weight figure includes framework/activation overhead beyond raw fp16
-# weights so that 64 contexts of the 2048-token calibration length fill
-# the 640 GB machine.
+# once the per-token linear terms stop dominating).  Memory figures come
+# from LLM_SPECS and MACHINE_SPECS.
 # ---------------------------------------------------------------------------
 
 _CALIBRATION = {
@@ -308,36 +324,30 @@ _CALIBRATION = {
                 [16, 49, 78, 142, 155, 185, 253, 700, 2400]),
         token=([1, 2, 4, 8, 16, 32, 64],
                [52, 52.5, 54, 55, 60, 72, 104]),
-        kv=2_621_440.0, weights=295e9, capacity=640e9, max_batch=64,
     ),
     ("llama2-70b", "H100"): dict(
         prompt=([1, 128, 256, 512, 1020, 1500, 2048, 4096, 8192],
                 [8, 25, 40, 73, 84, 95, 130, 360, 1250]),
         token=([1, 2, 4, 8, 16, 32, 64],
                [31, 31.5, 32, 33, 36, 43, 62]),
-        kv=2_621_440.0, weights=295e9, capacity=640e9, max_batch=64,
     ),
     ("bloom-176b", "A100"): dict(
         prompt=([1, 256, 512, 1020, 1500, 2048, 4096],
                 [23, 114, 209, 323, 456, 627, 1102]),
         token=([1, 8, 16, 32, 64],
                [58, 62, 68, 81, 116]),
-        kv=4_014_080.0, weights=420e9, capacity=640e9, max_batch=26,
     ),
     ("bloom-176b", "H100"): dict(
         prompt=([1, 256, 512, 1020, 1500, 2048, 4096],
                 [12, 60, 110, 170, 240, 330, 580]),
         token=([1, 8, 16, 32, 64],
                [40, 43, 47, 56, 80]),
-        kv=4_014_080.0, weights=420e9, capacity=640e9, max_batch=26,
     ),
 }
 
 # Under a 50% per-GPU power cap the token phase is unaffected while prompt
 # computation slows; the default inflation factor is 1.5x.
 H100CAP_PROMPT_FACTOR = 1.5
-
-LLMS = ("llama2-70b", "bloom-176b")
 
 
 def get_calibration(llm: str, machine_type: str,
@@ -352,10 +362,12 @@ def get_calibration(llm: str, machine_type: str,
     py = list(py)
     if machine_type == "H100cap":
         py = [v * h100cap_prompt_factor for v in py]
+    spec = LLM_SPECS[llm]
     return PerfModel(machine_type, llm,
                      (np.asarray(px, float), np.asarray(py, float)),
                      (np.asarray(c["token"][0], float), np.asarray(c["token"][1], float)),
-                     c["kv"], c["weights"], c["capacity"], c["max_batch"])
+                     spec.kv_bytes_per_token, spec.weight_memory,
+                     MACHINE_SPECS[machine_type].memory_capacity, spec.max_token_batch)
 
 
 PROFILE_HEADER = "machine_type,llm,phase,prompt_tokens,batch_size,time_ms,memory_bytes"

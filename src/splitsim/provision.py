@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 from .cluster import ClusterConfig, normalize_design
-from .engine import SloTable, Simulator, reference_latencies, check_slo
+from .engine import SloTable, Simulator
 from .errors import ConfigurationError, HorizonExceeded, ValidationError
 from .machine import SchedulerConfig
-from .perf import PerfModel, get_calibration
+from .perf import get_calibration
 from .trace import SizeDistribution, generate_trace
 
 # (cost, power) per machine, normalized to DGX-A100 = 1.  Token-side H100
@@ -113,38 +113,27 @@ class SearchSpec:
             raise ConfigurationError("empty prompt count range")
 
 
-def _perf_models_for(config: ClusterConfig, workload: Workload) -> dict[str, PerfModel]:
-    return {mt: get_calibration(workload.llm, mt)
-            for mt in {config.prompt_type, config.token_type}}
-
-
 def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
                      workload: Workload, rate: float, duration: float = 120.0,
                      seeds=(1, 2, 3), slo: SloTable | None = None,
                      sched: SchedulerConfig | None = None) -> bool:
     """True iff all nine SLOs pass on every seed at the given arrival rate."""
-    slo = slo or SloTable()
     config = ClusterConfig(design, prompt_count, token_count, llm=workload.llm,
                            sched=sched or SchedulerConfig())
-    models = _perf_models_for(config, workload)
+    models = {mt: get_calibration(workload.llm, mt)
+              for mt in {config.prompt_type, config.token_type}}
     reference = get_calibration(workload.llm, "A100")
     for seed in seeds:
         trace = generate_trace(workload.prompt_dist, workload.output_dist,
                                rate, duration, seed)
         if not trace.requests:
             continue
-        config_i = ClusterConfig(design, prompt_count, token_count, llm=workload.llm,
-                                 sched=sched or SchedulerConfig())
         try:
-            result = Simulator(config_i, models, trace, seed=seed,
-                               reference_model=reference, record_log=False,
-                               tbt_mode="pooled").run()
+            result = Simulator(config, models, trace, reference_model=reference,
+                               record_log=False, slo=slo).run()
         except HorizonExceeded:
             return False  # the cluster cannot keep up with this load
-        refs = {r.request.id: reference_latencies(r.request, reference)
-                for r in result.report.records}
-        verdict = check_slo(result.report, slo, refs)
-        if not verdict["pass"]:
+        if not result.report.slo["pass"]:
             return False
     return True
 

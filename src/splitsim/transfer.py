@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .perf import MACHINE_SPECS
 
 SERIALIZED = "serialized"
 LAYERWISE = "layerwise"
@@ -35,18 +36,13 @@ class TransferConfig:
             raise ValidationError("num_layers must be >= 1")
 
 
-# Benchmarked constants for DGX pairs: non-overlapped layer-wise floor of
-# ~5 ms over 400 Gb/s (H100 pairs) and ~8 ms over 200 Gb/s (A100 pairs).
-# Thresholds scale inversely with bandwidth.
-H100_PAIR = dict(bandwidth=400e9, mode_threshold_tokens=512, layerwise_constant_ms=5.0)
-A100_PAIR = dict(bandwidth=200e9, mode_threshold_tokens=1024, layerwise_constant_ms=8.0)
-
-
 def default_transfer_config(prompt_type: str, token_type: str, num_layers: int) -> TransferConfig:
-    """Pair defaults: the slower side's interconnect bounds the link."""
-    fast = {"H100", "H100cap"}
-    pair = H100_PAIR if prompt_type in fast and token_type in fast else A100_PAIR
-    return TransferConfig(num_layers=num_layers, **pair)
+    """Pair defaults: the slower side's interconnect bounds the link, and
+    its benchmarked constants apply."""
+    spec = min(MACHINE_SPECS[prompt_type], MACHINE_SPECS[token_type],
+               key=lambda s: s.interconnect_bandwidth)
+    return TransferConfig(spec.interconnect_bandwidth, spec.transfer_threshold_tokens,
+                          spec.layerwise_constant_ms, num_layers)
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def test_07_jsq_oracle():
         rate = 1.0 + (seed % 5)
         trace = generate_trace(p, o, rate, 200.0 / rate, seed=seed)
         config = ClusterConfig(design, pc, tc, sched=sched)
-        res = Simulator(config, models_for(config), trace, seed=seed).run()
+        res = Simulator(config, models_for(config), trace).run()
         ok = ok and _replay_routing(res, config)
     report(7, "JSQ routing oracle", ok)
 
@@ -228,7 +228,7 @@ def test_08_scheduler_invariants():
             p, o = PRESETS[preset]["prompt"], PRESETS[preset]["output"]
             trace = generate_trace(p, o, rate, 40.0, seed=seed)
             config = ClusterConfig(design, pc, tc)
-            res = _CheckedSimulator(config, models_for(config), trace, seed=seed).run()
+            res = _CheckedSimulator(config, models_for(config), trace).run()
             sizes = {r.id: r.prompt_tokens for r in trace.requests}
             for (_t, _s, kind, payload) in res.event_log:
                 if kind != "batch_started":

@@ -1,7 +1,8 @@
 import pytest
 
-from splitsim import export_profile_csv, get_calibration
-from splitsim.cli import main
+from splitsim import SchedulerConfig, TransferConfig, export_profile_csv, get_calibration, provision
+from splitsim.cli import _cluster_config, build_parser, main
+from splitsim.config import load_config
 
 
 def run_cli(*argv):
@@ -104,7 +105,43 @@ class TestSimulate:
                        "--trace", str(trace_file)) == 2
 
 
+class TestTransferKeys:
+    def _transfer(self, tmp_path, design, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        args = build_parser().parse_args(["--config", str(cfg), "simulate", "--design", design,
+                                          "--prompt-machines", "1", "--token-machines", "1"])
+        return _cluster_config(args, load_config(args.config)).transfer
+
+    def test_each_key_takes_effect_alone(self, tmp_path):
+        assert self._transfer(tmp_path, "Splitwise-HH", "transfer.threshold_tokens = 64\n") \
+            == TransferConfig(400e9, 64, 5.0, 80)
+        assert self._transfer(tmp_path, "Splitwise-HH", "transfer.layerwise_constant_ms = 2.5\n") \
+            == TransferConfig(400e9, 512, 2.5, 80)
+
+    def test_unset_keys_follow_the_design(self, tmp_path):
+        # an A100 link keeps the A100 threshold and floor, not the H100 ones
+        assert self._transfer(tmp_path, "Splitwise-AA", "transfer.bandwidth_gbps = 100\n") \
+            == TransferConfig(100e9, 1024, 8.0, 80)
+
+
 class TestProvision:
+    def test_config_scheduler_reaches_search(self, tmp_path, monkeypatch):
+        specs = []
+
+        def fake_search(spec):
+            specs.append(spec)
+            return provision.SearchResult([], [], None, "not run")
+        monkeypatch.setattr(provision, "search", fake_search)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mls.prompt_token_cap = 1024\nmls.max_preemptions = 2\n"
+                       "mls.mixing_rule = max\ncls.queue_threshold_tokens = 512\n")
+        assert run_cli("--config", str(cfg), "provision", "--design", "Splitwise-AA",
+                       "--objective", "max_throughput", "--power-budget", "4",
+                       "--preset", "conversation", "--output-dir", str(tmp_path)) == 1
+        assert specs[0].sched == SchedulerConfig(prompt_token_cap=1024, max_preemptions=2,
+                                                 queue_threshold_tokens=512, mixing_rule="max")
+
     def test_usage_error_without_constraint(self, tmp_path):
         assert run_cli("provision", "--design", "Splitwise-AA",
                        "--objective", "max_throughput", "--preset",

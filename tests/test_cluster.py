@@ -75,6 +75,13 @@ class TestPools:
         Cluster(cfg2, models_for(cfg2))
         assert cfg2.transfer.bandwidth == 400e9
 
+    def test_transfer_layers_from_llm(self):
+        cfg = ClusterConfig("Splitwise-HH", 1, 1, llm="bloom-176b")
+        assert cfg.transfer.num_layers == 70
+        with pytest.raises(ConfigurationError):
+            ClusterConfig("Splitwise-HH", 1, 1, llm="gpt-x")
+        assert ClusterConfig("Baseline-H100", 1, 0, llm="gpt-x").transfer is None
+
 
 class TestRouting:
     def test_argmin_by_pending_tokens(self):

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from splitsim import config, provision
+from splitsim.cli import main
 from splitsim.config import KNOWN_KEYS, load_config, parse_config
 from splitsim.errors import ConfigurationError
 
@@ -12,28 +14,31 @@ class TestParse:
             {"mls.prompt_token_cap": 1024}
 
     def test_comments_and_blanks(self):
-        text = "# a comment\n\nrun.seed = 5  # trailing\n"
-        assert parse_config(text) == {"run.seed": 5}
+        text = "# a comment\n\nmls.max_preemptions = 5  # trailing\n"
+        assert parse_config(text) == {"mls.max_preemptions": 5}
 
     def test_unknown_key(self):
-        # mls.aging_rate was removed: it never changed the token order
-        for line in ("mls.quantum = 3", "mls.aging_rate = 1.0"):
+        # removed keys, which never changed any output, are unknown too
+        for line in ("mls.quantum = 3", "mls.aging_rate = 1.0", "run.seed = 1",
+                     "run.profile = p.csv", "cluster.prompt_type = H100",
+                     "cluster.token_type = A100", "cls.repurpose_window_s = 60",
+                     "cls.repurpose_fraction = 0.5"):
             with pytest.raises(ConfigurationError) as exc:
                 parse_config(line)
             assert "line 1" in str(exc.value)
 
     def test_missing_equals(self):
         with pytest.raises(ConfigurationError) as exc:
-            parse_config("run.seed 5")
+            parse_config("mls.max_preemptions 5")
         assert "line 1" in str(exc.value)
 
     def test_bad_type(self):
         with pytest.raises(ConfigurationError):
-            parse_config("run.seed = abc")
+            parse_config("mls.max_preemptions = abc")
 
     def test_line_numbers(self):
         with pytest.raises(ConfigurationError) as exc:
-            parse_config("run.seed = 1\nbogus.key = 2\n")
+            parse_config("mls.max_preemptions = 1\nbogus.key = 2\n")
         assert "line 2" in str(exc.value)
 
 
@@ -59,3 +64,41 @@ class TestLoad:
             assert typ in (str, int, float)
             if default is not None:
                 assert isinstance(default, (typ, int))
+
+
+class _RecordingDict(dict):
+    """A loaded config that notes every key the CLI reads."""
+
+    def __init__(self, values, seen):
+        super().__init__(values)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_key_is_read(tmp_path, monkeypatch):
+    """A key no command reads has no effect on any output."""
+    seen = set()
+    real_load = config.load_config
+    monkeypatch.setattr(config, "load_config",
+                        lambda path: _RecordingDict(real_load(path), seen))
+    monkeypatch.setattr(provision, "search",
+                        lambda spec: provision.SearchResult([], [], None, "not run"))
+    trace = tmp_path / "trace.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_dist.kind = bimodal-lognormal\n"
+                   "output_dist.weight2 = 0.2\n"
+                   "output_dist.mu2 = 4.0\n"
+                   f"run.trace = {trace}\n"
+                   f"run.output_dir = {tmp_path / 'out'}\n"
+                   "cluster.design = Splitwise-HH\n"
+                   "cluster.prompt_machines = 2\n"
+                   "cluster.token_machines = 1\n")
+    assert main(["--config", str(cfg), "gen-trace", "--rate", "1", "--duration", "5",
+                 "--output", str(trace)]) == 0
+    assert main(["--config", str(cfg), "simulate"]) in (0, 1)
+    assert main(["--config", str(cfg), "provision", "--design", "Splitwise-AA",
+                 "--objective", "max_throughput", "--power-budget", "4"]) == 1
+    assert sorted(set(KNOWN_KEYS) - seen) == []

@@ -3,6 +3,8 @@ import pytest
 from splitsim import (
     ClusterConfig,
     HorizonExceeded,
+    InvariantError,
+    Machine,
     Request,
     Simulator,
     SloTable,
@@ -114,7 +116,7 @@ class TestDeterminism:
         outs = []
         for _ in range(2):
             res = Simulator(ClusterConfig("Splitwise-HH", 2, 1), h100_models(),
-                            trace, seed=9,
+                            trace,
                             reference_model=get_calibration("llama2-70b", "A100")).run()
             outs.append((engine.event_log_csv(res), engine.requests_csv(res),
                          engine.tbt_csv(res), engine.summary_csv(res)))
@@ -160,6 +162,16 @@ class TestSloCheck:
                    if c["metric"] == "TBT" and c["percentile"] == 0.99][0]
         assert pooled_p99["observed_ratio"] == pytest.approx(500.0 / 52.0)
         assert per_p99["observed_ratio"] == pytest.approx((110 + 500) / 12 / 52.0)
+        with pytest.raises(ValidationError):
+            check_slo(report, SloTable(), refs, tbt_mode="per_reqest")
+
+    def test_simulator_uses_given_table(self):
+        strict = SloTable(ttft=(1.0, 1.0, 1.0), tbt=(1.0, 1.0, 1.0), e2e=(1.0, 1.0, 1.0))
+        res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
+                        single_request_trace(),
+                        reference_model=get_calibration("llama2-70b", "A100"),
+                        slo=strict).run()
+        assert [c["multiplier"] for c in res.report.slo["constraints"]] == [1.0] * 9
 
     def test_slo_table_validation(self):
         with pytest.raises(ValidationError):
@@ -184,6 +196,14 @@ class TestEngineBehavior:
                       {"A100": get_calibration("llama2-70b", "A100")},
                       trace, horizon=6.0).run()
         assert isinstance(info.value, SplitsimError)
+
+    def test_memory_invariant_is_typed(self, monkeypatch):
+        monkeypatch.setattr(Machine, "memory_used", lambda self: float("inf"))
+        with pytest.raises(InvariantError, match="exceeds capacity") as info:
+            Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
+                      single_request_trace()).run()
+        # existing RuntimeError handlers still catch it
+        assert isinstance(info.value, RuntimeError)
 
     def test_empty_trace(self):
         res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),

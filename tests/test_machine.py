@@ -1,7 +1,6 @@
 import pytest
 
 from splitsim import (
-    MACHINE_SPECS,
     Machine,
     SchedulerConfig,
     SplitsimError,
@@ -13,8 +12,7 @@ from splitsim.machine import MIXED, PROMPT, TOKEN
 
 
 def make_machine(home=PROMPT, always_mixed=False, sched=None, machine_type="H100"):
-    return Machine(0, MACHINE_SPECS[machine_type],
-                   get_calibration("llama2-70b", machine_type),
+    return Machine(0, get_calibration("llama2-70b", machine_type),
                    home_role=home, sched=sched or SchedulerConfig(),
                    always_mixed=always_mixed)
 
