@@ -134,8 +134,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     header = (f"# design={cluster_config.design} "
               f"prompt_machines={cluster_config.prompt_machines} "
-              f"token_machines={cluster_config.token_machines} llm={llm} "
-              f"seed={args.seed}\n")
+              f"token_machines={cluster_config.token_machines} llm={llm}\n")
     with open(os.path.join(outdir, "requests.csv"), "w") as fh:
         fh.write(header)
         fh.write(engine.requests_csv(result))
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token-machines", type=int, default=None)
     p.add_argument("--llm", default=None)
     p.add_argument("--profile", default=None, help="fit models from this profile CSV")
-    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--output-dir", default=None)
     p.add_argument("--event-log", action="store_true")
     p.set_defaults(func=cmd_simulate)

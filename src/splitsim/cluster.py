@@ -99,7 +99,7 @@ class Cluster:
         if baseline:
             for _ in range(config.prompt_machines):
                 self.machines[mid] = Machine(mid, perf_models[ptype], home_role=MIXED,
-                                             sched=config.sched, always_mixed=True)
+                                             sched=config.sched)
                 mid += 1
         else:
             for _ in range(config.prompt_machines):
@@ -172,7 +172,7 @@ class Cluster:
     def note_enqueue(self, machine: Machine, kind: str, now: float) -> list[tuple]:
         """Move a machine into the mixed pool when it takes opposite-kind
         work; returns pool transition records."""
-        if machine.always_mixed or machine.current_pool == MIXED:
+        if machine.current_pool == MIXED:
             return []
         if kind != machine.home_role:
             prev = machine.current_pool
@@ -185,28 +185,38 @@ class Cluster:
         home pool; records (time, machine, from, to)."""
         transitions = []
         for m in self.machines.values():
-            if m.always_mixed or m.current_pool != MIXED:
+            if m.home_role == MIXED or m.current_pool != MIXED:
                 continue
             if not m.has_opposite_work():
                 m.note_pool_change(m.home_role, now)
                 transitions.append((now, m.id, MIXED, m.home_role))
         return transitions
 
-    def repurpose(self, now: float, window: float) -> list[tuple]:
+    def repurpose(self, now: float, window: float) -> tuple[list[tuple], list[tuple]]:
         """Flip the home role of machines that spent most of the last
-        window in the mixed pool; records (time, machine, old_role, new_role)."""
-        events = []
+        window in the mixed pool.
+
+        A flipped machine in its old home pool moves to its new one, or to
+        the mixed pool while it still holds old-kind work, which
+        ``update_pools`` lets drain.  Returns the flips and the pool
+        transitions, both as (time, machine, from, to) records.
+        """
+        flips, transitions = [], []
         if not math.isfinite(window) or window <= 0:
-            return events
+            return flips, transitions
         for m in self.machines.values():
-            if m.always_mixed:
+            if m.home_role == MIXED:
                 continue
             frac = m.mixed_residency(now) / window
             m.reset_mixed_residency(now)
             if frac > self.config.repurpose_fraction:
                 old = m.home_role
                 m.home_role = TOKEN if old == PROMPT else PROMPT
+                flips.append((now, m.id, old, m.home_role))
                 if m.current_pool == old:
-                    m.note_pool_change(m.home_role, now)
-                events.append((now, m.id, old, m.home_role))
-        return events
+                    if m.has_opposite_work():
+                        m.note_pool_change(MIXED, now)
+                        transitions.append((now, m.id, old, MIXED))
+                    else:
+                        m.note_pool_change(m.home_role, now)
+        return flips, transitions

@@ -26,10 +26,20 @@ from .perf import PerfModel
 from .trace import Request, Trace
 from .transfer import plan_transfer
 
-ARRIVAL = "request_arrival"
-ITERATION = "iteration_complete"
-TRANSFER = "transfer_complete"
-MAINTENANCE = "pool_maintenance"
+# event kind -> payload format of its fields; only event_log_csv reads it.
+# A tuple field (the request ids of a batch) prints comma-joined.
+EVENT_FORMATS = {
+    "request_arrival": "request={} prompt_tokens={} output_tokens={} "
+                       "prompt_machine={} token_machine={}",
+    "task_enqueued": "machine={} request={} kind={} tokens={}",
+    "pool_transition": "machine={} from={} to={}",
+    "batch_started": "machine={} kind={} prompts=[{}] tokens=[{}] iter_ms={:.6f}",
+    "iteration_complete": "machine={}",
+    "prompt_finished": "request={} machine={} tokens={}",
+    "transfer_complete": "request={} visible_ms={:.6f}",
+    "request_finished": "request={} machine={} kind={}",
+    "pool_maintenance": "machine={} repurposed {}->{}",
+}
 
 
 def percentile(samples, p: float):
@@ -113,16 +123,14 @@ class MetricsReport:
         return out
 
 
-def check_slo(report: MetricsReport, slo: SloTable, references: dict,
-              tbt_mode: str = "pooled") -> dict:
+def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
     """Evaluate the nine slowdown constraints.
 
     ``references`` maps request id -> reference_latencies() output.  Ratios
-    are computed per request (per token gap for pooled TBT) and then
-    percentiled.  Returns per-constraint verdicts plus overall pass.
+    are computed per request (per token gap for TBT, pooled over all
+    requests) and then percentiled.  Returns per-constraint verdicts plus
+    overall pass.
     """
-    if tbt_mode not in ("pooled", "per_request"):
-        raise ValidationError(f"tbt_mode must be 'pooled' or 'per_request', not {tbt_mode!r}")
     ttft_ratios = []
     e2e_ratios = []
     tbt_ratios = []
@@ -130,12 +138,7 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict,
         ref = references[rec.request.id]
         ttft_ratios.append(rec.ttft_ms / ref["ttft_ms"])
         e2e_ratios.append(rec.e2e_ms / ref["e2e_ms"])
-        gaps = rec.tbt_ms()
-        if gaps:
-            if tbt_mode == "pooled":
-                tbt_ratios.extend(g / ref["tbt_ms"] for g in gaps)
-            else:
-                tbt_ratios.append(sum(gaps) / len(gaps) / ref["tbt_ms"])
+        tbt_ratios.extend(g / ref["tbt_ms"] for g in rec.tbt_ms())
     result = {"constraints": [], "pass": True}
     for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
                                         ("TBT", tbt_ratios, slo.tbt),
@@ -184,17 +187,17 @@ class Simulator:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _push(self, time, kind, payload):
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+    def _push(self, time, handler, arg=None):
+        heapq.heappush(self._heap, (time, self._seq, handler, arg))
         self._seq += 1
 
-    def _emit(self, time, kind, payload: str):
+    def _emit(self, time, kind, *fields):
         if self.record_log:
-            self._log.append((time, len(self._log), kind, payload))
+            self._log.append((time, len(self._log), kind, fields))
 
     def _note_transitions(self, transitions):
         for (t, mid, old, new) in transitions:
-            self._emit(t, "pool_transition", f"machine={mid} from={old} to={new}")
+            self._emit(t, "pool_transition", mid, old, new)
             self._dirty.add(mid)
 
     # -- run loop ----------------------------------------------------------
@@ -202,24 +205,17 @@ class Simulator:
     def run(self) -> SimResult:
         for req in self.trace.requests:
             self.records[req.id] = RequestRecord(req)
-            self._push(req.arrival * 1000.0, ARRIVAL, req.id)
+            self._push(req.arrival * 1000.0, self._on_arrival, req.id)
         if self.config.repurpose_enabled and math.isfinite(self.config.repurpose_window_s):
-            self._push(self.config.repurpose_window_s * 1000.0, MAINTENANCE, None)
+            self._push(self.config.repurpose_window_s * 1000.0, self._on_maintenance)
 
         while self._heap and self._completed < len(self.trace.requests):
-            time, seq, kind, payload = heapq.heappop(self._heap)
+            time, _, handler, arg = heapq.heappop(self._heap)
             if time > self._horizon_ms:
                 raise HorizonExceeded(
                     f"simulation exceeded horizon {self.horizon:.1f}s with "
                     f"{len(self.trace.requests) - self._completed} requests unfinished")
-            if kind == ARRIVAL:
-                self._on_arrival(time, payload)
-            elif kind == ITERATION:
-                self._on_iteration(time, payload)
-            elif kind == TRANSFER:
-                self._on_transfer(time, payload)
-            elif kind == MAINTENANCE:
-                self._on_maintenance(time)
+            handler(time, arg)
             self._note_transitions(self.cluster.update_pools(time))
             self._dispatch(time)
 
@@ -233,43 +229,42 @@ class Simulator:
         decision = self.cluster.route(rid, time)
         rec.prompt_machine = decision.prompt_machine
         rec.token_machine = decision.token_machine
-        self._emit(time, ARRIVAL,
-                   f"request={rid} prompt_tokens={req.prompt_tokens} "
-                   f"output_tokens={req.output_tokens} "
-                   f"prompt_machine={decision.prompt_machine} "
-                   f"token_machine={decision.token_machine}")
+        self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
+                   decision.prompt_machine, decision.token_machine)
         machine = self.cluster.machines[decision.prompt_machine]
         task = Task(rid, PROMPT, req.prompt_tokens, time,
                     req.output_tokens, req.output_tokens)
         machine.enqueue(task, time)
-        self._emit(time, "task_enqueued",
-                   f"machine={machine.id} request={rid} kind=prompt tokens={req.prompt_tokens}")
+        self._emit(time, "task_enqueued", machine.id, rid, PROMPT, req.prompt_tokens)
         self._note_transitions(self.cluster.note_enqueue(machine, PROMPT, time))
         self._dirty.add(machine.id)
 
     def _on_iteration(self, time, mid):
         machine = self.cluster.machines[mid]
         batch = machine.running
-        events = machine.complete_iteration(batch, time)
-        self._emit(time, ITERATION, f"machine={mid}")
-        for kind, task in events:
+        machine.complete_iteration(batch, time)
+        self._emit(time, "iteration_complete", mid)
+        for task in batch.prompt_tasks:
             rec = self.records[task.request_id]
-            if kind == "prompt_finished":
-                rec.first_token_time = time
-                rec.emissions.append(time)
-                self._emit(time, "prompt_finished",
-                           f"request={task.request_id} machine={mid} tokens={task.tokens}")
-                if task.output_tokens > 1:
-                    self._start_token_phase(time, rec, batch.prompt_ms)
-            elif kind == "token_emitted":
-                rec.emissions.append(time)
-            elif kind == "request_finished":
-                rec.completion = time
-                rec.preempt_count = task.preempt_count
-                self._completed += 1
-                self._emit(time, "request_finished",
-                           f"request={task.request_id} machine={mid} kind={task.kind}")
+            rec.first_token_time = time
+            rec.emissions.append(time)
+            self._emit(time, "prompt_finished", task.request_id, mid, task.tokens)
+            if task.output_tokens > 1:
+                self._start_token_phase(time, rec, batch.prompt_ms)
+            else:
+                self._finish(time, rec, task, mid)
+        for task in batch.token_tasks:
+            rec = self.records[task.request_id]
+            rec.emissions.append(time)
+            if task.remaining_output == 0:
+                self._finish(time, rec, task, mid)
         self._dirty.add(mid)
+
+    def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
+        rec.completion = time
+        rec.preempt_count = task.preempt_count
+        self._completed += 1
+        self._emit(time, "request_finished", task.request_id, mid, task.kind)
 
     def _start_token_phase(self, time, rec: RequestRecord, prompt_ms: float):
         req = rec.request
@@ -280,12 +275,11 @@ class Simulator:
         kv = perf.kv_cache_bytes(req.prompt_tokens)
         plan = plan_transfer(req.prompt_tokens, kv, prompt_ms, self.config.transfer)
         rec.transfer_visible_ms = plan.visible_latency
-        self._push(time + plan.visible_latency, TRANSFER, req.id)
+        self._push(time + plan.visible_latency, self._on_transfer, req.id)
 
     def _on_transfer(self, time, rid):
         rec = self.records[rid]
-        self._emit(time, TRANSFER,
-                   f"request={rid} visible_ms={rec.transfer_visible_ms:.6f}")
+        self._emit(time, "transfer_complete", rid, rec.transfer_visible_ms)
         self._enqueue_token_task(time, rec)
 
     def _enqueue_token_task(self, time, rec: RequestRecord):
@@ -294,18 +288,19 @@ class Simulator:
         task = Task(req.id, TOKEN, req.prompt_tokens + 1, time,
                     req.output_tokens, req.output_tokens - 1)
         machine.enqueue(task, time)
-        self._emit(time, "task_enqueued",
-                   f"machine={machine.id} request={req.id} kind=token tokens={task.tokens}")
+        self._emit(time, "task_enqueued", machine.id, req.id, TOKEN, task.tokens)
         self._note_transitions(self.cluster.note_enqueue(machine, TOKEN, time))
         self._dirty.add(machine.id)
 
-    def _on_maintenance(self, time):
+    def _on_maintenance(self, time, _):
         window_ms = self.config.repurpose_window_s * 1000.0
-        for (t, mid, old, new) in self.cluster.repurpose(time, window_ms):
-            self._emit(t, MAINTENANCE, f"machine={mid} repurposed {old}->{new}")
+        flips, transitions = self.cluster.repurpose(time, window_ms)
+        for (t, mid, old, new) in flips:
+            self._emit(t, "pool_maintenance", mid, old, new)
             self._dirty.add(mid)
+        self._note_transitions(transitions)
         if self._completed < len(self.trace.requests):
-            self._push(time + window_ms, MAINTENANCE, None)
+            self._push(time + window_ms, self._on_maintenance)
 
     def _dispatch(self, time):
         for mid in sorted(self._dirty):
@@ -317,18 +312,16 @@ class Simulator:
                 continue
             machine.running = batch
             duration = batch.iteration_time  # ms
-            machine.busy_until = time + duration
             machine.busy_time += duration
             active = batch.prompt_tokens + len(batch.token_tasks)
             self._batched_token_time[active] = self._batched_token_time.get(active, 0.0) + duration
             self._assert_memory(machine)
-            self._push(time + duration, ITERATION, mid)
+            self._push(time + duration, self._on_iteration, mid)
             if self.record_log:
-                prompts = ",".join(str(t.request_id) for t in batch.prompt_tasks)
-                tokens = ",".join(str(t.request_id) for t in batch.token_tasks)
-                self._emit(time, "batch_started",
-                           f"machine={mid} kind={batch.kind} prompts=[{prompts}] "
-                           f"tokens=[{tokens}] iter_ms={batch.iteration_time:.6f}")
+                self._emit(time, "batch_started", mid, batch.kind,
+                           tuple(t.request_id for t in batch.prompt_tasks),
+                           tuple(t.request_id for t in batch.token_tasks),
+                           batch.iteration_time)
         self._dirty.clear()
 
     def _assert_memory(self, machine: Machine):
@@ -399,6 +392,8 @@ def summary_csv(result: SimResult) -> str:
 def event_log_csv(result: SimResult) -> str:
     buf = io.StringIO()
     buf.write("time_ms,seq,kind,payload\n")
-    for (t, seq, kind, payload) in result.event_log:
+    for (t, seq, kind, fields) in result.event_log:
+        payload = EVENT_FORMATS[kind].format(
+            *(",".join(map(str, f)) if type(f) is tuple else f for f in fields))
         buf.write(f"{t:.9f},{seq},{kind},{payload}\n")
     return buf.getvalue()

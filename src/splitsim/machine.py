@@ -84,18 +84,16 @@ class Machine:
     """A simulated server owned by the engine's single logical timeline."""
 
     def __init__(self, machine_id: int, perf: PerfModel, home_role: str,
-                 sched: SchedulerConfig, always_mixed: bool = False):
+                 sched: SchedulerConfig):
         self.id = machine_id
         self.perf = perf
-        self.home_role = home_role
-        self.always_mixed = always_mixed
-        self.current_pool = MIXED if always_mixed else home_role
+        self.home_role = home_role  # MIXED: a baseline machine, always mixed
+        self.current_pool = home_role
         self.sched = sched
         self.pending_prompts: list[Task] = []
         self.pending_tokens_q: list[Task] = []
         self.resident: list[Task] = []      # token tasks holding KV memory
         self.running: Batch | None = None
-        self.busy_until = 0.0
         self.busy_time = 0.0
         self.pending_token_count = 0        # JSQ queue length
         self._resident_context = 0          # sum of resident token contexts
@@ -246,35 +244,29 @@ class Machine:
 
     # -- iteration completion ---------------------------------------------
 
-    def complete_iteration(self, batch: Batch, now: float) -> list[tuple[str, Task]]:
-        """Apply one finished iteration; returns lifecycle events.
+    def complete_iteration(self, batch: Batch, now: float) -> None:
+        """Apply one finished iteration to the machine's state.
 
-        Event kinds: ``token_emitted`` (one per token task),
-        ``prompt_finished`` (first token emitted), ``request_finished``.
+        Each prompt task has emitted its first token; each token task has
+        emitted one more, and one with no ``remaining_output`` is finished
+        and releases its memory.
         """
         if batch is not self.running:
             raise SplitsimError("completing a batch that is not running")
-        events: list[tuple[str, Task]] = []
+        # prompt KV leaves this machine (transferred or handed to the local
+        # token task, which is charged separately on admission)
         for task in batch.prompt_tasks:
             self.pending_token_count -= task.tokens
-            events.append(("prompt_finished", task))
-            if task.output_tokens == 1:
-                events.append(("request_finished", task))
-            # prompt KV leaves this machine (transferred or handed to the
-            # local token task, which is charged separately on admission)
         for task in batch.token_tasks:
             task.tokens += 1
             task.remaining_output -= 1
             self._resident_context += 1
-            events.append(("token_emitted", task))
             if task.remaining_output == 0:
                 self.resident.remove(task)
                 self._resident_context -= task.tokens
                 self._resident_projected -= task.tokens
                 self.pending_token_count -= 1
-                events.append(("request_finished", task))
         self.running = None
-        return events
 
     # -- pool residency tracking ------------------------------------------
 

@@ -346,12 +346,11 @@ _CALIBRATION = {
 }
 
 # Under a 50% per-GPU power cap the token phase is unaffected while prompt
-# computation slows; the default inflation factor is 1.5x.
+# computation slows by this factor.
 H100CAP_PROMPT_FACTOR = 1.5
 
 
-def get_calibration(llm: str, machine_type: str,
-                    h100cap_prompt_factor: float = H100CAP_PROMPT_FACTOR) -> PerfModel:
+def get_calibration(llm: str, machine_type: str) -> PerfModel:
     """Return the built-in calibrated preset for (llm, machine_type)."""
     base_type = "H100" if machine_type == "H100cap" else machine_type
     key = (llm, base_type)
@@ -361,7 +360,7 @@ def get_calibration(llm: str, machine_type: str,
     px, py = c["prompt"]
     py = list(py)
     if machine_type == "H100cap":
-        py = [v * h100cap_prompt_factor for v in py]
+        py = [v * H100CAP_PROMPT_FACTOR for v in py]
     spec = LLM_SPECS[llm]
     return PerfModel(machine_type, llm,
                      (np.asarray(px, float), np.asarray(py, float)),

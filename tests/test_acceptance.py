@@ -58,7 +58,7 @@ def test_01_determinism(tmp_path):
         outdir = tmp_path / d
         cli_main(["simulate", "--trace", str(trace), "--design", "Splitwise-HH",
                   "--prompt-machines", "2", "--token-machines", "1",
-                  "--seed", "7", "--output-dir", str(outdir), "--event-log"])
+                  "--output-dir", str(outdir), "--event-log"])
         outputs.append({f: (outdir / f).read_bytes()
                         for f in ("requests.csv", "tbt.csv", "summary.csv", "events.csv")})
     report(1, "determinism", outputs[0] == outputs[1])
@@ -161,27 +161,28 @@ def _replay_routing(result, config):
                 return best
         return argmin(list(pool))
 
-    for (_t, _seq, kind, payload) in result.event_log:
-        fields = dict(part.split("=", 1) for part in payload.split()
-                      if "=" in part and not part.startswith(("prompts", "tokens=[")))
+    for (_t, _seq, kind, fields) in result.event_log:
         if kind == "request_arrival":
+            _rid, _prompt, _output, prompt_machine, token_machine = fields
             if config.is_baseline:
                 expect_p = expect_t = argmin(list(pool))
             else:
                 expect_p, expect_t = pick(PROMPT), pick(TOKEN)
-            if (int(fields["prompt_machine"]), int(fields["token_machine"])) != \
-                    (expect_p, expect_t):
+            if (prompt_machine, token_machine) != (expect_p, expect_t):
                 return False
         elif kind == "task_enqueued":
-            m = int(fields["machine"])
-            pending[m] += int(fields["tokens"]) if fields["kind"] == "prompt" else 1
+            m, _rid, task_kind, tokens = fields
+            pending[m] += tokens if task_kind == PROMPT else 1
         elif kind == "prompt_finished":
-            pending[int(fields["machine"])] -= int(fields["tokens"])
+            _rid, m, tokens = fields
+            pending[m] -= tokens
         elif kind == "request_finished":
-            if fields["kind"] == "token":
-                pending[int(fields["machine"])] -= 1
+            _rid, m, task_kind = fields
+            if task_kind == TOKEN:
+                pending[m] -= 1
         elif kind == "pool_transition":
-            pool[int(fields["machine"])] = fields["to"]
+            m, _old, new = fields
+            pool[m] = new
     return True
 
 
@@ -230,11 +231,10 @@ def test_08_scheduler_invariants():
             config = ClusterConfig(design, pc, tc)
             res = _CheckedSimulator(config, models_for(config), trace).run()
             sizes = {r.id: r.prompt_tokens for r in trace.requests}
-            for (_t, _s, kind, payload) in res.event_log:
+            for (_t, _s, kind, fields) in res.event_log:
                 if kind != "batch_started":
                     continue
-                ids_part = payload.split("prompts=[")[1].split("]")[0]
-                ids = [int(x) for x in ids_part.split(",") if x]
+                _machine, _batch_kind, ids, _tokens, _iter_ms = fields
                 if len(ids) > 1:
                     ok = ok and sum(sizes[i] for i in ids) <= \
                         config.sched.prompt_token_cap

@@ -63,6 +63,19 @@ class TestSimulate:
         assert summary.splitlines()[0].startswith("# design=Splitwise-HH")
         assert len([l for l in summary.splitlines() if not l.startswith("#")]) == 10
 
+    def test_env_seed_leaves_outputs_alone(self, trace_file, tmp_path, monkeypatch):
+        # the trace fixes every input, so the seed has nothing to change
+        names = ("requests.csv", "tbt.csv", "summary.csv")
+        outputs = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("SPLITSIM_SEED", seed)
+            outdir = tmp_path / seed
+            assert run_cli("simulate", "--trace", str(trace_file), "--design", "Splitwise-HH",
+                           "--prompt-machines", "2", "--token-machines", "1",
+                           "--output-dir", str(outdir)) == 0
+            outputs.append([(outdir / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
     def test_overloaded_fails(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         run_cli("gen-trace", "--preset", "coding", "--rate", "8",

@@ -5,8 +5,11 @@ from splitsim import (
     ClusterConfig,
     ConfigurationError,
     DESIGNS,
+    PRESETS,
     SchedulerConfig,
+    Simulator,
     Task,
+    generate_trace,
     get_calibration,
 )
 from splitsim.machine import MIXED, PROMPT, TOKEN
@@ -60,7 +63,7 @@ class TestPools:
     def test_baseline_all_mixed(self):
         c = make_cluster("Baseline-A100", p=3, t=0)
         assert len(c.pool(MIXED)) == 3
-        assert all(m.always_mixed for m in c.machines.values())
+        assert all(m.home_role == MIXED for m in c.machines.values())
 
     def test_hhcap_token_machines(self):
         c = make_cluster("Splitwise-HHcap", p=1, t=1)
@@ -165,15 +168,14 @@ class TestRepurpose:
         c = make_cluster(p=1, t=1)
         m = c.machines[1]
         m.note_pool_change(MIXED, 0.0)
-        events = c.repurpose(100.0, window=100.0)
-        assert events == [(100.0, 1, TOKEN, PROMPT)]
+        assert c.repurpose(100.0, window=100.0) == ([(100.0, 1, TOKEN, PROMPT)], [])
         assert m.home_role == PROMPT
 
     def test_no_flip_below_fraction(self):
         c = make_cluster(p=1, t=1)
         m = c.machines[1]
         m.note_pool_change(MIXED, 80.0)  # 20% of the window
-        assert c.repurpose(100.0, window=100.0) == []
+        assert c.repurpose(100.0, window=100.0) == ([], [])
         assert m.home_role == TOKEN
 
     def test_residency_resets_each_window(self):
@@ -183,4 +185,31 @@ class TestRepurpose:
         m.note_pool_change(TOKEN, 60.0)
         c.repurpose(100.0, window=100.0)  # 60% -> flips
         assert m.home_role == PROMPT
-        assert c.repurpose(200.0, window=100.0) == []  # fresh window
+        assert c.repurpose(200.0, window=100.0) == ([], [])  # fresh window
+
+    def test_flip_with_old_kind_work_goes_mixed(self):
+        c = make_cluster(p=1, t=1)
+        m = c.machines[1]
+        m.note_pool_change(MIXED, 0.0)
+        m.note_pool_change(TOKEN, 60.0)
+        m.enqueue(Task(5, TOKEN, 100, 60.0, 2, 1), 60.0)
+        # the new prompt pool would never run the token task
+        assert c.repurpose(100.0, window=100.0) == ([(100.0, 1, TOKEN, PROMPT)],
+                                                    [(100.0, 1, TOKEN, MIXED)])
+        assert c.update_pools(100.0) == []
+        batch = m.form_batch(100.0)
+        m.running = batch
+        m.complete_iteration(batch, 131.0)
+        assert c.update_pools(131.0) == [(131.0, 1, MIXED, PROMPT)]
+
+    def test_repurposing_strands_no_work(self):
+        config = ClusterConfig("Splitwise-HH", 2, 1,
+                               sched=SchedulerConfig(queue_threshold_tokens=256),
+                               repurpose_enabled=True, repurpose_window_s=2.0)
+        dists = PRESETS["conversation"]
+        trace = generate_trace(dists["prompt"], dists["output"], 6.0, 20.0, seed=7)
+        res = Simulator(config, models_for(config), trace).run()  # stranded: HorizonExceeded
+        assert all(r.completion is not None for r in res.report.records)
+        flip_times = {t for t, _, kind, _ in res.event_log if kind == "pool_maintenance"}
+        assert any(kind == "pool_transition" and t in flip_times and fields[1] != MIXED
+                   for t, _, kind, fields in res.event_log)

@@ -88,7 +88,7 @@ GOLDEN = {
 }
 
 
-def run_case(name):
+def run_case(name, record_log=True):
     cluster_kwargs, workload, rate, duration, seed = CASES[name]
     config = ClusterConfig(**cluster_kwargs)
     models = {mt: get_calibration(config.llm, mt)
@@ -100,7 +100,7 @@ def run_case(name):
     trace = generate_trace(prompt_dist, output_dist, rate, duration, seed)
     return Simulator(config, models, trace,
                      reference_model=get_calibration(config.llm, "A100"),
-                     record_log=True).run()
+                     record_log=record_log).run()
 
 
 def digests(result):
@@ -111,6 +111,8 @@ def digests(result):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hashes(name):
     assert digests(run_case(name)) == GOLDEN[name]
+    # logging must not change behaviour
+    assert digests(run_case(name, record_log=False))[:2] == GOLDEN[name][:2]
 
 
 def test_capped_case_reaches_the_cap():

@@ -11,10 +11,9 @@ from splitsim import (
 from splitsim.machine import MIXED, PROMPT, TOKEN
 
 
-def make_machine(home=PROMPT, always_mixed=False, sched=None, machine_type="H100"):
+def make_machine(home=PROMPT, sched=None, machine_type="H100"):
     return Machine(0, get_calibration("llama2-70b", machine_type),
-                   home_role=home, sched=sched or SchedulerConfig(),
-                   always_mixed=always_mixed)
+                   home_role=home, sched=sched or SchedulerConfig())
 
 
 def prompt_task(rid, tokens, out=4, t=0.0):
@@ -28,7 +27,7 @@ def token_task(rid, tokens, out=4, t=0.0):
 class TestQueueing:
     def test_pending_tokens_counting(self):
         # one queued 1500-token prompt plus three token tasks -> 1503
-        m = make_machine(home=MIXED, always_mixed=True)
+        m = make_machine(home=MIXED)
         m.enqueue(prompt_task(0, 1500), 0.0)
         for rid in (1, 2, 3):
             m.enqueue(token_task(rid, 100), 0.0)
@@ -116,9 +115,10 @@ class TestTokenBatching:
         m.enqueue(token_task(0, 100, out=3), 0.0)
         batch = m.form_batch(0.0)
         m.running = batch
-        events = m.complete_iteration(batch, 31.0)
-        assert ("token_emitted", batch.token_tasks[0]) in events
+        assert m.complete_iteration(batch, 31.0) is None
         assert batch.token_tasks[0].tokens == 101
+        assert batch.token_tasks[0].remaining_output == 1
+        assert m.resident == batch.token_tasks
 
     def test_finish_releases_memory(self):
         m = make_machine(home=TOKEN)
@@ -126,8 +126,9 @@ class TestTokenBatching:
         before = m.memory_used()
         batch = m.form_batch(0.0)
         m.running = batch
-        events = m.complete_iteration(batch, 31.0)
-        assert ("request_finished", batch.token_tasks[0]) in events
+        m.complete_iteration(batch, 31.0)
+        assert batch.token_tasks[0].remaining_output == 0
+        assert m.resident == [] and m.pending_token_count == 0
         assert m.memory_used() == pytest.approx(m.perf.weight_memory)
         assert before == pytest.approx(m.perf.weight_memory)
 
@@ -160,7 +161,7 @@ class TestTokenBatching:
 class TestMixedBatching:
     def test_prompts_preempt_tokens_for_slots(self):
         sched = SchedulerConfig()
-        m = make_machine(home=TOKEN, always_mixed=True, sched=sched)
+        m = make_machine(home=MIXED, sched=sched)
         for rid in range(m.perf.max_token_batch):
             m.enqueue(token_task(rid, 100, out=50), float(rid))
         b1 = m.form_batch(100.0)
@@ -175,7 +176,7 @@ class TestMixedBatching:
         assert parked[0].preempt_count == 1
 
     def test_preempted_task_keeps_memory(self):
-        m = make_machine(home=TOKEN, always_mixed=True)
+        m = make_machine(home=MIXED)
         for rid in range(m.perf.max_token_batch):
             m.enqueue(token_task(rid, 100, out=50), float(rid))
         b1 = m.form_batch(100.0)
@@ -189,7 +190,7 @@ class TestMixedBatching:
 
     def test_max_preemptions_makes_nonpreemptable(self):
         sched = SchedulerConfig(max_preemptions=1)
-        m = make_machine(home=TOKEN, always_mixed=True, sched=sched)
+        m = make_machine(home=MIXED, sched=sched)
         t = token_task(0, 100, out=1000)
         m.enqueue(t, 0.0)
         t.preempt_count = sched.max_preemptions
@@ -204,7 +205,7 @@ class TestMixedBatching:
 
     def test_mixing_rule_sum_vs_max(self):
         for rule, combine in (("sum", lambda p, t: p + t), ("max", max)):
-            m = make_machine(home=TOKEN, always_mixed=True,
+            m = make_machine(home=MIXED,
                              sched=SchedulerConfig(mixing_rule=rule))
             m.enqueue(token_task(0, 100), 0.0)
             b1 = m.form_batch(0.0)
@@ -232,7 +233,7 @@ class TestMixedBatching:
             return [t.request_id for t in batch.token_tasks]
 
         # capped residents go first, whatever their enqueue time
-        m = make_machine(home=TOKEN, always_mixed=True,
+        m = make_machine(home=MIXED,
                          sched=SchedulerConfig(max_preemptions=1))
         for rid in range(3):
             m.enqueue(token_task(rid, 100, out=50, t=float(rid)), float(rid))
