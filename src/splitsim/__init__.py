@@ -60,7 +60,6 @@ from .engine import (
     check_slo,
     percentile,
     reference_latencies,
-    run,
 )
 from .provision import (
     DesignPoint,
@@ -92,6 +91,6 @@ __all__ = [
     "generate_trace", "get_calibration", "machine_cost_power",
     "max_throughput", "normalize_design", "parse_profile_csv", "parse_trace",
     "percentile", "plan_transfer", "raw_transfer_time", "reference_latencies",
-    "run", "search", "select_mode", "serialize_trace", "slo_pass_at_rate",
+    "search", "select_mode", "serialize_trace", "slo_pass_at_rate",
     "trace_stats",
 ]

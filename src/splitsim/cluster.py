@@ -180,11 +180,12 @@ class Cluster:
             return [(now, machine.id, prev, MIXED)]
         return []
 
-    def update_pools(self, now: float) -> list[tuple]:
-        """Return mixed-pool machines with no opposite-kind work to their
-        home pool; records (time, machine, from, to)."""
+    def update_pools(self, now: float, mids: list[int]) -> list[tuple]:
+        """Return each machine of ``mids`` (ascending ids) that is in the
+        mixed pool with no opposite-kind work to its home pool; records
+        (time, machine, from, to)."""
         transitions = []
-        for m in self.machines.values():
+        for m in map(self.machines.get, mids):
             if m.home_role == MIXED or m.current_pool != MIXED:
                 continue
             if not m.has_opposite_work():

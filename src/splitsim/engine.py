@@ -10,6 +10,30 @@ The engine wires the request lifecycle: arrival -> JSQ routing -> prompt
 iterations -> KV-cache transfer -> token iterations -> completion, and
 extracts TTFT/TBT/E2E metrics plus the nine-way SLO verdict against an
 unbatched reference machine.
+
+Only machines whose state an event changed are *dirty*; after each event
+``Cluster.update_pools`` and ``_dispatch`` look at those machines alone,
+and at none when no machine is dirty.  This gives the same transitions as
+checking every machine.  A machine leaves the mixed pool once it has no
+opposite-kind work, and ``has_opposite_work`` turns false only when one of
+the machine's iterations finishes or its home role flips, and both mark it
+dirty.  ``form_batch`` moves work from queue to batch and never turns it
+from true to false.
+
+With the event log off, a token batch that nothing can join is
+fast-forwarded.  At dispatch, when the batch is token-only, the machine has
+no pending prompt and no queued token task, and every resident task is in
+the batch, the next ``min(remaining_output) - 1`` iterations run the same
+batch.  Each of them keeps its own heap entry, so the ``(time, seq)`` order
+of all events is unchanged, but its completion only records the boundary
+time, adds the iteration to ``busy_time`` and the batched-token histogram
+(one addition per iteration, so the floats match), and pushes the next
+one.  The window closes at its last iteration, where a task finishes, or
+as soon as the machine is dirty; closing applies the deferred iterations
+(tokens, remaining outputs, resident context, emission times) and checks
+memory once, which is enough because memory only grows inside a window.
+With the log on every iteration runs in full, which is the oracle the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -184,6 +208,8 @@ class Simulator:
         self.records: dict[int, RequestRecord] = {}
         self._completed = 0
         self._batched_token_time: dict[int, float] = {}
+        # machine id -> (repeats, boundary times) of its fast-forwarded batch
+        self._windows: dict[int, tuple[int, list[float]]] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -216,8 +242,9 @@ class Simulator:
                     f"simulation exceeded horizon {self.horizon:.1f}s with "
                     f"{len(self.trace.requests) - self._completed} requests unfinished")
             handler(time, arg)
-            self._note_transitions(self.cluster.update_pools(time))
-            self._dispatch(time)
+            if self._dirty:
+                self._note_transitions(self.cluster.update_pools(time, sorted(self._dirty)))
+                self._dispatch(time)
 
         if self._completed < len(self.trace.requests):
             raise InvariantError("event queue drained with unfinished requests")
@@ -241,6 +268,14 @@ class Simulator:
 
     def _on_iteration(self, time, mid):
         machine = self.cluster.machines[mid]
+        window = self._windows.get(mid)
+        if window is not None:
+            repeats, times = window
+            if len(times) < repeats:  # the batch runs again unchanged
+                times.append(time)
+                self._start_iteration(time, machine, machine.running)
+                return
+            self._close_window(machine)
         batch = machine.running
         machine.complete_iteration(batch, time)
         self._emit(time, "iteration_complete", mid)
@@ -305,24 +340,44 @@ class Simulator:
     def _dispatch(self, time):
         for mid in sorted(self._dirty):
             machine = self.cluster.machines[mid]
+            if mid in self._windows:
+                self._close_window(machine)
             if not machine.is_idle() or not machine.has_work():
                 continue
             batch = machine.form_batch(time)
             if batch is None:
                 continue
             machine.running = batch
-            duration = batch.iteration_time  # ms
-            machine.busy_time += duration
-            active = batch.prompt_tokens + len(batch.token_tasks)
-            self._batched_token_time[active] = self._batched_token_time.get(active, 0.0) + duration
+            self._start_iteration(time, machine, batch)
             self._assert_memory(machine)
-            self._push(time + duration, self._on_iteration, mid)
             if self.record_log:
                 self._emit(time, "batch_started", mid, batch.kind,
                            tuple(t.request_id for t in batch.prompt_tasks),
                            tuple(t.request_id for t in batch.token_tasks),
                            batch.iteration_time)
+            elif not (batch.prompt_tasks or machine.pending_prompts or machine.pending_tokens_q) \
+                    and len(batch.token_tasks) == len(machine.resident):
+                # nothing else can join: the batch repeats until a task finishes
+                repeats = min(t.remaining_output for t in batch.token_tasks) - 1
+                if repeats:
+                    self._windows[mid] = (repeats, [])
         self._dirty.clear()
+
+    def _start_iteration(self, time, machine: Machine, batch):
+        duration = batch.iteration_time  # ms
+        machine.busy_time += duration
+        active = batch.prompt_tokens + len(batch.token_tasks)
+        self._batched_token_time[active] = self._batched_token_time.get(active, 0.0) + duration
+        self._push(time + duration, self._on_iteration, machine.id)
+
+    def _close_window(self, machine: Machine):
+        """Apply the iterations a window ran without completing them."""
+        _, times = self._windows.pop(machine.id)
+        if times:
+            machine.repeat_iterations(len(times))
+            for task in machine.running.token_tasks:
+                self.records[task.request_id].emissions.extend(times)
+            self._assert_memory(machine)  # memory only grew inside the window
 
     def _assert_memory(self, machine: Machine):
         if machine.memory_used() > machine.perf.memory_capacity + 1e-6:
@@ -347,12 +402,6 @@ class Simulator:
         return report
 
 
-def run(config: ClusterConfig, perf_models: dict[str, PerfModel], trace: Trace,
-        **kwargs) -> SimResult:
-    """Convenience wrapper: build a Simulator and run it."""
-    return Simulator(config, perf_models, trace, **kwargs).run()
-
-
 # -- CSV emission ----------------------------------------------------------
 
 REQUEST_CSV_HEADER = ("request_id,arrival_s,ttft_ms,e2e_ms,prompt_machine,"
@@ -372,9 +421,14 @@ def requests_csv(result: SimResult) -> str:
 def tbt_csv(result: SimResult) -> str:
     buf = io.StringIO()
     buf.write("request_id,gap_index,tbt_ms\n")
+    texts: dict[float, str] = {}  # gap -> its text; few distinct gaps repeat
     for rec in result.report.records:
+        rid = rec.request.id
         for i, gap in enumerate(rec.tbt_ms()):
-            buf.write(f"{rec.request.id},{i},{gap:.6f}\n")
+            text = texts.get(gap)
+            if text is None:
+                text = texts[gap] = f"{gap:.6f}"
+            buf.write(f"{rid},{i},{text}\n")
     return buf.getvalue()
 
 

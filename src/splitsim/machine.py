@@ -268,6 +268,14 @@ class Machine:
                 self.pending_token_count -= 1
         self.running = None
 
+    def repeat_iterations(self, k: int) -> None:
+        """Apply ``k`` iterations of the running token-only batch in which
+        no task finishes; the batch keeps running."""
+        for task in self.running.token_tasks:
+            task.tokens += k
+            task.remaining_output -= k
+        self._resident_context += k * len(self.running.token_tasks)
+
     # -- pool residency tracking ------------------------------------------
 
     def note_pool_change(self, new_pool: str, now: float) -> None:

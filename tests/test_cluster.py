@@ -149,11 +149,11 @@ class TestPoolTransitions:
         m = c.machines[1]
         m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1), 0.0)
         c.note_enqueue(m, PROMPT, 0.0)
-        assert c.update_pools(1.0) == []  # opposite work still queued
+        assert c.update_pools(1.0, [1]) == []  # opposite work still queued
         batch = m.form_batch(1.0)
         m.running = batch
         m.complete_iteration(batch, 50.0)
-        assert c.update_pools(50.0) == [(50.0, 1, MIXED, TOKEN)]
+        assert c.update_pools(50.0, [1]) == [(50.0, 1, MIXED, TOKEN)]
         assert m.current_pool == TOKEN
 
     def test_pool_partition(self):
@@ -196,11 +196,11 @@ class TestRepurpose:
         # the new prompt pool would never run the token task
         assert c.repurpose(100.0, window=100.0) == ([(100.0, 1, TOKEN, PROMPT)],
                                                     [(100.0, 1, TOKEN, MIXED)])
-        assert c.update_pools(100.0) == []
+        assert c.update_pools(100.0, [1]) == []
         batch = m.form_batch(100.0)
         m.running = batch
         m.complete_iteration(batch, 131.0)
-        assert c.update_pools(131.0) == [(131.0, 1, MIXED, PROMPT)]
+        assert c.update_pools(131.0, [1]) == [(131.0, 1, MIXED, PROMPT)]
 
     def test_repurposing_strands_no_work(self):
         config = ClusterConfig("Splitwise-HH", 2, 1,

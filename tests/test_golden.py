@@ -49,6 +49,10 @@ CASES = {
                                     sched=SchedulerConfig(queue_threshold_tokens=256),
                                     repurpose_enabled=True, repurpose_window_s=5.0),
                                "conversation", 6.0, 30.0, 7),
+    # long conversation outputs: token batches keep the same members for
+    # many iterations between joins and finishes
+    "splitwise-aa-conversation": (dict(design="Splitwise-AA", prompt_machines=2, token_machines=1),
+                                  "conversation", 3.0, 30.0, 11),
 }
 
 # name -> (requests_csv, tbt_csv, event_log_csv) sha256
@@ -69,6 +73,10 @@ GOLDEN = {
         "45c6cd37f36f3827320c2d75f05c0f5968413ccfb6bae11ce480e3df9e94e1e5",
         "22780bfeace5a20ccfdfbd5e9bb268b25fab14151c953cbc8c922ce7ccce1a69",
         "4f2377f07dbefc169a077f1e0699fc7ef10a2e1d2e82e4123cede1ae43434fc7"),
+    "splitwise-aa-conversation": (
+        "53586ce760c75c153214253fb2696a3da658ec9ed4da385c4529352907ea3438",
+        "4d2e03ab8ac7cf757a6a20bff10a1eb418f89033f13c8b880cbe385d52dec4d9",
+        "60d5afac208f3043b9d493d8fd933919448abd2542ce7f2b2067df6f6fd1f651"),
     "splitwise-ha": (
         "81bfa81eaded654318453743006dba65fb2d246f651af968154dd019b0b8ea1c",
         "96fcef22c79b331efdda8675da2f63f532f7b4fbc7acd1e3446ac602d64685d5",
