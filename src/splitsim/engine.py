@@ -421,7 +421,7 @@ def requests_csv(result: SimResult) -> str:
 def tbt_csv(result: SimResult) -> str:
     buf = io.StringIO()
     buf.write("request_id,gap_index,tbt_ms\n")
-    texts: dict[float, str] = {}  # gap -> its text; few distinct gaps repeat
+    texts: dict[float, str] = {}  # gap -> its text: a run has few distinct gaps
     for rec in result.report.records:
         rid = rec.request.id
         for i, gap in enumerate(rec.tbt_ms()):

@@ -54,12 +54,12 @@ def scenarios(draw):
     design = draw(st.sampled_from(sorted(DESIGNS)))
     prompt_machines = draw(st.integers(1, 2))
     token_machines = 0 if DESIGNS[design][2] else draw(st.integers(1, 2))
-    window = draw(st.sampled_from([None, 2.0, 3.0, 5.0]))
+    window = draw(st.one_of(st.none(), st.integers(2, 5)))  # repurposing window, s
     sched = SchedulerConfig(max_preemptions=draw(st.sampled_from([1, 4])),
                             queue_threshold_tokens=draw(st.sampled_from([256, 4096])))
     config = ClusterConfig(design, prompt_machines, token_machines, sched=sched,
                            repurpose_enabled=window is not None,
-                           repurpose_window_s=window or 300.0)
+                           repurpose_window_s=float(window or 300))
     grid_ms = draw(st.sampled_from([1, 50]))
     arrivals = sorted(draw(st.lists(st.integers(0, 4000 // grid_ms), min_size=1, max_size=12)))
     sizes = draw(st.lists(st.tuples(st.integers(16, 2048), st.integers(1, 400)),
