@@ -15,6 +15,7 @@ from .errors import (
     HorizonExceeded,
     InvariantError,
     ParseError,
+    SloViolated,
     SplitsimError,
     ValidationError,
 )
@@ -50,7 +51,7 @@ from .transfer import (
     select_mode,
 )
 from .machine import MIXED, PROMPT, TOKEN, Batch, Machine, SchedulerConfig, Task
-from .cluster import DESIGNS, Cluster, ClusterConfig, RoutingDecision, normalize_design
+from .cluster import DESIGNS, Cluster, ClusterConfig, normalize_design
 from .engine import (
     MetricsReport,
     RequestRecord,
@@ -82,10 +83,11 @@ __all__ = [
     "HorizonExceeded", "InvariantError", "LLM_SPECS", "LlmSpec",
     "MACHINE_SPECS", "MIXED", "Machine", "MachineSpec", "MetricsReport",
     "PRESETS", "ParseError", "PerfModel",
-    "PROMPT", "ProfileSample", "Request", "RequestRecord", "RoutingDecision",
+    "PROMPT", "ProfileSample", "Request", "RequestRecord",
     "SchedulerConfig", "SearchResult", "SearchSpec", "SimResult",
-    "Simulator", "SizeDistribution", "SloTable", "SplitsimError", "TOKEN",
-    "Task", "Trace", "TransferConfig", "TransferPlan", "ValidationError",
+    "Simulator", "SizeDistribution", "SloTable", "SloViolated",
+    "SplitsimError", "TOKEN", "Task", "Trace", "TransferConfig",
+    "TransferPlan", "ValidationError",
     "Workload", "budget_max_count", "check_slo", "default_transfer_config",
     "design_cost_power", "export_profile_csv", "fit_piecewise_linear",
     "generate_trace", "get_calibration", "machine_cost_power",

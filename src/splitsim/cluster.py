@@ -77,14 +77,6 @@ class ClusterConfig:
         return DESIGNS[self.design][1]
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
-    request_id: int
-    prompt_machine: int
-    token_machine: int
-    decided_at: float
-
-
 class Cluster:
     """Machine pools plus the routing and pool-maintenance policies."""
 
@@ -157,15 +149,13 @@ class Cluster:
             raise ConfigurationError("no machines available for routing")
         return best
 
-    def route(self, request_id: int, now: float) -> RoutingDecision:
-        """Assign both the prompt and token machine at arrival time."""
+    def route(self) -> tuple[int, int]:
+        """The (prompt, token) machine ids for a request arriving now."""
         if self.config.is_baseline:
             best = self._argmin(self.machines.values())
-            return RoutingDecision(request_id, best.id, best.id, now)
+            return best.id, best.id
         minima = self._pool_minima()
-        pm = self._pick(PROMPT, minima)
-        tm = self._pick(TOKEN, minima)
-        return RoutingDecision(request_id, pm.id, tm.id, now)
+        return self._pick(PROMPT, minima).id, self._pick(TOKEN, minima).id
 
     # -- pool maintenance --------------------------------------------------
 

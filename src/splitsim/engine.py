@@ -34,6 +34,23 @@ as soon as the machine is dirty; closing applies the deferred iterations
 memory once, which is enough because memory only grows inside a window.
 With the log on every iteration runs in full, which is the oracle the
 tests compare against.
+
+A provisioning probe needs only the verdict, and it runs with
+``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
+``n - ceil(p*n)`` of the ``n`` ratios exceed ``m``, and ``n`` is known
+before the run, so an ``SloLedger`` of nine exceedance counts gives
+``check_slo``'s verdict exactly.  Each count moves when its latency becomes
+final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
+gap at its emission (the token loop), E2E in ``_finish``.  A window's tasks
+share its gaps ``times[i+1] - times[i]``, so ``_close_window`` counts each
+of those once, weighted by the batch size, and each task's first gap on its
+own.  The first count over its allowance raises ``SloViolated``: the run
+simulates no event after it, and invariants are checked up to that point.
+``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
+needs the observed ratios, and counting every gap as well would slow a
+log-on replay, where no window shares its gaps.  The ledger's agreement with
+``check_slo`` is pinned by ``tests/test_slo_ledger.py``, not checked at run
+time.
 """
 
 from __future__ import annotations
@@ -44,7 +61,8 @@ import math
 from dataclasses import dataclass, field
 
 from .cluster import Cluster, ClusterConfig
-from .errors import HorizonExceeded, InvariantError, ValidationError
+from .errors import (ConfigurationError, HorizonExceeded, InvariantError, SloViolated,
+                     ValidationError)
 from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .trace import Request, Trace
@@ -178,6 +196,78 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
     return result
 
 
+class SloLedger:
+    """Exceedance counts of the nine constraints, kept as latencies become
+    final.
+
+    Nearest-rank ``P_p <= m`` holds iff at most ``n - ceil(p*n)`` of the
+    ``n`` ratios exceed ``m``, and ``n`` is known from the trace: the request
+    count for TTFT and E2E, ``sum(output_tokens - 1)`` for TBT.  The ratios
+    and the comparison are ``check_slo``'s own float expressions, so the
+    verdict is the same.  A count that goes over its allowance can never come
+    back, and ``violated`` raises ``SloViolated`` at once.
+    """
+
+    def __init__(self, slo: SloTable, requests, reference: PerfModel):
+        self.reference = reference
+        self.tbt_ref = reference.token_iter_time(1)
+        sizes = {"TTFT": len(requests), "TBT": sum(r.output_tokens - 1 for r in requests),
+                 "E2E": len(requests)}
+        # (metric, percentile, multiplier, allowed exceedances)
+        self.constraints = [(metric, p, mult, sizes[metric] - math.ceil(p * sizes[metric]))
+                            for metric, multipliers in (("TTFT", slo.ttft), ("TBT", slo.tbt),
+                                                        ("E2E", slo.e2e))
+                            for p, mult in zip(slo.percentiles, multipliers)]
+        self.exceeded = [0] * len(self.constraints)
+        self._ttft, self._tbt, self._e2e = (
+            [(i, mult, allowed) for i, (m, _, mult, allowed) in enumerate(self.constraints)
+             if m == metric] for metric in ("TTFT", "TBT", "E2E"))
+        self._tbt_floor = min(slo.tbt)
+
+    def ttft(self, request: Request, time: float):
+        ref = self.reference.prompt_time(request.prompt_tokens)
+        self._count(self._ttft, (time - request.arrival * 1000.0) / ref, 1, time)
+
+    def tbt(self, gap: float, time: float):
+        ratio = gap / self.tbt_ref
+        if ratio > self._tbt_floor:
+            self._count(self._tbt, ratio, 1, time)
+
+    def shared_tbt(self, times: list[float], weight: int):
+        """The gaps between consecutive ``times``, each emitted by ``weight``
+        requests of one batch."""
+        ref, floor = self.tbt_ref, self._tbt_floor
+        for a, b in zip(times, times[1:]):
+            ratio = (b - a) / ref
+            if ratio > floor:
+                self._count(self._tbt, ratio, weight, b)
+
+    def e2e(self, request: Request, time: float):
+        ref = (self.reference.prompt_time(request.prompt_tokens)
+               + (request.output_tokens - 1) * self.tbt_ref)
+        self._count(self._e2e, (time - request.arrival * 1000.0) / ref, 1, time)
+
+    def _count(self, checks, ratio: float, weight: int, time: float):
+        exceeded = self.exceeded
+        for i, mult, allowed in checks:
+            if ratio > mult:
+                exceeded[i] += weight
+                if exceeded[i] > allowed:
+                    self.violated(i, time)
+
+    def violated(self, i: int, time: float):
+        metric, p, _, allowed = self.constraints[i]
+        raise SloViolated(metric, p, self.exceeded[i], allowed, time)
+
+    def verdict(self) -> dict:
+        """``check_slo``'s verdict layout, with counts instead of ratios."""
+        constraints = [{"metric": metric, "percentile": p, "multiplier": mult,
+                        "exceeded": exceeded, "allowed": allowed, "pass": exceeded <= allowed}
+                       for (metric, p, mult, allowed), exceeded
+                       in zip(self.constraints, self.exceeded)]
+        return {"constraints": constraints, "pass": all(c["pass"] for c in constraints)}
+
+
 @dataclass
 class SimResult:
     report: MetricsReport
@@ -192,7 +282,7 @@ class Simulator:
     def __init__(self, config: ClusterConfig, perf_models: dict[str, PerfModel],
                  trace: Trace, reference_model: PerfModel | None = None,
                  record_log: bool = True, horizon: float | None = None,
-                 slo: SloTable | None = None):
+                 slo: SloTable | None = None, stop_on_slo_fail: bool = False):
         self.config = config
         self.cluster = Cluster(config, perf_models)
         self.trace = trace
@@ -210,6 +300,11 @@ class Simulator:
         self._batched_token_time: dict[int, float] = {}
         # machine id -> (repeats, boundary times) of its fast-forwarded batch
         self._windows: dict[int, tuple[int, list[float]]] = {}
+        self._ledger = None
+        if stop_on_slo_fail:
+            if reference_model is None:
+                raise ConfigurationError("stop_on_slo_fail needs a reference model")
+            self._ledger = SloLedger(self.slo, trace.requests, reference_model)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -253,12 +348,10 @@ class Simulator:
     def _on_arrival(self, time, rid):
         rec = self.records[rid]
         req = rec.request
-        decision = self.cluster.route(rid, time)
-        rec.prompt_machine = decision.prompt_machine
-        rec.token_machine = decision.token_machine
+        rec.prompt_machine, rec.token_machine = self.cluster.route()
         self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
-                   decision.prompt_machine, decision.token_machine)
-        machine = self.cluster.machines[decision.prompt_machine]
+                   rec.prompt_machine, rec.token_machine)
+        machine = self.cluster.machines[rec.prompt_machine]
         task = Task(rid, PROMPT, req.prompt_tokens, time,
                     req.output_tokens, req.output_tokens)
         machine.enqueue(task, time)
@@ -279,10 +372,13 @@ class Simulator:
         batch = machine.running
         machine.complete_iteration(batch, time)
         self._emit(time, "iteration_complete", mid)
+        ledger = self._ledger
         for task in batch.prompt_tasks:
             rec = self.records[task.request_id]
             rec.first_token_time = time
             rec.emissions.append(time)
+            if ledger is not None:
+                ledger.ttft(rec.request, time)
             self._emit(time, "prompt_finished", task.request_id, mid, task.tokens)
             if task.output_tokens > 1:
                 self._start_token_phase(time, rec, batch.prompt_ms)
@@ -290,6 +386,8 @@ class Simulator:
                 self._finish(time, rec, task, mid)
         for task in batch.token_tasks:
             rec = self.records[task.request_id]
+            if ledger is not None:
+                ledger.tbt(time - rec.emissions[-1], time)
             rec.emissions.append(time)
             if task.remaining_output == 0:
                 self._finish(time, rec, task, mid)
@@ -300,6 +398,8 @@ class Simulator:
         rec.preempt_count = task.preempt_count
         self._completed += 1
         self._emit(time, "request_finished", task.request_id, mid, task.kind)
+        if self._ledger is not None:
+            self._ledger.e2e(rec.request, time)
 
     def _start_token_phase(self, time, rec: RequestRecord, prompt_ms: float):
         req = rec.request
@@ -375,8 +475,15 @@ class Simulator:
         _, times = self._windows.pop(machine.id)
         if times:
             machine.repeat_iterations(len(times))
-            for task in machine.running.token_tasks:
-                self.records[task.request_id].emissions.extend(times)
+            tasks = machine.running.token_tasks
+            ledger = self._ledger
+            for task in tasks:
+                emissions = self.records[task.request_id].emissions
+                if ledger is not None:  # each task's first gap is its own
+                    ledger.tbt(times[0] - emissions[-1], times[0])
+                emissions.extend(times)
+            if ledger is not None:  # every task shares the later gaps
+                ledger.shared_tbt(times, len(tasks))
             self._assert_memory(machine)  # memory only grew inside the window
 
     def _assert_memory(self, machine: Machine):
@@ -395,7 +502,9 @@ class Simulator:
                        for m in self.cluster.machines.values()}
         report = MetricsReport(records, throughput, utilization,
                                dict(sorted(self._batched_token_time.items())))
-        if self.reference_model is not None and records:
+        if self._ledger is not None and records:
+            report.slo = self._ledger.verdict()
+        elif self.reference_model is not None and records:
             refs = {r.request.id: reference_latencies(r.request, self.reference_model)
                     for r in records}
             report.slo = check_slo(report, self.slo, refs)

@@ -38,3 +38,18 @@ class HorizonExceeded(SplitsimError, RuntimeError):
 
 class InvariantError(SplitsimError, RuntimeError):
     """The simulator broke one of its own invariants: a defect, not load."""
+
+
+class SloViolated(SplitsimError):
+    """A probe run stopped at the first SLO constraint that can no longer
+    hold: more ratios exceed the multiplier than the percentile allows."""
+
+    def __init__(self, metric: str, percentile: float, exceeded: int, allowed: int,
+                 time_ms: float):
+        super().__init__(f"{metric} P{int(percentile * 100)}: {exceeded} ratios exceed the "
+                         f"multiplier, {allowed} allowed, at {time_ms:.3f} ms")
+        self.metric = metric
+        self.percentile = percentile
+        self.exceeded = exceeded
+        self.allowed = allowed
+        self.time_ms = time_ms

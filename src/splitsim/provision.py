@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .cluster import ClusterConfig, normalize_design
 from .engine import SloTable, Simulator
-from .errors import ConfigurationError, HorizonExceeded, ValidationError
+from .errors import ConfigurationError, HorizonExceeded, SloViolated
 from .machine import SchedulerConfig
 from .perf import get_calibration
 from .trace import SizeDistribution, generate_trace
@@ -117,7 +117,12 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
                      workload: Workload, rate: float, duration: float = 120.0,
                      seeds=(1, 2, 3), slo: SloTable | None = None,
                      sched: SchedulerConfig | None = None) -> bool:
-    """True iff all nine SLOs pass on every seed at the given arrival rate."""
+    """True iff all nine SLOs pass on every seed at the given arrival rate.
+
+    Each run stops at the first constraint that can no longer hold
+    (``SloViolated``) or when it overruns its horizon (``HorizonExceeded``);
+    both read as a fail.  Any other error is a defect and propagates.
+    """
     config = ClusterConfig(design, prompt_count, token_count, llm=workload.llm,
                            sched=sched or SchedulerConfig())
     models = {mt: get_calibration(workload.llm, mt)
@@ -129,11 +134,9 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
         if not trace.requests:
             continue
         try:
-            result = Simulator(config, models, trace, reference_model=reference,
-                               record_log=False, slo=slo).run()
-        except HorizonExceeded:
-            return False  # the cluster cannot keep up with this load
-        if not result.report.slo["pass"]:
+            Simulator(config, models, trace, reference_model=reference,
+                      record_log=False, slo=slo, stop_on_slo_fail=True).run()
+        except (SloViolated, HorizonExceeded):
             return False
     return True
 
@@ -240,26 +243,6 @@ def search(spec: SearchSpec) -> SearchResult:
         key = lambda pt: (pt.power, pt.total_machines, pt.cost)
     optimum = min(feasible, key=key)
     return SearchResult(points, _pareto_front(points), optimum)
-
-
-def summarize(points: list[DesignPoint], baseline: DesignPoint) -> list[dict]:
-    """Relative report: every point's metrics divided by the baseline's."""
-    for name, val in (("max_rps", baseline.max_rps), ("cost", baseline.cost),
-                      ("power", baseline.power), ("machines", baseline.total_machines)):
-        if val == 0:
-            raise ValidationError(f"baseline {name} is zero")
-    out = []
-    for p in points:
-        out.append({
-            "design": p.design,
-            "prompt_count": p.prompt_count,
-            "token_count": p.token_count,
-            "throughput_x": p.max_rps / baseline.max_rps,
-            "cost_x": p.cost / baseline.cost,
-            "power_x": p.power / baseline.power,
-            "machines_x": p.total_machines / baseline.total_machines,
-        })
-    return out
 
 
 RESULTS_CSV_HEADER = "design,prompt_count,token_count,max_rps,cost,power,slo_pass"

@@ -50,13 +50,10 @@ class TransferPlan:
     mode: str
     raw_time: float         # ms
     visible_latency: float  # ms, added between first and second token
-    overlap_hidden: float   # ms
 
     def __post_init__(self):
-        if self.visible_latency > self.raw_time + 1e-9:
+        if not self.visible_latency <= self.raw_time:
             raise ValidationError("visible latency cannot exceed raw time")
-        if self.overlap_hidden < -1e-9:
-            raise ValidationError("negative hidden overlap")
 
 
 def raw_transfer_time(kv_bytes: float, config: TransferConfig) -> float:
@@ -92,4 +89,4 @@ def plan_transfer(prompt_tokens: int, kv_bytes: float, prompt_compute_ms: float,
     else:
         window = prompt_compute_ms * (1.0 - 1.0 / config.num_layers)
         visible = min(raw, max(config.layerwise_constant_ms, raw - window))
-    return TransferPlan(mode, raw, visible, raw - visible)
+    return TransferPlan(mode, raw, visible)

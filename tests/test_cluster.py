@@ -91,33 +91,28 @@ class TestRouting:
         c = make_cluster(p=2, t=1)
         c.machines[0].enqueue(Task(50, PROMPT, 3000, 0.0, 1, 1), 0.0)
         c.machines[1].enqueue(Task(51, PROMPT, 500, 0.0, 1, 1), 0.0)
-        d = c.route(99, 1.0)
-        assert d.prompt_machine == 1
+        assert c.route()[0] == 1
 
     def test_tie_breaks_by_lowest_id(self):
         c = make_cluster(p=3, t=1)
-        d = c.route(99, 0.0)
-        assert d.prompt_machine == 0
-        assert d.token_machine == 3
+        assert c.route() == (0, 3)
 
     def test_both_machines_assigned_at_arrival(self):
         c = make_cluster(p=2, t=2)
-        d = c.route(7, 4.2)
-        assert d.decided_at == 4.2
-        assert d.prompt_machine in (0, 1)
-        assert d.token_machine in (2, 3)
+        prompt_machine, token_machine = c.route()
+        assert prompt_machine in (0, 1)
+        assert token_machine in (2, 3)
 
     def test_baseline_routes_to_same_machine(self):
         c = make_cluster("Baseline-A100", p=3, t=0)
-        d = c.route(1, 0.0)
-        assert d.prompt_machine == d.token_machine
+        prompt_machine, token_machine = c.route()
+        assert prompt_machine == token_machine
 
     def test_overflow_to_opposite_pool(self):
         sched = SchedulerConfig(queue_threshold_tokens=100)
         c = make_cluster(p=1, t=1, sched=sched)
         c.machines[0].enqueue(Task(50, PROMPT, 5000, 0.0, 1, 1), 0.0)
-        d = c.route(99, 1.0)
-        assert d.prompt_machine == 1  # token machine takes the prompt
+        assert c.route()[0] == 1  # token machine takes the prompt
 
     def test_all_saturated_falls_back_to_global_argmin(self):
         sched = SchedulerConfig(queue_threshold_tokens=10)
@@ -125,8 +120,7 @@ class TestRouting:
         c.machines[0].enqueue(Task(50, PROMPT, 500, 0.0, 1, 1), 0.0)
         c.machines[1].enqueue(Task(51, PROMPT, 400, 0.0, 1, 1), 0.0)
         c.machines[1].note_pool_change(MIXED, 0.0)
-        d = c.route(99, 1.0)
-        assert d.prompt_machine == 1
+        assert c.route()[0] == 1
 
 
 class TestPoolTransitions:

@@ -7,7 +7,6 @@ from splitsim import (
     PRESETS,
     SearchSpec,
     Simulator,
-    ValidationError,
     Workload,
     budget_max_count,
     design_cost_power,
@@ -16,7 +15,7 @@ from splitsim import (
     search,
     slo_pass_at_rate,
 )
-from splitsim.provision import _pareto_front, results_csv, summarize
+from splitsim.provision import _pareto_front, results_csv
 
 
 def conversation_workload():
@@ -136,16 +135,6 @@ class TestPareto:
     def test_failing_points_excluded(self):
         a = self._pt(10.0, 5.0, 5.0, ok=False)
         assert _pareto_front([a]) == []
-
-    def test_summarize_ratios(self):
-        base = self._pt(5.0, 10.0, 10.0)
-        out = summarize([self._pt(10.0, 10.0, 10.0)], base)
-        assert out[0]["throughput_x"] == pytest.approx(2.0)
-        assert out[0]["cost_x"] == pytest.approx(1.0)
-
-    def test_summarize_zero_baseline(self):
-        with pytest.raises(ValidationError):
-            summarize([], self._pt(0.0, 1.0, 1.0))
 
     def test_results_csv(self):
         text = results_csv([self._pt(10.0, 5.0, 5.0)])

@@ -1,0 +1,177 @@
+"""The SLO ledger of probe-mode runs, against ``check_slo``.
+
+A probe-mode run (``Simulator(stop_on_slo_fail=True)``) counts, per
+constraint, the ratios that exceed the multiplier as each latency becomes
+final, and stops at the first count that goes over ``n - ceil(p*n)``.  Its
+verdict must be the one ``check_slo`` gives on the full run.
+"""
+
+from unittest import mock
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from splitsim import (
+    DESIGNS,
+    PRESETS,
+    ClusterConfig,
+    HorizonExceeded,
+    InvariantError,
+    Request,
+    Simulator,
+    SloTable,
+    SloViolated,
+    SplitsimError,
+    Trace,
+    Workload,
+    generate_trace,
+    get_calibration,
+    percentile,
+    slo_pass_at_rate,
+)
+from splitsim.engine import SloLedger
+
+REFERENCE = get_calibration("llama2-70b", "A100")
+
+
+def simulate(config, trace, **kwargs):
+    models = {mt: get_calibration(config.llm, mt)
+              for mt in {config.prompt_type, config.token_type}}
+    return Simulator(config, models, trace, reference_model=REFERENCE, **kwargs).run()
+
+
+def ledger_counts(config, trace, record_log):
+    """The ledger's verdict of a full run, with the abort off."""
+    with mock.patch.object(SloLedger, "violated", lambda self, i, time: None):
+        return simulate(config, trace, record_log=record_log, stop_on_slo_fail=True).report.slo
+
+
+@st.composite
+def probes(draw):
+    design = draw(st.sampled_from(sorted(DESIGNS)))
+    prompt_machines = draw(st.integers(1, 2))
+    token_machines = 0 if DESIGNS[design][2] else draw(st.integers(1, 2))
+    preset = draw(st.sampled_from(["coding", "conversation"]))
+    # from well below to well above what 1-4 machines sustain
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 9.0]))
+    seed = draw(st.integers(0, 10_000))
+    dists = PRESETS[preset]
+    trace = generate_trace(dists["prompt"], dists["output"], rate, 8.0, seed)
+    return ClusterConfig(design, prompt_machines, token_machines), trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(probes())
+def test_probe_verdict_matches_check_slo(probe):
+    config, trace = probe
+    expected = simulate(config, trace, record_log=False).report.slo
+    if expected is None:  # empty trace: no verdict either way
+        return
+    if expected["pass"]:
+        verdict = simulate(config, trace, record_log=False, stop_on_slo_fail=True).report.slo
+        assert verdict["pass"]
+        assert len(verdict["constraints"]) == 9
+        assert all(c["pass"] for c in verdict["constraints"])
+    else:
+        with pytest.raises(SloViolated) as info:
+            simulate(config, trace, record_log=False, stop_on_slo_fail=True)
+        failed = {(c["metric"], c["percentile"])
+                  for c in expected["constraints"] if not c["pass"]}
+        assert (info.value.metric, info.value.percentile) in failed
+    # without the abort, every count is the same whether windows share
+    # their gaps (log off) or every gap is counted on its own (log on)
+    logged = ledger_counts(config, trace, record_log=True)
+    fast = ledger_counts(config, trace, record_log=False)
+    assert logged == fast
+    assert [c["pass"] for c in fast["constraints"]] == \
+        [c["pass"] for c in expected["constraints"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0, 5.0, 7.0]), min_size=1, max_size=30),
+       st.sampled_from([0.5, 0.9, 0.99, 1.0]), st.sampled_from([1.0, 1.25, 1.5, 5.0]))
+def test_percentile_identity(ratios, p, mult):
+    ledger = SloLedger(SloTable(percentiles=(p, p, p)),
+                       [Request(i, 0.0, 1, 1) for i in range(len(ratios))], REFERENCE)
+    allowed = ledger.constraints[0][3]
+    assert (percentile(ratios, p) <= mult) == (sum(r > mult for r in ratios) <= allowed)
+
+
+def one_request(prompt=1500, out=13):
+    return Trace([Request(0, 0.0, prompt, out)], duration=1.0)
+
+
+UNIT = SloTable(ttft=(1.0, 1.0, 1.0), tbt=(1.0, 1.0, 1.0), e2e=(1.0, 1.0, 1.0))
+
+
+class TestLedger:
+    def test_ratio_equal_to_multiplier_passes(self):
+        # an A100 machine serving one request is its own reference: every
+        # ratio is exactly 1.0, which meets multipliers of 1.0
+        res = simulate(ClusterConfig("Baseline-A100", 1, 0), one_request(),
+                       slo=UNIT, stop_on_slo_fail=True)
+        assert res.report.slo["pass"]
+        assert [c["exceeded"] for c in res.report.slo["constraints"]] == [0] * 9
+
+    def test_ratio_above_multiplier_aborts(self):
+        # the transfer makes the first token gap longer than the reference
+        with pytest.raises(SloViolated) as info:
+            simulate(ClusterConfig("Splitwise-AA", 1, 1), one_request(),
+                     slo=UNIT, stop_on_slo_fail=True)
+        err = info.value
+        # 12 gaps, so P99 allows none; the E2E ratio goes over only later
+        assert (err.metric, err.percentile, err.exceeded, err.allowed) == ("TBT", 0.99, 1, 0)
+        assert "TBT P99" in str(err) and "ms" in str(err)
+
+    def test_count_at_allowance_passes_one_more_fails(self):
+        requests = [Request(i, 0.0, 1000, 1) for i in range(10)]
+        ledger = SloLedger(SloTable(), requests, REFERENCE)
+        assert [c[3] for c in ledger.constraints[:3]] == [5, 1, 0]  # 10 - ceil(p*10)
+        slow = 2.5 * REFERENCE.prompt_time(1000)  # TTFT ratio 2.5: over P50's 2.0 only
+        for request in requests[:5]:
+            ledger.ttft(request, slow)
+        assert ledger.verdict()["pass"]
+        with pytest.raises(SloViolated) as info:
+            ledger.ttft(requests[5], slow)
+        assert (info.value.metric, info.value.exceeded, info.value.allowed) == ("TTFT", 6, 5)
+
+    def test_single_token_outputs_pass(self):
+        # n_TBT = 0: no gap is ever counted and the TBT constraints hold
+        trace = Trace([Request(i, 2.0 * i, 500, 1) for i in range(5)], duration=10.0)
+        res = simulate(ClusterConfig("Splitwise-AA", 1, 1), trace, stop_on_slo_fail=True)
+        tbt = [c for c in res.report.slo["constraints"] if c["metric"] == "TBT"]
+        assert [(c["exceeded"], c["allowed"], c["pass"]) for c in tbt] == [(0, 0, True)] * 3
+        assert res.report.slo["pass"]
+        assert simulate(ClusterConfig("Splitwise-AA", 1, 1), trace).report.slo["pass"]
+
+    def test_probe_mode_needs_a_reference(self):
+        with pytest.raises(SplitsimError):
+            Simulator(ClusterConfig("Baseline-A100", 1, 0),
+                      {"A100": REFERENCE}, one_request(), stop_on_slo_fail=True)
+
+
+class TestProbeOutcome:
+    @staticmethod
+    def probe():
+        w = Workload(PRESETS["conversation"]["prompt"], PRESETS["conversation"]["output"])
+        return slo_pass_at_rate("Baseline-A100", 1, 0, w, 1.0, duration=10.0, seeds=(1,))
+
+    @pytest.mark.parametrize("error", [SloViolated("TTFT", 0.5, 3, 2, 10.0),
+                                       HorizonExceeded("simulation exceeded horizon")])
+    def test_load_errors_fail_the_probe(self, monkeypatch, error):
+        def run(self):
+            raise error
+        monkeypatch.setattr(Simulator, "run", run)
+        assert self.probe() is False
+
+    def test_invariant_error_propagates(self, monkeypatch):
+        def run(self):
+            raise InvariantError("machine 0 memory exceeds capacity")
+        monkeypatch.setattr(Simulator, "run", run)
+        with pytest.raises(InvariantError):
+            self.probe()
+
+    def test_slo_violation_is_not_overload(self):
+        assert issubclass(SloViolated, SplitsimError)
+        assert not issubclass(SloViolated, HorizonExceeded)

@@ -60,7 +60,7 @@ class TestPlan:
         plan = plan_transfer(1500, m.kv_cache_bytes(1500), m.prompt_time(1500), H100_CFG)
         assert plan.mode == LAYERWISE
         assert plan.visible_latency == 5.0
-        assert plan.overlap_hidden == pytest.approx(78.6432 - 5.0)
+        assert plan.raw_time == pytest.approx(78.6432)
 
     def test_serialized_visible_is_raw(self):
         m = get_calibration("llama2-70b", "H100")
@@ -68,7 +68,6 @@ class TestPlan:
         plan = plan_transfer(256, kv, m.prompt_time(256), H100_CFG)
         assert plan.mode == SERIALIZED
         assert plan.visible_latency == plan.raw_time
-        assert plan.overlap_hidden == 0.0
 
     def test_forced_mode_override(self):
         m = get_calibration("llama2-70b", "H100")
@@ -100,7 +99,6 @@ class TestPlan:
         kv = m.kv_cache_bytes(tokens)
         plan = plan_transfer(tokens, kv, compute, H100_CFG)
         assert 0.0 <= plan.visible_latency <= plan.raw_time + 1e-9
-        assert plan.overlap_hidden == pytest.approx(plan.raw_time - plan.visible_latency)
         serial = plan_transfer(tokens, kv, compute, H100_CFG, mode=SERIALIZED)
         assert plan.visible_latency <= serial.visible_latency + 1e-9
 
@@ -129,4 +127,4 @@ class TestDefaults:
 
     def test_plan_invariant_enforced(self):
         with pytest.raises(ValidationError):
-            TransferPlan(LAYERWISE, 1.0, 2.0, 0.0)
+            TransferPlan(LAYERWISE, 1.0, 2.0)
