@@ -130,8 +130,7 @@ def main(argv=None) -> int:
     print(f"failed operations: {entry['failed']}")
     if mismatched:
         print(f"fingerprints differ on seeds {mismatched}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if mismatched or any(entry["failed"].values()) else 0
 
 
 if __name__ == "__main__":
