@@ -4,7 +4,7 @@ Run from the repository root, with the parent commit checked out elsewhere:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload search-aa-conversation --seeds 501 502 503 --seconds 25 \\
-        --traced-seed 5 --pr 7
+        --traced-seed 5 --pr N
 
 For each seed it runs ``bench/run.py --trace 0`` once in each checkout,
 alternating which side runs first, and checks that both sides report the
