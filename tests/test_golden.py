@@ -1,5 +1,5 @@
-"""Golden outputs: sha256 of the request, TBT and event-log CSVs for small
-fixed runs.
+"""Golden outputs: sha256 of the request, TBT, event-log and summary CSVs
+for small fixed runs.
 
 These pin simulated behaviour byte for byte across refactors.  A change
 that alters any hash changes what the simulator does and must say why.
@@ -95,6 +95,19 @@ GOLDEN = {
         "cfc3124521b87dcdf84329889dd764139dc245cd4b5db2df4b4dbb99cc703f76"),
 }
 
+# name -> summary_csv sha256: pins check_slo's observed ratios byte for byte
+GOLDEN_SUMMARY = {
+    "baseline-a100": "170720fcfce5fd6e7b2ed640b163bbed6f76a33945f273b7078adfd18660533b",
+    "baseline-h100": "59d2171a8602c5af35c504d263cc1f11d994c6d51fdf3fcee7dd09a27aee5e89",
+    "baseline-h100-capped": "fd0712d258ff4accea440bc6cc238988940f9156238723a25c54f984a62d6c63",
+    "splitwise-aa": "55047ee98d641c454d87835ea8310a00be336bece84769727cf16c5dc92e6d1d",
+    "splitwise-aa-conversation": "9ea55a44a74c696bf3b187e495dc268faf2cfb1dea071088b4177c12fe7de2ee",
+    "splitwise-ha": "b4ce57117d14b001441561e8fc6c0a5e51429081e754ff091c2886ca5d8902d0",
+    "splitwise-hh": "dbff703ea5171111b3b6867f8ff4428cc2e0956f959dff2838faeefa467e81dc",
+    "splitwise-hh-repurpose": "79a3a897b3d3e5cd7db8e2fa71c1c5a687b6f9ac7ad043bfdf2a917fcc67ca05",
+    "splitwise-hhcap": "b586cee5f28428ed09d2b99bdef3ba62f2b28c78fcb90527fe5c910f2f0561b5",
+}
+
 
 def run_case(name, record_log=True):
     cluster_kwargs, workload, rate, duration, seed = CASES[name]
@@ -111,8 +124,12 @@ def run_case(name, record_log=True):
                      record_log=record_log).run()
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def digests(result):
-    return tuple(hashlib.sha256(emit(result).encode()).hexdigest()
+    return tuple(sha256(emit(result))
                  for emit in (engine.requests_csv, engine.tbt_csv, engine.event_log_csv))
 
 
@@ -121,6 +138,11 @@ def test_golden_hashes(name):
     assert digests(run_case(name)) == GOLDEN[name]
     # logging must not change behaviour
     assert digests(run_case(name, record_log=False))[:2] == GOLDEN[name][:2]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_summary(name):
+    assert sha256(engine.summary_csv(run_case(name))) == GOLDEN_SUMMARY[name]
 
 
 def test_capped_case_reaches_the_cap():

@@ -15,6 +15,7 @@ from splitsim import (
     search,
     slo_pass_at_rate,
 )
+from splitsim import provision
 from splitsim.provision import _pareto_front, results_csv
 
 
@@ -119,6 +120,35 @@ class TestThroughputSearch:
         with pytest.raises(RuntimeError, match="memory"):
             slo_pass_at_rate("Baseline-A100", 1, 0, conversation_workload(), 1.0,
                              duration=10.0, seeds=(1,))
+
+
+class TestSharedCalibration:
+    def test_max_throughput_calibrates_each_type_once(self, monkeypatch):
+        # Splitwise-HA runs H100 prompt and A100 token machines, and the
+        # reference is an A100: two machine types for the whole search
+        calibrated, probes = [], []
+        real_calibration, real_probe = provision.get_calibration, provision.slo_pass_at_rate
+
+        def get_calibration(llm, machine_type):
+            calibrated.append(machine_type)
+            return real_calibration(llm, machine_type)
+
+        def probe(*args):
+            probes.append(args[-1])
+            return real_probe(*args)
+
+        monkeypatch.setattr(provision, "get_calibration", get_calibration)
+        monkeypatch.setattr(provision, "slo_pass_at_rate", probe)
+        w = conversation_workload()
+        rate = max_throughput("Splitwise-HA", 1, 1, w, duration=10.0, seeds=(1,))
+        assert len(probes) > 2 and isinstance(probes[0], dict)
+        assert all(models is probes[0] for models in probes)
+        assert sorted(calibrated) == ["A100", "H100"]
+
+        # fresh models for every probe find the same rate
+        monkeypatch.setattr(provision, "slo_pass_at_rate",
+                            lambda *args: real_probe(*args[:-1], None))
+        assert max_throughput("Splitwise-HA", 1, 1, w, duration=10.0, seeds=(1,)) == rate
 
 
 class TestPareto:

@@ -1,0 +1,176 @@
+"""The report layer against the per-request loops it replaced.
+
+``reference_check_slo`` is the old ``check_slo``: Python lists of ratios,
+percentiled with ``sorted()``.  Every verdict, ``observed_ratio`` included,
+must be the same float, bit for bit.  ``reference_tbt_csv`` and
+``reference_event_log_csv`` format one row at a time, and the emitters must
+give the same text.
+"""
+
+import io
+import math
+
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
+
+from splitsim import Request, SloTable, check_slo
+from splitsim import engine
+from splitsim.engine import EVENT_FORMATS, MetricsReport, RequestRecord, SimResult
+
+
+def reference_check_slo(report, slo, references):
+    def nearest_rank(samples, p):
+        return sorted(samples)[max(0, math.ceil(p * len(samples)) - 1)]
+
+    ttft_ratios, e2e_ratios, tbt_ratios = [], [], []
+    for rec in report.records:
+        ref = references[rec.request.id]
+        ttft_ratios.append(rec.ttft_ms / ref["ttft_ms"])
+        e2e_ratios.append(rec.e2e_ms / ref["e2e_ms"])
+        tbt_ratios.extend(g / ref["tbt_ms"] for g in rec.tbt_ms())
+    result = {"constraints": [], "pass": True}
+    for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
+                                        ("TBT", tbt_ratios, slo.tbt),
+                                        ("E2E", e2e_ratios, slo.e2e)):
+        for p, mult in zip(slo.percentiles, multipliers):
+            observed = nearest_rank(ratios, p) if ratios else 0.0
+            ok = observed <= mult
+            result["constraints"].append({
+                "metric": metric, "percentile": p,
+                "observed_ratio": observed, "multiplier": mult, "pass": ok,
+            })
+            result["pass"] = result["pass"] and ok
+    return result
+
+
+def reference_tbt_csv(result):
+    buf = io.StringIO()
+    buf.write("request_id,gap_index,tbt_ms\n")
+    for rec in result.report.records:
+        for i, gap in enumerate(rec.tbt_ms()):
+            buf.write(f"{rec.request.id},{i},{gap:.6f}\n")
+    return buf.getvalue()
+
+
+def reference_event_log_csv(result):
+    buf = io.StringIO()
+    buf.write("time_ms,seq,kind,payload\n")
+    for (t, seq, kind, fields) in result.event_log:
+        payload = EVENT_FORMATS[kind].format(
+            *(",".join(map(str, f)) if type(f) is tuple else f for f in fields))
+        buf.write(f"{t:.9f},{seq},{kind},{payload}\n")
+    return buf.getvalue()
+
+
+def bits(verdict):
+    """The verdict with every float as its exact hex text and every type kept."""
+    return (type(verdict["pass"]), verdict["pass"],
+            [(c["metric"], c["percentile"], c["multiplier"], type(c["pass"]), c["pass"],
+              type(c["observed_ratio"]), c["observed_ratio"].hex())
+             for c in verdict["constraints"]])
+
+
+# a few repeated values make ties; arbitrary floats exercise the rounding
+times = st.sampled_from([1.0, 8.5, 52.0, 52.000001, 104.3]) | st.floats(0.001, 5e3)
+refs = st.sampled_from([52.0, 185.0]) | st.floats(0.5, 2e3)
+
+
+@st.composite
+def reports(draw):
+    n = draw(st.sampled_from([1, 2, 10]) | st.integers(1, 16))
+    one_token = draw(st.booleans())  # every output 1 token: no TBT gap at all
+    records, references = [], {}
+    for rid in range(n):
+        arrival = draw(st.floats(0.0, 600.0))
+        first = arrival * 1000.0 + draw(times)
+        gaps = [] if one_token else draw(st.lists(times, max_size=8))
+        rec = RequestRecord(Request(rid, arrival, 100, len(gaps) + 1))
+        rec.first_token_time = first
+        rec.emissions = [first]
+        for gap in gaps:
+            rec.emissions.append(rec.emissions[-1] + gap)
+        rec.completion = rec.emissions[-1]
+        records.append(rec)
+        # references differ per request, so each gap must meet its own
+        references[rid] = {"ttft_ms": draw(refs), "tbt_ms": draw(refs), "e2e_ms": draw(refs)}
+    return MetricsReport(records, 1.0, {}, {}), references
+
+
+percentiles = st.sampled_from([(0.5, 0.9, 0.99), (0.25, 0.5, 1.0), (0.1, 0.2, 0.3)]) | \
+    st.tuples(*[st.floats(0.001, 1.0)] * 3)
+
+
+def sized_report(n_records, gaps_each):
+    """Records with the given number of gaps each, all of them distinct."""
+    records, references = [], {}
+    for rid in range(n_records):
+        rec = RequestRecord(Request(rid, rid * 0.5, 100, gaps_each + 1))
+        rec.emissions = [rid * 500.0 + 40.0 + (rid % 7) + 10.0 * g + (g * rid) % 3
+                         for g in range(gaps_each + 1)]
+        rec.first_token_time, rec.completion = rec.emissions[0], rec.emissions[-1]
+        records.append(rec)
+        references[rid] = {"ttft_ms": 30.0 + rid % 5, "tbt_ms": 7.0, "e2e_ms": 500.0}
+    return MetricsReport(records, 1.0, {}, {}), references
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports(), percentiles)
+# ceil(p*n) exact: n = 10 and 100 ratios at P50/P90/P99
+@example(sized_report(10, 1), (0.5, 0.9, 0.99))
+@example(sized_report(100, 1), (0.5, 0.9, 0.99))
+@example(sized_report(20, 5), (0.5, 0.9, 0.99))
+# one record, and all-1-token outputs
+@example(sized_report(1, 12), (0.5, 0.9, 0.99))
+@example(sized_report(1, 0), (0.5, 0.9, 0.99))
+@example(sized_report(30, 0), (0.5, 0.9, 0.99))
+def test_columnar_check_slo_is_bit_identical(case, ps):
+    report, references = case
+    slo = SloTable(percentiles=ps)
+    assert bits(check_slo(report, slo, references)) == \
+        bits(reference_check_slo(report, slo, references))
+
+
+def test_no_gaps_reads_zero():
+    report, references = sized_report(4, 0)
+    tbt = [c for c in check_slo(report, SloTable(), references)["constraints"]
+           if c["metric"] == "TBT"]
+    assert [c["observed_ratio"] for c in tbt] == [0.0] * 3
+    assert all(c["pass"] for c in tbt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports())
+@example(sized_report(1, 0))
+@example(sized_report(12, 30))
+def test_tbt_csv_matches_per_row_text(case):
+    report, _ = case
+    result = SimResult(report, {}, [], None)
+    assert engine.tbt_csv(result) == reference_tbt_csv(result)
+
+
+# batch memberships drawn from a few tuples, so most come back
+memberships = st.lists(st.lists(st.integers(0, 9999), max_size=6).map(tuple),
+                       min_size=1, max_size=4)
+
+
+@st.composite
+def batch_logs(draw):
+    tuples = draw(memberships)
+    log = []
+    for seq in range(draw(st.integers(0, 40))):
+        t = draw(st.floats(0.0, 1e6))
+        if draw(st.booleans()):
+            log.append((t, seq, "batch_started",
+                        (draw(st.integers(0, 3)), draw(st.sampled_from(["prompt", "token"])),
+                         draw(st.sampled_from(tuples)), draw(st.sampled_from(tuples)),
+                         draw(st.floats(0.1, 500.0)))))
+        else:
+            log.append((t, seq, "iteration_complete", (draw(st.integers(0, 3)),)))
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_logs())
+def test_event_log_csv_matches_per_row_text(log):
+    result = SimResult(MetricsReport([], 0.0, {}, {}), {}, log, None)
+    assert engine.event_log_csv(result) == reference_event_log_csv(result)

@@ -4,7 +4,7 @@ Run from the repository root, with the parent commit checked out elsewhere:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload search-aa-conversation --seeds 501 502 503 --seconds 25 \\
-        --traced-seed 5 --pr N
+        --traced-seed 5 --claim wall_s --pr N
 
 For each seed it runs ``bench/run.py --trace 0`` once in each checkout,
 alternating which side runs first, and checks that both sides report the
@@ -14,6 +14,17 @@ per end-to-end metric, each side's median and quartiles and the pairs the
 change won, and stores every run under ``workloads[<workload>]`` of
 ``<change>/BENCH_<pr>.json``; the other workloads already in that file are
 kept, so one file collects several invocations.
+
+It also prints a verdict per metric, by the direction and bound that
+``BENCHMARK.json`` gives it.  The ``--claim`` metric is a ``gain`` only when
+the change wins at least nine tenths of at least ten pairs (ties count for
+neither) and the medians differ, in the better direction, by more than the
+parent's interquartile range.  Every other metric is ``worse`` when the
+change's median is worse than the parent's by more than the bound (a
+fraction of the parent's median), ``unresolved`` when either side's
+interquartile range is wider than the bound, and otherwise ``within bound``;
+it is also ``within bound`` when every run of the change reads better than
+every run of the parent.
 """
 
 from __future__ import annotations
@@ -47,19 +58,60 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Per metric: each side's quartiles and the pairs the change won
-    (lower is better for every end-to-end metric; ties count for neither)."""
+def improvement_sign(better: str) -> float:
+    """+1 or -1 so that ``sign * (parent - change) > 0`` means the change is
+    better."""
+    return 1.0 if better == "lower" else -1.0
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs the change won; ties count for neither side."""
+    sign = improvement_sign(better)
+    return sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+
+
+def gain_verdict(parent: list[float], change: list[float], better: str) -> str:
+    """``gain`` or ``no gain`` for the claimed metric of paired runs."""
+    sign = improvement_sign(better)
+    p, c = quartiles(parent), quartiles(change)
+    if len(parent) >= 10 and wins(parent, change, better) >= 0.9 * len(parent) \
+            and sign * (p["median"] - c["median"]) > p["iqr"]:
+        return "gain"
+    return "no gain"
+
+
+def bound_verdict(parent: list[float], change: list[float], better: str,
+                  bound: float) -> str:
+    """``within bound``, ``worse`` or ``unresolved`` for an unclaimed metric."""
+    sign = improvement_sign(better)
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        return "within bound"  # every run of the change reads better
+    p, c = quartiles(parent), quartiles(change)
+    if sign * (c["median"] - p["median"]) > bound * p["median"]:
+        return "worse"
+    if max(p["iqr"] / p["median"], c["iqr"] / c["median"]) > bound:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], metrics: dict, claim: str | None) -> dict:
+    """Per metric: each side's quartiles, the pairs the change won (ties
+    count for neither) and the verdict.  ``metrics`` maps each metric's name
+    to its ``BENCHMARK.json`` entry."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         stats = {side: quartiles(values[side]) for side in SIDES}
+        better, bound = metrics[name]["better"], metrics[name]["bound"]
         summary[name] = {
             **stats,
-            "change_better_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
+            "change_better_pairs": wins(values["parent"], values["change"], better),
             "pairs": len(pairs),
             "median_ratio_parent_over_change":
                 stats["parent"]["median"] / stats["change"]["median"],
+            "verdict": (gain_verdict(values["parent"], values["change"], better)
+                        if name == claim else
+                        bound_verdict(values["parent"], values["change"], better, bound)),
         }
     return summary
 
@@ -72,9 +124,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--traced-seed", type=int, help="also run --trace 1 at this seed")
+    parser.add_argument("--claim", help="the end-to-end metric the change claims to improve")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    metrics = {m["name"]: m for m in
+               json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
 
     pairs, commits, environment, mismatched = [], {}, {}, []
     for i, seed in enumerate(args.seeds):
@@ -99,7 +156,8 @@ def main(argv=None) -> int:
     entry = {
         "seeds": list(args.seeds),
         "pairs": pairs,
-        "summary": summarize(pairs),
+        "claim": args.claim,
+        "summary": summarize(pairs, metrics, args.claim),
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
     }
     if args.traced_seed is not None:
@@ -126,7 +184,7 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent median {s['parent']['median']:.4g} "
               f"(IQR {s['parent']['iqr']:.3g}), change median {s['change']['median']:.4g} "
               f"(IQR {s['change']['iqr']:.3g}), change better in "
-              f"{s['change_better_pairs']}/{s['pairs']} pairs")
+              f"{s['change_better_pairs']}/{s['pairs']} pairs: {s['verdict']}")
     print(f"failed operations: {entry['failed']}")
     if mismatched:
         print(f"fingerprints differ on seeds {mismatched}", file=sys.stderr)
