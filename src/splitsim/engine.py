@@ -60,12 +60,12 @@ divides by each gap's reference.  A float64 subtraction or division rounds
 exactly as the same Python float expression does, so every ratio is the
 float the per-request loop computes.  ``np.partition(ratios, k)`` puts at
 index ``k`` the element that ``sorted`` puts there, so each nearest-rank
-percentile, and with it ``observed_ratio``, is bit-identical;
-``tests/test_check_slo.py`` compares both on random reports.  ``tbt_csv``
-formats each distinct gap once and each gap index once, and writes a
-record's rows as one chunk; ``event_log_csv`` joins each distinct id tuple
-of ``batch_started`` once.  ``b"%.6f" % gap`` and ``f"{gap:.6f}"`` format a
-float the same way, so the text is the old per-row f-string's.
+percentile, and with it ``observed_ratio``, is bit-identical.  ``tbt_csv``
+formats each distinct gap once and each gap index once, and appends a
+record's rows to a bytearray as one chunk; ``b"%.6f" % gap`` and
+``f"{gap:.6f}"`` format a float the same way.  ``event_log_csv`` joins each
+distinct id tuple of ``batch_started`` once.  ``tests/test_report_layer.py``
+compares all three with per-request, per-row references on random input.
 """
 
 from __future__ import annotations
@@ -212,10 +212,12 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
     lengths = np.fromiter((len(rec.emissions) for rec in records), dtype=np.intp, count=n)
     times = np.fromiter(chain.from_iterable(rec.emissions for rec in records),
                         dtype=float, count=int(lengths.sum()))
-    first = np.zeros(len(times), dtype=bool)
+    first = np.zeros(len(times), dtype=bool)  # a record's first emission
     first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    # gap j ends at times[j + 1]; one that ends at a first emission crosses
+    # a record boundary
     tbt_ratios = np.diff(times)[~first[1:]]
-    del times, first
+    del times, first  # free them before the division allocates
     tbt_ratios /= np.repeat(column(ref["tbt_ms"] for ref in refs), np.maximum(lengths - 1, 0))
 
     result = {"constraints": [], "pass": True}
