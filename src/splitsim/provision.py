@@ -11,6 +11,7 @@ DGX-A100.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -113,34 +114,35 @@ class SearchSpec:
             raise ConfigurationError("empty prompt count range")
 
 
+@functools.cache
+def _calibration(llm: str, machine_type: str) -> PerfModel:
+    """One calibrated model per (llm, machine type) for every probe in the
+    process, so probes share its token table and ``prompt_time`` memo."""
+    return get_calibration(llm, machine_type)
+
+
 def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
                      workload: Workload, rate: float, duration: float = 120.0,
                      seeds=(1, 2, 3), slo: SloTable | None = None,
-                     sched: SchedulerConfig | None = None,
-                     models: dict[str, PerfModel] | None = None) -> bool:
+                     sched: SchedulerConfig | None = None) -> bool:
     """True iff all nine SLOs pass on every seed at the given arrival rate.
 
     Each run stops at the first constraint that can no longer hold
     (``SloViolated``) or when it overruns its horizon (``HorizonExceeded``);
     both read as a fail.  Any other error is a defect and propagates.
-
-    ``models`` maps machine type -> calibrated ``PerfModel`` of
-    ``workload.llm``; the types it lacks are calibrated and added to it, so
-    probes that pass the same dict calibrate each type once and share its
-    ``prompt_time`` memo.
     """
     config = ClusterConfig(design, prompt_count, token_count, llm=workload.llm,
                            sched=sched or SchedulerConfig())
-    models = {} if models is None else models
-    for mt in {config.prompt_type, config.token_type, "A100"} - models.keys():
-        models[mt] = get_calibration(workload.llm, mt)
+    models = {mt: _calibration(workload.llm, mt)
+              for mt in {config.prompt_type, config.token_type}}
+    reference = _calibration(workload.llm, "A100")
     for seed in seeds:
         trace = generate_trace(workload.prompt_dist, workload.output_dist,
                                rate, duration, seed)
         if not trace.requests:
             continue
         try:
-            Simulator(config, models, trace, reference_model=models["A100"],
+            Simulator(config, models, trace, reference_model=reference,
                       record_log=False, slo=slo, stop_on_slo_fail=True).run()
         except (SloViolated, HorizonExceeded):
             return False
@@ -152,11 +154,10 @@ def max_throughput(design: str, prompt_count: int, token_count: int,
                    slo: SloTable | None = None, sched: SchedulerConfig | None = None,
                    resolution: float = 0.02) -> float:
     """Highest SLO-passing arrival rate, via geometric ramp then bisection."""
-    models: dict[str, PerfModel] = {}  # calibrated once, shared by every probe
 
     def passes(rate):
         return slo_pass_at_rate(design, prompt_count, token_count, workload,
-                                rate, duration, seeds, slo, sched, models)
+                                rate, duration, seeds, slo, sched)
 
     total = prompt_count + max(token_count, 1)
     rate = max(0.25, 0.2 * total)

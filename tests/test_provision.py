@@ -126,29 +126,26 @@ class TestSharedCalibration:
     def test_max_throughput_calibrates_each_type_once(self, monkeypatch):
         # Splitwise-HA runs H100 prompt and A100 token machines, and the
         # reference is an A100: two machine types for the whole search
-        calibrated, probes = [], []
-        real_calibration, real_probe = provision.get_calibration, provision.slo_pass_at_rate
+        calibrated = []
+        real_calibration = provision.get_calibration
 
         def get_calibration(llm, machine_type):
             calibrated.append(machine_type)
             return real_calibration(llm, machine_type)
 
-        def probe(*args):
-            probes.append(args[-1])
-            return real_probe(*args)
-
         monkeypatch.setattr(provision, "get_calibration", get_calibration)
-        monkeypatch.setattr(provision, "slo_pass_at_rate", probe)
+        provision._calibration.cache_clear()
         w = conversation_workload()
         rate = max_throughput("Splitwise-HA", 1, 1, w, duration=10.0, seeds=(1,))
-        assert len(probes) > 2 and isinstance(probes[0], dict)
-        assert all(models is probes[0] for models in probes)
+        assert sorted(calibrated) == ["A100", "H100"]
+        # a second search in the same process calibrates nothing
+        assert max_throughput("Splitwise-HA", 1, 1, w, duration=10.0, seeds=(1,)) == rate
         assert sorted(calibrated) == ["A100", "H100"]
 
         # fresh models for every probe find the same rate
-        monkeypatch.setattr(provision, "slo_pass_at_rate",
-                            lambda *args: real_probe(*args[:-1], None))
+        monkeypatch.setattr(provision, "_calibration", real_calibration)
         assert max_throughput("Splitwise-HA", 1, 1, w, duration=10.0, seeds=(1,)) == rate
+        assert len(calibrated) == 2
 
 
 class TestPareto:
