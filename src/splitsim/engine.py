@@ -1,39 +1,50 @@
 """Deterministic event-driven simulation core.
 
-Events are processed in (time, sequence) order; the sequence number breaks
-ties by insertion, so identical inputs replay to byte-identical event logs.
-The simulation clock runs in milliseconds: iteration and transfer latencies
-are integer-valued ms in the calibration presets, so event times accumulate
-without floating-point drift (trace arrivals, given in seconds, are
-converted once on entry).
+Events are processed in ``(time, key)`` order, so identical inputs replay
+to byte-identical event logs.  The tie rule is fixed: arrivals, transfers
+and maintenance take increasing sequence numbers as keys and tie by
+insertion; the end of an iteration on machine ``m`` takes
+``ITER_BASE + m``, so at an equal time it comes after every other event,
+and after the ends of machines with lower ids.  An iteration end's key does
+not depend on when it was pushed.  The simulation clock runs in
+milliseconds; trace arrivals, given in seconds, are converted once on
+entry.
+
 The engine wires the request lifecycle: arrival -> JSQ routing -> prompt
 iterations -> KV-cache transfer -> token iterations -> completion, and
 extracts TTFT/TBT/E2E metrics plus the nine-way SLO verdict against an
 unbatched reference machine.
 
 Only machines whose state an event changed are *dirty*; after each event
-``Cluster.update_pools`` and ``_dispatch`` look at those machines alone,
-and at none when no machine is dirty.  This gives the same transitions as
-checking every machine.  A machine leaves the mixed pool once it has no
-opposite-kind work, and ``has_opposite_work`` turns false only when one of
-the machine's iterations finishes or its home role flips, and both mark it
-dirty.  ``form_batch`` moves work from queue to batch and never turns it
+``_dispatch`` runs ``Cluster.update_pools`` and starts batches on those
+machines alone, in id order, and on none when no machine is dirty.  This
+gives the same transitions as checking every machine.  A machine leaves
+the mixed pool once it has no opposite-kind work, and
+``has_opposite_work`` turns false only when one of the machine's
+iterations finishes or its home role flips, and both mark it dirty.  ``form_batch`` moves work from queue to batch and never turns it
 from true to false.
 
 With the event log off, a token batch that nothing can join is
 fast-forwarded.  At dispatch, when the batch is token-only, the machine has
 no pending prompt and no queued token task, and every resident task is in
 the batch, the next ``min(remaining_output) - 1`` iterations run the same
-batch.  Each of them keeps its own heap entry, so the ``(time, seq)`` order
-of all events is unchanged, but its completion only records the boundary
-time, adds the iteration to ``busy_time`` and the batched-token histogram
-(one addition per iteration, so the floats match), and pushes the next
-one.  The window closes at its last iteration, where a task finishes, or
-as soon as the machine is dirty; closing applies the deferred iterations
-(tokens, remaining outputs, resident context, emission times) and checks
-memory once, which is enough because memory only grows inside a window.
-With the log on every iteration runs in full, which is the oracle the
-tests compare against.
+batch.  The window gets one heap entry, at the end of its last iteration;
+``_start_iteration`` computes its boundaries with one ``accumulate``, which
+makes the float additions of one push per iteration.  Since no key depends
+on push time, every event sorts against the window's ends exactly as it
+sorts against the per-iteration entries of a log-on run.  The window closes
+at its last end, where a task finishes, or early, when an event dirties
+the machine: it then applies the boundaries strictly before now (an event
+at a boundary comes before the iteration end there) and gives the
+iteration in flight its own heap entry.  The window's entry stays in the
+heap and is skipped when it pops, because it no longer matches the
+machine's due time.  Closing applies the deferred iterations (tokens,
+remaining outputs, resident context, emission times, and ``busy_time`` and
+the machine's batched-token histogram one addition per iteration, so the
+floats match) and checks memory once, which is enough because memory only
+grows inside a window.  The histograms are kept per machine and merged in
+machine-id order.  With the log on every iteration runs in full, which is
+the oracle the tests compare against.
 
 A provisioning probe needs only the verdict, and it runs with
 ``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
@@ -41,11 +52,14 @@ A provisioning probe needs only the verdict, and it runs with
 before the run, so an ``SloLedger`` of nine exceedance counts gives
 ``check_slo``'s verdict exactly.  Each count moves when its latency becomes
 final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
-gap at its emission (the token loop), E2E in ``_finish``.  A window's tasks
-share its gaps ``times[i+1] - times[i]``, so ``_close_window`` counts each
-of those once, weighted by the batch size, and each task's first gap on its
-own.  The first count over its allowance raises ``SloViolated``: the run
-simulates no event after it, and invariants are checked up to that point.
+gap at its emission (the token loop), E2E in ``_finish``.  The tasks of an
+iteration that ran the previous one share its gap, so the gap is counted
+once, weighted by their number; a task whose last emission differs is
+counted on its own.  A window's tasks share its gaps
+``times[i+1] - times[i]``, so ``_close_window`` counts each of those once,
+weighted by the batch size, and the first gaps as an iteration does.  The
+first count over its allowance raises ``SloViolated``: the run simulates no
+event after it, and invariants are checked up to that point.
 ``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
 needs the observed ratios, and counting every gap as well would slow a
 log-on replay, where no window shares its gaps.  The ledger's agreement with
@@ -60,7 +74,8 @@ divides by each gap's reference.  A float64 subtraction or division rounds
 exactly as the same Python float expression does, so every ratio is the
 float the per-request loop computes.  ``np.partition(ratios, k)`` puts at
 index ``k`` the element that ``sorted`` puts there, so each nearest-rank
-percentile, and with it ``observed_ratio``, is bit-identical.  ``tbt_csv``
+percentile, and with it ``observed_ratio``, is bit-identical;
+``MetricsReport.summary`` takes its percentiles the same way.  ``tbt_csv``
 formats each distinct gap once and each gap index once, and appends a
 record's rows to a bytearray as one chunk; ``b"%.6f" % gap`` and
 ``f"{gap:.6f}"`` format a float the same way.  ``event_log_csv`` joins each
@@ -74,8 +89,9 @@ import heapq
 import io
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -86,6 +102,13 @@ from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .trace import Request, Trace
 from .transfer import plan_transfer
+
+# Heap entries are (time, key, handler, arg).  Arrivals, transfers and
+# maintenance take increasing sequence numbers as keys; the end of an
+# iteration on machine m takes ITER_BASE + m.
+ITER_BASE = 1 << 62
+
+_remaining_output = operator.attrgetter("remaining_output")
 
 # event kind -> payload format of its fields; only event_log_csv reads it.
 # A tuple field (the request ids of a batch) prints comma-joined.
@@ -115,6 +138,29 @@ def _rank(n: int, p: float) -> int:
 def percentile(samples, p: float):
     """Nearest-rank percentile: sorted value at index ceil(p*n) - 1."""
     return sorted(samples)[_rank(len(samples), p)]
+
+
+def _percentiles(values: np.ndarray, ps) -> list[float]:
+    """``percentile(values, p)`` for each ``p``, from one partition of a
+    float64 column: ``np.partition(values, k)`` puts at index ``k`` the
+    element that ``sorted`` puts there."""
+    ranks = [_rank(len(values), p) for p in ps]
+    ordered = np.partition(values, ranks)
+    return [float(ordered[k]) for k in ranks]
+
+
+def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's token gaps, in record order, as one float64 column,
+    and each record's emission count."""
+    lengths = np.fromiter((len(rec.emissions) for rec in records), dtype=np.intp,
+                          count=len(records))
+    times = np.fromiter(chain.from_iterable(rec.emissions for rec in records),
+                        dtype=float, count=int(lengths.sum()))
+    first = np.zeros(len(times), dtype=bool)  # a record's first emission
+    first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    # gap j ends at times[j + 1]; one that ends at a first emission crosses
+    # a record boundary
+    return np.diff(times)[~first[1:]], lengths
 
 
 @dataclass
@@ -175,16 +221,19 @@ class MetricsReport:
     slo: dict | None = None
 
     def summary(self) -> dict:
-        out = {"requests": len(self.records), "throughput_rps": self.throughput_rps}
-        if self.records:
-            for name, vals in (("ttft_ms", [r.ttft_ms for r in self.records]),
-                               ("e2e_ms", [r.e2e_ms for r in self.records])):
-                for p in (0.5, 0.9, 0.99):
-                    out[f"{name}_p{int(p * 100)}"] = percentile(vals, p)
-            gaps = [g for r in self.records for g in r.tbt_ms()]
-            if gaps:
-                for p in (0.5, 0.9, 0.99):
-                    out[f"tbt_ms_p{int(p * 100)}"] = percentile(gaps, p)
+        records = self.records
+        out = {"requests": len(records), "throughput_rps": self.throughput_rps}
+        if records:
+            columns = [(name, np.fromiter(map(attr, records), dtype=float, count=len(records)))
+                       for name, attr in (("ttft_ms", operator.attrgetter("ttft_ms")),
+                                          ("e2e_ms", operator.attrgetter("e2e_ms")))]
+            gaps = _gap_column(records)[0]
+            if len(gaps):
+                columns.append(("tbt_ms", gaps))
+            ps = (0.5, 0.9, 0.99)
+            for name, values in columns:
+                for p, value in zip(ps, _percentiles(values, ps)):
+                    out[f"{name}_p{int(p * 100)}"] = value
         return out
 
 
@@ -209,15 +258,7 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
                    / column(ref["ttft_ms"] for ref in refs))
     e2e_ratios = ((column(rec.completion for rec in records) - arrival_ms)
                   / column(ref["e2e_ms"] for ref in refs))
-    lengths = np.fromiter((len(rec.emissions) for rec in records), dtype=np.intp, count=n)
-    times = np.fromiter(chain.from_iterable(rec.emissions for rec in records),
-                        dtype=float, count=int(lengths.sum()))
-    first = np.zeros(len(times), dtype=bool)  # a record's first emission
-    first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
-    # gap j ends at times[j + 1]; one that ends at a first emission crosses
-    # a record boundary
-    tbt_ratios = np.diff(times)[~first[1:]]
-    del times, first  # free them before the division allocates
+    tbt_ratios, lengths = _gap_column(records)
     tbt_ratios /= np.repeat(column(ref["tbt_ms"] for ref in refs), np.maximum(lengths - 1, 0))
 
     result = {"constraints": [], "pass": True}
@@ -225,9 +266,7 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
                                         ("TBT", tbt_ratios, slo.tbt),
                                         ("E2E", e2e_ratios, slo.e2e)):
         if len(ratios):
-            ranks = [_rank(len(ratios), p) for p in slo.percentiles]
-            ordered = np.partition(ratios, ranks)
-            observed = [float(ordered[k]) for k in ranks]
+            observed = _percentiles(ratios, slo.percentiles)
         else:
             observed = [0.0] * len(slo.percentiles)
         for p, mult, ratio in zip(slo.percentiles, multipliers, observed):
@@ -272,10 +311,11 @@ class SloLedger:
         ref = self.reference.prompt_time(request.prompt_tokens)
         self._count(self._ttft, (time - request.arrival * 1000.0) / ref, 1, time)
 
-    def tbt(self, gap: float, time: float):
+    def tbt(self, gap: float, time: float, weight: int = 1):
+        """A gap emitted by ``weight`` requests at ``time``."""
         ratio = gap / self.tbt_ref
         if ratio > self._tbt_floor:
-            self._count(self._tbt, ratio, 1, time)
+            self._count(self._tbt, ratio, weight, time)
 
     def shared_tbt(self, times: list[float], weight: int):
         """The gaps between consecutive ``times``, each emitted by ``weight``
@@ -341,9 +381,14 @@ class Simulator:
         self._dirty: set[int] = set()
         self.records: dict[int, RequestRecord] = {}
         self._completed = 0
-        self._batched_token_time: dict[int, float] = {}
-        # machine id -> (repeats, boundary times) of its fast-forwarded batch
-        self._windows: dict[int, tuple[int, list[float]]] = {}
+        machines = self.cluster.machines
+        # machine id -> active batched tokens -> busy ms
+        self._token_hist: dict[int, dict[int, float]] = {mid: {} for mid in machines}
+        # machine id -> end of its iteration in flight (None when idle)
+        self._due: dict[int, float | None] = dict.fromkeys(machines)
+        # machine id -> boundaries of its fast-forwarded batch: the ends of
+        # all its iterations but the last
+        self._windows: dict[int, list[float]] = {}
         self._ledger = None
         if stop_on_slo_fail:
             if reference_model is None:
@@ -356,13 +401,18 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, handler, arg))
         self._seq += 1
 
+    def _push_end(self, time, mid):
+        """Schedule the end of machine ``mid``'s iteration in flight."""
+        self._due[mid] = time
+        heapq.heappush(self._heap, (time, ITER_BASE + mid, self._on_iteration, mid))
+
     def _emit(self, time, kind, *fields):
-        if self.record_log:
-            self._log.append((time, len(self._log), kind, fields))
+        self._log.append((time, len(self._log), kind, fields))
 
     def _note_transitions(self, transitions):
         for (t, mid, old, new) in transitions:
-            self._emit(t, "pool_transition", mid, old, new)
+            if self.record_log:
+                self._emit(t, "pool_transition", mid, old, new)
             self._dirty.add(mid)
 
     # -- run loop ----------------------------------------------------------
@@ -374,18 +424,19 @@ class Simulator:
         if self.config.repurpose_enabled and math.isfinite(self.config.repurpose_window_s):
             self._push(self.config.repurpose_window_s * 1000.0, self._on_maintenance)
 
-        while self._heap and self._completed < len(self.trace.requests):
-            time, _, handler, arg = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        n = len(self.trace.requests)
+        while heap and self._completed < n:
+            time, _, handler, arg = pop(heap)
             if time > self._horizon_ms:
                 raise HorizonExceeded(
                     f"simulation exceeded horizon {self.horizon:.1f}s with "
-                    f"{len(self.trace.requests) - self._completed} requests unfinished")
+                    f"{n - self._completed} requests unfinished")
             handler(time, arg)
             if self._dirty:
-                self._note_transitions(self.cluster.update_pools(time, sorted(self._dirty)))
                 self._dispatch(time)
 
-        if self._completed < len(self.trace.requests):
+        if self._completed < n:
             raise InvariantError("event queue drained with unfinished requests")
         return SimResult(self._build_report(), self.records, self._log, self.cluster)
 
@@ -393,55 +444,69 @@ class Simulator:
         rec = self.records[rid]
         req = rec.request
         rec.prompt_machine, rec.token_machine = self.cluster.route()
-        self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
-                   rec.prompt_machine, rec.token_machine)
+        if self.record_log:
+            self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
+                       rec.prompt_machine, rec.token_machine)
         machine = self.cluster.machines[rec.prompt_machine]
         task = Task(rid, PROMPT, req.prompt_tokens, time,
                     req.output_tokens, req.output_tokens)
         machine.enqueue(task, time)
-        self._emit(time, "task_enqueued", machine.id, rid, PROMPT, req.prompt_tokens)
+        if self.record_log:
+            self._emit(time, "task_enqueued", machine.id, rid, PROMPT, req.prompt_tokens)
         self._note_transitions(self.cluster.note_enqueue(machine, PROMPT, time))
         self._dirty.add(machine.id)
 
     def _on_iteration(self, time, mid):
+        if self._due[mid] != time:
+            return  # the superseded end of an early-closed window
+        self._due[mid] = None
         machine = self.cluster.machines[mid]
-        window = self._windows.get(mid)
-        if window is not None:
-            repeats, times = window
-            if len(times) < repeats:  # the batch runs again unchanged
-                times.append(time)
-                self._start_iteration(time, machine, machine.running)
-                return
-            self._close_window(machine)
+        if mid in self._windows:
+            self._close_window(machine, time)
         batch = machine.running
         machine.complete_iteration(batch, time)
-        self._emit(time, "iteration_complete", mid)
-        ledger = self._ledger
+        record_log = self.record_log
+        if record_log:
+            self._emit(time, "iteration_complete", mid)
+        records, ledger = self.records, self._ledger
         for task in batch.prompt_tasks:
-            rec = self.records[task.request_id]
+            rec = records[task.request_id]
             rec.first_token_time = time
             rec.emissions.append(time)
             if ledger is not None:
                 ledger.ttft(rec.request, time)
-            self._emit(time, "prompt_finished", task.request_id, mid, task.tokens)
+            if record_log:
+                self._emit(time, "prompt_finished", task.request_id, mid, task.tokens)
             if task.output_tokens > 1:
                 self._start_token_phase(time, rec, batch.prompt_ms)
             else:
                 self._finish(time, rec, task, mid)
-        for task in batch.token_tasks:
-            rec = self.records[task.request_id]
-            if ledger is not None:
-                ledger.tbt(time - rec.emissions[-1], time)
-            rec.emissions.append(time)
-            if task.remaining_output == 0:
-                self._finish(time, rec, task, mid)
+        tasks = batch.token_tasks
+        if tasks:
+            # the tasks that ran the previous iteration share one gap
+            lead = records[tasks[0].request_id].emissions[-1]
+            shared = 0
+            for task in tasks:
+                rec = records[task.request_id]
+                emissions = rec.emissions
+                if ledger is not None:
+                    if emissions[-1] == lead:
+                        shared += 1
+                    else:
+                        ledger.tbt(time - emissions[-1], time)
+                emissions.append(time)
+                if task.remaining_output == 0:
+                    self._finish(time, rec, task, mid)
+            if shared:
+                ledger.tbt(time - lead, time, shared)
         self._dirty.add(mid)
 
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
         rec.completion = time
         rec.preempt_count = task.preempt_count
         self._completed += 1
-        self._emit(time, "request_finished", task.request_id, mid, task.kind)
+        if self.record_log:
+            self._emit(time, "request_finished", task.request_id, mid, task.kind)
         if self._ledger is not None:
             self._ledger.e2e(rec.request, time)
 
@@ -458,7 +523,8 @@ class Simulator:
 
     def _on_transfer(self, time, rid):
         rec = self.records[rid]
-        self._emit(time, "transfer_complete", rid, rec.transfer_visible_ms)
+        if self.record_log:
+            self._emit(time, "transfer_complete", rid, rec.transfer_visible_ms)
         self._enqueue_token_task(time, rec)
 
     def _enqueue_token_task(self, time, rec: RequestRecord):
@@ -467,7 +533,8 @@ class Simulator:
         task = Task(req.id, TOKEN, req.prompt_tokens + 1, time,
                     req.output_tokens, req.output_tokens - 1)
         machine.enqueue(task, time)
-        self._emit(time, "task_enqueued", machine.id, req.id, TOKEN, task.tokens)
+        if self.record_log:
+            self._emit(time, "task_enqueued", machine.id, req.id, TOKEN, task.tokens)
         self._note_transitions(self.cluster.note_enqueue(machine, TOKEN, time))
         self._dirty.add(machine.id)
 
@@ -475,60 +542,100 @@ class Simulator:
         window_ms = self.config.repurpose_window_s * 1000.0
         flips, transitions = self.cluster.repurpose(time, window_ms)
         for (t, mid, old, new) in flips:
-            self._emit(t, "pool_maintenance", mid, old, new)
+            if self.record_log:
+                self._emit(t, "pool_maintenance", mid, old, new)
             self._dirty.add(mid)
         self._note_transitions(transitions)
         if self._completed < len(self.trace.requests):
             self._push(time + window_ms, self._on_maintenance)
 
     def _dispatch(self, time):
-        for mid in sorted(self._dirty):
-            machine = self.cluster.machines[mid]
+        """Pool upkeep, then a batch start, on each machine the event changed."""
+        mids = sorted(self._dirty)
+        self._note_transitions(self.cluster.update_pools(time, mids))
+        machines, record_log = self.cluster.machines, self.record_log
+        for mid in mids:
+            machine = machines[mid]
             if mid in self._windows:
-                self._close_window(machine)
-            if not machine.is_idle() or not machine.has_work():
+                self._close_window(machine, time)
+            if machine.running is not None or not machine.has_work():
                 continue
             batch = machine.form_batch(time)
             if batch is None:
                 continue
             machine.running = batch
-            self._start_iteration(time, machine, batch)
+            tasks = batch.token_tasks
+            repeats = 0
+            if not (record_log or batch.prompt_tasks or machine.pending_prompts
+                    or machine.pending_tokens_q) and len(tasks) == len(machine.resident):
+                # nothing else can join: the batch repeats until a task finishes
+                repeats = min(map(_remaining_output, tasks)) - 1
+            self._start_iteration(time, machine, batch, repeats)
             self._assert_memory(machine)
-            if self.record_log:
+            if record_log:
                 self._emit(time, "batch_started", mid, batch.kind,
                            tuple(t.request_id for t in batch.prompt_tasks),
-                           tuple(t.request_id for t in batch.token_tasks),
-                           batch.iteration_time)
-            elif not (batch.prompt_tasks or machine.pending_prompts or machine.pending_tokens_q) \
-                    and len(batch.token_tasks) == len(machine.resident):
-                # nothing else can join: the batch repeats until a task finishes
-                repeats = min(t.remaining_output for t in batch.token_tasks) - 1
-                if repeats:
-                    self._windows[mid] = (repeats, [])
+                           tuple(t.request_id for t in tasks), batch.iteration_time)
         self._dirty.clear()
 
-    def _start_iteration(self, time, machine: Machine, batch):
+    def _start_iteration(self, time, machine: Machine, batch, repeats=0):
+        """Start the batch's next iteration; with ``repeats``, start a window
+        of ``repeats + 1`` iterations of which only the last has a heap
+        entry."""
         duration = batch.iteration_time  # ms
         machine.busy_time += duration
+        hist = self._token_hist[machine.id]
         active = batch.prompt_tokens + len(batch.token_tasks)
-        self._batched_token_time[active] = self._batched_token_time.get(active, 0.0) + duration
-        self._push(time + duration, self._on_iteration, machine.id)
+        hist[active] = hist.get(active, 0.0) + duration
+        end = time + duration
+        if repeats:
+            # the boundaries, by the float additions of one push per iteration
+            bounds = list(accumulate(repeat(duration, repeats), initial=end))
+            end = bounds.pop()
+            self._windows[machine.id] = bounds
+        self._push_end(end, machine.id)
 
-    def _close_window(self, machine: Machine):
-        """Apply the iterations a window ran without completing them."""
-        _, times = self._windows.pop(machine.id)
-        if times:
-            machine.repeat_iterations(len(times))
-            tasks = machine.running.token_tasks
-            ledger = self._ledger
-            for task in tasks:
-                emissions = self.records[task.request_id].emissions
-                if ledger is not None:  # each task's first gap is its own
-                    ledger.tbt(times[0] - emissions[-1], times[0])
-                emissions.extend(times)
-            if ledger is not None:  # every task shares the later gaps
-                ledger.shared_tbt(times, len(tasks))
-            self._assert_memory(machine)  # memory only grew inside the window
+    def _close_window(self, machine: Machine, now):
+        """Apply the iterations that a window ran before ``now`` without
+        completing them.  When that is not all of them, the window closes
+        early: the iteration in flight gets its own heap entry, and the
+        window's entry is skipped when it pops."""
+        mid = machine.id
+        bounds = self._windows.pop(mid)
+        k = bisect_left(bounds, now)
+        if k < len(bounds):
+            self._push_end(bounds[k], mid)
+        if not k:
+            return
+        times = bounds[:k]
+        batch = machine.running
+        machine.repeat_iterations(k)
+        duration, active = batch.iteration_time, len(batch.token_tasks)
+        hist = self._token_hist[mid]
+        busy, total = machine.busy_time, hist[active]
+        for _ in times:  # one addition per iteration, so the floats match
+            busy += duration
+            total += duration
+        machine.busy_time, hist[active] = busy, total
+        records, ledger = self.records, self._ledger
+        tasks = batch.token_tasks
+        first = times[0]
+        # a task's first gap starts at its own last emission; the tasks that
+        # ran the previous iteration share it
+        lead = records[tasks[0].request_id].emissions[-1]
+        shared = 0
+        for task in tasks:
+            emissions = records[task.request_id].emissions
+            if ledger is not None:
+                if emissions[-1] == lead:
+                    shared += 1
+                else:
+                    ledger.tbt(first - emissions[-1], first)
+            emissions.extend(times)
+        if ledger is not None:
+            ledger.tbt(first - lead, first, shared)
+            ledger.shared_tbt(times, len(tasks))  # every task shares the later gaps
+        self._assert_memory(machine)  # memory only grew inside the window
 
     def _assert_memory(self, machine: Machine):
         if machine.memory_used() > machine.perf.memory_capacity + 1e-6:
@@ -544,8 +651,11 @@ class Simulator:
         throughput = len(records) / (makespan / 1000.0) if makespan > 0 else 0.0
         utilization = {m.id: (m.busy_time / makespan if makespan > 0 else 0.0)
                        for m in self.cluster.machines.values()}
-        report = MetricsReport(records, throughput, utilization,
-                               dict(sorted(self._batched_token_time.items())))
+        batched: dict[int, float] = {}
+        for mid in sorted(self._token_hist):
+            for active, ms in self._token_hist[mid].items():
+                batched[active] = batched.get(active, 0.0) + ms
+        report = MetricsReport(records, throughput, utilization, dict(sorted(batched.items())))
         if self._ledger is not None and records:
             report.slo = self._ledger.verdict()
         elif self.reference_model is not None and records:

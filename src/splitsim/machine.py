@@ -43,7 +43,7 @@ class SchedulerConfig:
             raise ValidationError("mixing_rule must be 'sum' or 'max'")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Task:
     """One phase of one request on one machine.
 
@@ -58,7 +58,7 @@ class Task:
     remaining_output: int
     preempt_count: int = 0
     parked: bool = False
-    seq: int = field(default_factory=lambda: next(_task_seq))
+    seq: int = field(default_factory=_task_seq.__next__)
 
 
 # FCFS order of token tasks: enqueue time, ties broken by creation
@@ -164,6 +164,13 @@ class Machine:
         perf = self.perf
         pool = self.current_pool
         cap = sched.max_preemptions
+        resident = self.resident
+
+        if pool == TOKEN and resident and not self.pending_tokens_q \
+                and len(resident) <= perf.max_token_batch \
+                and not any(t.parked or t.preempt_count >= cap for t in resident):
+            # every resident runs, in FCFS order, and none is admitted or parked
+            return Batch([], resident[:], perf.token_iter_time(len(resident)))
 
         prompt_batch: list[Task] = []
         prompt_tokens = 0
@@ -193,7 +200,6 @@ class Machine:
         token_batch: list[Task] = []
         if pool != PROMPT:
             slots = perf.max_token_batch - len(prompt_batch)
-            resident = self.resident
             capped = [t for t in resident if t.preempt_count >= cap]
             uncapped = [t for t in resident if t.preempt_count < cap] if capped else resident
             token_batch = capped[:slots]

@@ -2,7 +2,8 @@
 
 ``reference_check_slo`` is the old ``check_slo``: Python lists of ratios,
 percentiled with ``sorted()``.  Every verdict, ``observed_ratio`` included,
-must be the same float, bit for bit.  ``reference_tbt_csv`` and
+must be the same float, bit for bit, and so must every percentile of
+``MetricsReport.summary`` against ``reference_summary``.  ``reference_tbt_csv`` and
 ``reference_event_log_csv`` format one row at a time, and the emitters must
 give the same text.
 """
@@ -13,7 +14,7 @@ import math
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from splitsim import Request, SloTable, check_slo
+from splitsim import Request, SloTable, check_slo, percentile
 from splitsim import engine
 from splitsim.engine import EVENT_FORMATS, MetricsReport, RequestRecord, SimResult
 
@@ -41,6 +42,22 @@ def reference_check_slo(report, slo, references):
             })
             result["pass"] = result["pass"] and ok
     return result
+
+
+def reference_summary(report):
+    """The old ``MetricsReport.summary``: Python lists, one sort per
+    percentile."""
+    out = {"requests": len(report.records), "throughput_rps": report.throughput_rps}
+    if report.records:
+        for name, vals in (("ttft_ms", [r.ttft_ms for r in report.records]),
+                           ("e2e_ms", [r.e2e_ms for r in report.records])):
+            for p in (0.5, 0.9, 0.99):
+                out[f"{name}_p{int(p * 100)}"] = percentile(vals, p)
+        gaps = [g for r in report.records for g in r.tbt_ms()]
+        if gaps:
+            for p in (0.5, 0.9, 0.99):
+                out[f"tbt_ms_p{int(p * 100)}"] = percentile(gaps, p)
+    return out
 
 
 def reference_tbt_csv(result):
@@ -128,6 +145,27 @@ def test_columnar_check_slo_is_bit_identical(case, ps):
     slo = SloTable(percentiles=ps)
     assert bits(check_slo(report, slo, references)) == \
         bits(reference_check_slo(report, slo, references))
+
+
+def summary_bits(summary):
+    return [(key, type(value), value.hex() if type(value) is float else value)
+            for key, value in summary.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports())
+@example(sized_report(10, 1))
+@example(sized_report(1, 0))
+@example(sized_report(30, 0))
+@example(sized_report(20, 5))
+def test_columnar_summary_is_bit_identical(case):
+    report, _ = case
+    assert summary_bits(report.summary()) == summary_bits(reference_summary(report))
+
+
+def test_summary_of_no_records():
+    report = MetricsReport([], 0.0, {}, {})
+    assert report.summary() == {"requests": 0, "throughput_rps": 0.0}
 
 
 def test_no_gaps_reads_zero():
