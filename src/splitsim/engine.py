@@ -103,9 +103,8 @@ from .perf import PerfModel
 from .trace import Request, Trace
 from .transfer import plan_transfer
 
-# Heap entries are (time, key, handler, arg).  Arrivals, transfers and
-# maintenance take increasing sequence numbers as keys; the end of an
-# iteration on machine m takes ITER_BASE + m.
+# Heap entries are (time, key, handler, arg); the end of an iteration on
+# machine m has key ITER_BASE + m, above every sequence number.
 ITER_BASE = 1 << 62
 
 _remaining_output = operator.attrgetter("remaining_output")
@@ -483,7 +482,8 @@ class Simulator:
                 self._finish(time, rec, task, mid)
         tasks = batch.token_tasks
         if tasks:
-            # the tasks that ran the previous iteration share one gap
+            # tasks with the same last emission share their gap, as all
+            # that ran the previous iteration do
             lead = records[tasks[0].request_id].emissions[-1]
             shared = 0
             for task in tasks:
