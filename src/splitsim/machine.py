@@ -141,9 +141,6 @@ class Machine:
             return True
         return self.running is not None and bool(self.running.prompt_tasks)
 
-    def is_idle(self) -> bool:
-        return self.running is None
-
     def has_work(self) -> bool:
         return bool(self.pending_prompts or self.pending_tokens_q
                     or any(not t.parked for t in self.resident))

@@ -7,6 +7,16 @@ fixed-seed simulations of a synthesized workload; a point passes only if
 all nine SLO constraints hold on every seed.  Cost and power are the dot
 product of machine counts with the per-design rates normalized to a
 DGX-A100.
+
+``search`` scores its budget-filtered points in up to
+``min(points, usable CPUs)`` forked worker processes and merges the scores
+in grid order, so its points, Pareto front, optimum and ``results.csv`` are
+the same as a serial run's: each point is a pure function of the spec and
+its counts (its traces are seeded), the calibration memo only caches
+values, and the per-process ``Task`` sequence only orders the tasks within
+one simulation.  With one usable CPU, one point, or no ``fork`` start
+method, the points are scored in-process and no multiprocessing module is
+imported.
 """
 
 from __future__ import annotations
@@ -14,9 +24,10 @@ from __future__ import annotations
 import functools
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
-from .cluster import ClusterConfig, normalize_design
+from .cluster import DESIGNS, ClusterConfig, normalize_design
 from .engine import SloTable, Simulator
 from .errors import ConfigurationError, HorizonExceeded, SloViolated
 from .machine import SchedulerConfig
@@ -112,6 +123,8 @@ class SearchSpec:
             raise ConfigurationError("throughput cannot be both objective and constraint")
         if not self.prompt_counts:
             raise ConfigurationError("empty prompt count range")
+        if not self.seeds:
+            raise ConfigurationError("empty probe seed list")
 
 
 @functools.cache
@@ -131,6 +144,8 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
     (``SloViolated``) or when it overruns its horizon (``HorizonExceeded``);
     both read as a fail.  Any other error is a defect and propagates.
     """
+    if not seeds:
+        raise ConfigurationError("empty probe seed list")
     config = ClusterConfig(design, prompt_count, token_count, llm=workload.llm,
                            sched=sched or SchedulerConfig())
     models = {mt: _calibration(workload.llm, mt)
@@ -209,15 +224,55 @@ def _pareto_front(points: list[DesignPoint]) -> list[DesignPoint]:
     return front
 
 
+def _evaluate_point(spec: SearchSpec, point: tuple[int, int]) -> tuple[float, bool]:
+    """(max_rps, slo_pass) of grid point (p, t): an SLO check at the target
+    under ``throughput_target``, a ``max_throughput`` search otherwise."""
+    p, t = point
+    if spec.constraint == "throughput_target":
+        ok = slo_pass_at_rate(spec.design, p, t, spec.workload, spec.budget,
+                              spec.trace_duration, spec.seeds, spec.slo, spec.sched)
+        return (spec.budget if ok else 0.0), ok
+    rps = max_throughput(spec.design, p, t, spec.workload,
+                         spec.trace_duration, spec.seeds, spec.slo, spec.sched)
+    return rps, rps > 0.0
+
+
+def _workers(n_points: int) -> int:
+    """Worker processes for ``n_points`` points: at most one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_points, cpus)
+
+
+def _evaluate_all(spec: SearchSpec, points: list[tuple[int, int]]) -> list[tuple[float, bool]]:
+    """Scores of ``points`` in their order, from forked workers when more
+    than one CPU is usable."""
+    evaluate = functools.partial(_evaluate_point, spec)
+    n = _workers(len(points))
+    if n > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            # calibrate before forking so every worker inherits the models
+            ptype, ttype, _ = DESIGNS[spec.design]
+            for mt in (ptype, ttype, "A100"):
+                _calibration(spec.workload.llm, mt)
+            with ProcessPoolExecutor(max_workers=n,
+                                     mp_context=multiprocessing.get_context("fork")) as ex:
+                return list(ex.map(evaluate, points))
+    return list(map(evaluate, points))
+
+
 def search(spec: SearchSpec) -> SearchResult:
     """Evaluate the count grid, filter by constraint, optimize the objective."""
-    from .cluster import DESIGNS
     baseline = DESIGNS[spec.design][2]
     token_counts = [0] if baseline else list(spec.token_counts)
     if not baseline and not token_counts:
         raise ConfigurationError("empty token count range")
 
-    points: list[DesignPoint] = []
+    candidates = []
     for p in spec.prompt_counts:
         for t in token_counts:
             if p + t < 1 or (not baseline and (p < 1 or t < 1)):
@@ -227,15 +282,10 @@ def search(spec: SearchSpec) -> SearchResult:
                 continue
             if spec.constraint == "cost_budget" and cost > spec.budget + 1e-9:
                 continue
-            if spec.constraint == "throughput_target":
-                ok = slo_pass_at_rate(spec.design, p, t, spec.workload, spec.budget,
-                                      spec.trace_duration, spec.seeds, spec.slo, spec.sched)
-                rps = spec.budget if ok else 0.0
-            else:
-                rps = max_throughput(spec.design, p, t, spec.workload,
-                                     spec.trace_duration, spec.seeds, spec.slo, spec.sched)
-                ok = rps > 0.0
-            points.append(DesignPoint(spec.design, p, t, rps, cost, power, ok))
+            candidates.append((p, t, cost, power))
+    scores = _evaluate_all(spec, [(p, t) for p, t, _, _ in candidates])
+    points = [DesignPoint(spec.design, p, t, rps, cost, power, ok)
+              for (p, t, cost, power), (rps, ok) in zip(candidates, scores)]
 
     feasible = [pt for pt in points if pt.slo_pass]
     if not feasible:

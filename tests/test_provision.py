@@ -1,9 +1,18 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import splitsim
 
 from splitsim import (
     ConfigurationError,
     DesignPoint,
     HorizonExceeded,
+    InvariantError,
     PRESETS,
     SearchSpec,
     Simulator,
@@ -84,6 +93,11 @@ class TestSearchSpec:
         with pytest.raises(ConfigurationError):
             self._spec(prompt_counts=[])
 
+    def test_empty_seeds_rejected(self):
+        # no seed means no probe, and every point would pass vacuously
+        with pytest.raises(ConfigurationError):
+            self._spec(seeds=())
+
 
 class TestThroughputSearch:
     def test_single_machine_feasible(self):
@@ -103,6 +117,11 @@ class TestThroughputSearch:
         w = conversation_workload()
         assert not slo_pass_at_rate("Baseline-A100", 1, 0, w, 50.0,
                                     duration=60.0, seeds=(1,))
+
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ConfigurationError):
+            slo_pass_at_rate("Splitwise-AA", 1, 1, conversation_workload(), 1.0,
+                             duration=10.0, seeds=())
 
     def test_horizon_overrun_fails_the_probe(self, monkeypatch):
         def overrun(self):
@@ -213,3 +232,81 @@ class TestSearch:
         assert result.optimum is not None
         feasible = [p for p in result.points if p.slo_pass]
         assert result.optimum.cost == min(p.cost for p in feasible)
+
+
+class TestParallelSearch:
+    """Grid points scored in forked workers merge to the serial result."""
+
+    def _run(self, monkeypatch, spec, workers):
+        monkeypatch.setattr(provision, "_workers", lambda n: min(n, workers))
+        result = search(spec)
+        assert multiprocessing.active_children() == []
+        return result
+
+    def _assert_same(self, monkeypatch, spec):
+        serial = self._run(monkeypatch, spec, 1)
+        forked = self._run(monkeypatch, spec, 2)
+        assert len(serial.points) >= 3
+        assert forked.points == serial.points
+        assert forked.pareto == serial.pareto
+        assert forked.optimum == serial.optimum
+        assert results_csv(forked.points, forked.optimum) == \
+            results_csv(serial.points, serial.optimum)
+
+    def test_max_throughput_under_power_budget(self, monkeypatch):
+        # the largest point comes first and takes longest, so the workers
+        # finish out of grid order
+        spec = SearchSpec(design="Splitwise-AA", objective="max_throughput",
+                          constraint="power_budget", budget=4.0,
+                          prompt_counts=[3, 2, 1], token_counts=[2, 1],
+                          workload=conversation_workload(), trace_duration=10.0,
+                          seeds=(1, 2))
+        self._assert_same(monkeypatch, spec)
+
+    def test_min_cost_under_throughput_target(self, monkeypatch):
+        spec = SearchSpec(design="Splitwise-AA", objective="min_cost",
+                          constraint="throughput_target", budget=1.0,
+                          prompt_counts=[1, 2], token_counts=[1, 2],
+                          workload=conversation_workload(), trace_duration=30.0,
+                          seeds=(1,))
+        self._assert_same(monkeypatch, spec)
+
+    def test_one_worker_makes_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        spec = SearchSpec(design="Baseline-A100", objective="max_throughput",
+                          constraint="power_budget", budget=3.0,
+                          prompt_counts=[1, 2, 3], token_counts=[],
+                          workload=conversation_workload(), trace_duration=10.0,
+                          seeds=(1,))
+        assert len(self._run(monkeypatch, spec, 1).points) == 3
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        # the patch is inherited by the forked workers
+        def broken(self):
+            raise InvariantError("machine 0 memory exceeds capacity")
+        monkeypatch.setattr(Simulator, "run", broken)
+        monkeypatch.setattr(provision, "_workers", lambda n: min(n, 2))
+        spec = SearchSpec(design="Splitwise-AA", objective="max_throughput",
+                          constraint="power_budget", budget=4.0,
+                          prompt_counts=[1, 2], token_counts=[1, 2],
+                          workload=conversation_workload(), trace_duration=10.0,
+                          seeds=(1,))
+        with pytest.raises(InvariantError, match="memory"):
+            search(spec)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_cap(self, monkeypatch):
+        monkeypatch.setattr(provision.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert [provision._workers(n) for n in (0, 1, 2, 14)] == [0, 1, 2, 2]
+
+    def test_import_loads_no_multiprocessing(self):
+        code = ("import sys, splitsim; "
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        src = str(Path(splitsim.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
