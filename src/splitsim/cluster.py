@@ -87,21 +87,14 @@ class Cluster:
         for mt in {ptype, ttype}:
             if mt not in perf_models:
                 raise ConfigurationError(f"no performance model for machine type {mt}")
-        mid = 0
-        if baseline:
-            for _ in range(config.prompt_machines):
-                self.machines[mid] = Machine(mid, perf_models[ptype], home_role=MIXED,
+        # (machine type, home role, count), numbered in this order
+        rows = ([(ptype, MIXED, config.prompt_machines)] if baseline else
+                [(ptype, PROMPT, config.prompt_machines), (ttype, TOKEN, config.token_machines)])
+        for mt, role, count in rows:
+            for _ in range(count):
+                mid = len(self.machines)
+                self.machines[mid] = Machine(mid, perf_models[mt], home_role=role,
                                              sched=config.sched)
-                mid += 1
-        else:
-            for _ in range(config.prompt_machines):
-                self.machines[mid] = Machine(mid, perf_models[ptype], home_role=PROMPT,
-                                             sched=config.sched)
-                mid += 1
-            for _ in range(config.token_machines):
-                self.machines[mid] = Machine(mid, perf_models[ttype], home_role=TOKEN,
-                                             sched=config.sched)
-                mid += 1
         if not self.machines:
             raise ConfigurationError("cluster has no machines")
 

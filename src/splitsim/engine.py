@@ -39,12 +39,16 @@ at a boundary comes before the iteration end there) and gives the
 iteration in flight its own heap entry.  The window's entry stays in the
 heap and is skipped when it pops, because it no longer matches the
 machine's due time.  Closing applies the deferred iterations (tokens,
-remaining outputs, resident context, emission times, and ``busy_time`` and
-the machine's batched-token histogram one addition per iteration, so the
-floats match) and checks memory once, which is enough because memory only
-grows inside a window.  The histograms are kept per machine and merged in
-machine-id order.  With the log on every iteration runs in full, which is
-the oracle the tests compare against.
+remaining outputs, resident context, emission times, and ``busy_time`` one
+addition per iteration, so the floats match) and checks memory once, which
+is enough because memory only grows inside a window.  With the log on every
+iteration runs in full, which is the oracle the tests compare against.
+
+A token iteration's bookkeeping lives in ``_emit_tokens(mid, tasks,
+times)``: one loop over the batch appends the emission ``times``, counts the
+ledger's TBT gaps and finishes each task with no output left.
+``_on_iteration`` passes ``[time]``; ``_close_window`` passes the boundaries
+it applies, none of which finishes a task.
 
 A provisioning probe needs only the verdict, and it runs with
 ``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
@@ -52,12 +56,12 @@ A provisioning probe needs only the verdict, and it runs with
 before the run, so an ``SloLedger`` of nine exceedance counts gives
 ``check_slo``'s verdict exactly.  Each count moves when its latency becomes
 final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
-gap at its emission (the token loop), E2E in ``_finish``.  The tasks of an
-iteration that ran the previous one share its gap, so the gap is counted
-once, weighted by their number; a task whose last emission differs is
-counted on its own.  A window's tasks share its gaps
-``times[i+1] - times[i]``, so ``_close_window`` counts each of those once,
-weighted by the batch size, and the first gaps as an iteration does.  The
+gap at its emission (``_emit_tokens``), E2E in ``_finish``.  The tasks of an
+iteration that ran the previous one share its first gap, so the gap is
+counted once, weighted by their number; a task whose last emission differs
+is counted on its own.  Every task of a window shares its later gaps
+``times[i+1] - times[i]``, so each of those is counted once, weighted by the
+batch size.  The
 first count over its allowance raises ``SloViolated``: the run simulates no
 event after it, and invariants are checked up to that point.
 ``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
@@ -216,7 +220,6 @@ class MetricsReport:
     records: list[RequestRecord]
     throughput_rps: float
     utilization: dict[int, float]
-    batched_token_time: dict[int, float]  # active batched tokens -> busy ms
     slo: dict | None = None
 
     def summary(self) -> dict:
@@ -354,9 +357,7 @@ class SloLedger:
 @dataclass
 class SimResult:
     report: MetricsReport
-    records: dict[int, RequestRecord]
     event_log: list[tuple]
-    cluster: Cluster
 
 
 class Simulator:
@@ -380,11 +381,8 @@ class Simulator:
         self._dirty: set[int] = set()
         self.records: dict[int, RequestRecord] = {}
         self._completed = 0
-        machines = self.cluster.machines
-        # machine id -> active batched tokens -> busy ms
-        self._token_hist: dict[int, dict[int, float]] = {mid: {} for mid in machines}
         # machine id -> end of its iteration in flight (None when idle)
-        self._due: dict[int, float | None] = dict.fromkeys(machines)
+        self._due: dict[int, float | None] = dict.fromkeys(self.cluster.machines)
         # machine id -> boundaries of its fast-forwarded batch: the ends of
         # all its iterations but the last
         self._windows: dict[int, list[float]] = {}
@@ -408,10 +406,10 @@ class Simulator:
     def _emit(self, time, kind, *fields):
         self._log.append((time, len(self._log), kind, fields))
 
-    def _note_transitions(self, transitions):
+    def _note_transitions(self, transitions, kind="pool_transition"):
         for (t, mid, old, new) in transitions:
             if self.record_log:
-                self._emit(t, "pool_transition", mid, old, new)
+                self._emit(t, kind, mid, old, new)
             self._dirty.add(mid)
 
     # -- run loop ----------------------------------------------------------
@@ -437,7 +435,7 @@ class Simulator:
 
         if self._completed < n:
             raise InvariantError("event queue drained with unfinished requests")
-        return SimResult(self._build_report(), self.records, self._log, self.cluster)
+        return SimResult(self._build_report(), self._log)
 
     def _on_arrival(self, time, rid):
         rec = self.records[rid]
@@ -446,14 +444,16 @@ class Simulator:
         if self.record_log:
             self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
                        rec.prompt_machine, rec.token_machine)
-        machine = self.cluster.machines[rec.prompt_machine]
-        task = Task(rid, PROMPT, req.prompt_tokens, time,
-                    req.output_tokens, req.output_tokens)
+        self._enqueue(time, rec.prompt_machine, Task(rid, PROMPT, req.prompt_tokens, time,
+                                                     req.output_tokens, req.output_tokens))
+
+    def _enqueue(self, time, mid, task: Task):
+        machine = self.cluster.machines[mid]
         machine.enqueue(task, time)
         if self.record_log:
-            self._emit(time, "task_enqueued", machine.id, rid, PROMPT, req.prompt_tokens)
-        self._note_transitions(self.cluster.note_enqueue(machine, PROMPT, time))
-        self._dirty.add(machine.id)
+            self._emit(time, "task_enqueued", mid, task.request_id, task.kind, task.tokens)
+        self._note_transitions(self.cluster.note_enqueue(machine, task.kind, time))
+        self._dirty.add(mid)
 
     def _on_iteration(self, time, mid):
         if self._due[mid] != time:
@@ -480,26 +480,35 @@ class Simulator:
                 self._start_token_phase(time, rec, batch.prompt_ms)
             else:
                 self._finish(time, rec, task, mid)
-        tasks = batch.token_tasks
-        if tasks:
-            # tasks with the same last emission share their gap, as all
-            # that ran the previous iteration do
-            lead = records[tasks[0].request_id].emissions[-1]
-            shared = 0
-            for task in tasks:
-                rec = records[task.request_id]
-                emissions = rec.emissions
-                if ledger is not None:
-                    if emissions[-1] == lead:
-                        shared += 1
-                    else:
-                        ledger.tbt(time - emissions[-1], time)
-                emissions.append(time)
-                if task.remaining_output == 0:
-                    self._finish(time, rec, task, mid)
-            if shared:
-                ledger.tbt(time - lead, time, shared)
+        if batch.token_tasks:
+            self._emit_tokens(mid, batch.token_tasks, [time])
         self._dirty.add(mid)
+
+    def _emit_tokens(self, mid, tasks, times):
+        """Each task emits a token at each of ``times``: the ends of
+        iterations its batch ran.  Counts the ledger's TBT gaps and finishes
+        the tasks with no output left."""
+        records, ledger = self.records, self._ledger
+        first = times[0]
+        # a task's first gap starts at its own last emission; the tasks that
+        # ran the previous iteration share it
+        lead = records[tasks[0].request_id].emissions[-1]
+        shared = 0
+        for task in tasks:
+            rec = records[task.request_id]
+            emissions = rec.emissions
+            if ledger is not None:
+                if emissions[-1] == lead:
+                    shared += 1
+                else:
+                    ledger.tbt(first - emissions[-1], first)
+            emissions.extend(times)
+            if task.remaining_output == 0:
+                self._finish(times[-1], rec, task, mid)
+        if ledger is not None:
+            if shared:
+                ledger.tbt(first - lead, first, shared)
+            ledger.shared_tbt(times, len(tasks))  # every task shares the later gaps
 
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
         rec.completion = time
@@ -529,22 +538,13 @@ class Simulator:
 
     def _enqueue_token_task(self, time, rec: RequestRecord):
         req = rec.request
-        machine = self.cluster.machines[rec.token_machine]
-        task = Task(req.id, TOKEN, req.prompt_tokens + 1, time,
-                    req.output_tokens, req.output_tokens - 1)
-        machine.enqueue(task, time)
-        if self.record_log:
-            self._emit(time, "task_enqueued", machine.id, req.id, TOKEN, task.tokens)
-        self._note_transitions(self.cluster.note_enqueue(machine, TOKEN, time))
-        self._dirty.add(machine.id)
+        self._enqueue(time, rec.token_machine, Task(req.id, TOKEN, req.prompt_tokens + 1, time,
+                                                    req.output_tokens, req.output_tokens - 1))
 
     def _on_maintenance(self, time, _):
         window_ms = self.config.repurpose_window_s * 1000.0
         flips, transitions = self.cluster.repurpose(time, window_ms)
-        for (t, mid, old, new) in flips:
-            if self.record_log:
-                self._emit(t, "pool_maintenance", mid, old, new)
-            self._dirty.add(mid)
+        self._note_transitions(flips, "pool_maintenance")
         self._note_transitions(transitions)
         if self._completed < len(self.trace.requests):
             self._push(time + window_ms, self._on_maintenance)
@@ -584,9 +584,6 @@ class Simulator:
         entry."""
         duration = batch.iteration_time  # ms
         machine.busy_time += duration
-        hist = self._token_hist[machine.id]
-        active = batch.prompt_tokens + len(batch.token_tasks)
-        hist[active] = hist.get(active, 0.0) + duration
         end = time + duration
         if repeats:
             # the boundaries, by the float additions of one push per iteration
@@ -607,34 +604,13 @@ class Simulator:
             self._push_end(bounds[k], mid)
         if not k:
             return
-        times = bounds[:k]
         batch = machine.running
         machine.repeat_iterations(k)
-        duration, active = batch.iteration_time, len(batch.token_tasks)
-        hist = self._token_hist[mid]
-        busy, total = machine.busy_time, hist[active]
-        for _ in times:  # one addition per iteration, so the floats match
+        duration, busy = batch.iteration_time, machine.busy_time
+        for _ in range(k):  # one addition per iteration, so the floats match
             busy += duration
-            total += duration
-        machine.busy_time, hist[active] = busy, total
-        records, ledger = self.records, self._ledger
-        tasks = batch.token_tasks
-        first = times[0]
-        # a task's first gap starts at its own last emission; the tasks that
-        # ran the previous iteration share it
-        lead = records[tasks[0].request_id].emissions[-1]
-        shared = 0
-        for task in tasks:
-            emissions = records[task.request_id].emissions
-            if ledger is not None:
-                if emissions[-1] == lead:
-                    shared += 1
-                else:
-                    ledger.tbt(first - emissions[-1], first)
-            emissions.extend(times)
-        if ledger is not None:
-            ledger.tbt(first - lead, first, shared)
-            ledger.shared_tbt(times, len(tasks))  # every task shares the later gaps
+        machine.busy_time = busy
+        self._emit_tokens(mid, batch.token_tasks, bounds[:k])
         self._assert_memory(machine)  # memory only grew inside the window
 
     def _assert_memory(self, machine: Machine):
@@ -651,11 +627,7 @@ class Simulator:
         throughput = len(records) / (makespan / 1000.0) if makespan > 0 else 0.0
         utilization = {m.id: (m.busy_time / makespan if makespan > 0 else 0.0)
                        for m in self.cluster.machines.values()}
-        batched: dict[int, float] = {}
-        for mid in sorted(self._token_hist):
-            for active, ms in self._token_hist[mid].items():
-                batched[active] = batched.get(active, 0.0) + ms
-        report = MetricsReport(records, throughput, utilization, dict(sorted(batched.items())))
+        report = MetricsReport(records, throughput, utilization)
         if self._ledger is not None and records:
             report.slo = self._ledger.verdict()
         elif self.reference_model is not None and records:

@@ -155,7 +155,7 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
         trace = generate_trace(workload.prompt_dist, workload.output_dist,
                                rate, duration, seed)
         if not trace.requests:
-            continue
+            return False  # a probe that simulates nothing shows nothing
         try:
             Simulator(config, models, trace, reference_model=reference,
                       record_log=False, slo=slo, stop_on_slo_fail=True).run()

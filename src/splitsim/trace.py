@@ -243,16 +243,13 @@ def generate_trace(prompt_dist: SizeDistribution, output_dist: SizeDistribution,
     return Trace(requests, duration=float(duration), clamped_samples=c1 + c2)
 
 
-def _lower_median(sorted_vals):
-    return sorted_vals[(len(sorted_vals) - 1) // 2]
-
-
 def _nearest_rank(sorted_vals, p):
     return sorted_vals[max(0, math.ceil(p * len(sorted_vals)) - 1)]
 
 
 def trace_stats(trace: Trace) -> dict:
-    """Summary stats: lower-median and nearest-rank P90 sizes, mean rate."""
+    """Summary stats: nearest-rank median (the lower median) and P90 sizes,
+    mean rate."""
     if not trace.requests:
         raise ValidationError("empty trace")
     prompts = sorted(r.prompt_tokens for r in trace.requests)
@@ -260,9 +257,9 @@ def trace_stats(trace: Trace) -> dict:
     duration = trace.duration if trace.duration > 0 else trace.requests[-1].arrival
     return {
         "count": len(trace.requests),
-        "median_prompt_tokens": _lower_median(prompts),
+        "median_prompt_tokens": _nearest_rank(prompts, 0.5),
         "p90_prompt_tokens": _nearest_rank(prompts, 0.9),
-        "median_output_tokens": _lower_median(outputs),
+        "median_output_tokens": _nearest_rank(outputs, 0.5),
         "p90_output_tokens": _nearest_rank(outputs, 0.9),
         "mean_rate": len(trace.requests) / duration if duration > 0 else 0.0,
     }

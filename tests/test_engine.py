@@ -132,7 +132,7 @@ class TestSloCheck:
         for g in gaps:
             rec.emissions.append(rec.emissions[-1] + g)
         rec.completion = rec.emissions[-1]
-        return engine.MetricsReport([rec], 1.0, {}, {})
+        return engine.MetricsReport([rec], 1.0, {})
 
     def test_nine_constraints(self):
         report = self._report(185.0, 809.0, [52.0] * 12)

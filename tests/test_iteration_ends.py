@@ -38,7 +38,7 @@ def simulate(config, trace, record_log):
 
 def outputs(result):
     return (engine.requests_csv(result), engine.tbt_csv(result), engine.summary_csv(result),
-            result.report.utilization, result.report.batched_token_time)
+            result.report.utilization)
 
 
 # (config, trace, the tying request, the iteration end it is enqueued at)

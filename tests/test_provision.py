@@ -16,6 +16,7 @@ from splitsim import (
     PRESETS,
     SearchSpec,
     Simulator,
+    SloTable,
     Workload,
     budget_max_count,
     design_cost_power,
@@ -122,6 +123,21 @@ class TestThroughputSearch:
         with pytest.raises(ConfigurationError):
             slo_pass_at_rate("Splitwise-AA", 1, 1, conversation_workload(), 1.0,
                              duration=10.0, seeds=())
+
+    def test_empty_trace_fails_the_probe(self):
+        # 0.01 req/s over 10 s draws no request for seeds 1 and 2; a probe
+        # that simulates nothing must not pass
+        assert not slo_pass_at_rate("Splitwise-AA", 1, 1, conversation_workload(), 0.01,
+                                    duration=10.0, seeds=(1, 2))
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_empty_traces_do_not_make_a_point_feasible(self, seed):
+        # at 1/1 with every multiplier 1.0 every probe with a request fails;
+        # the ramp halves down to empty traces, which once passed and left
+        # a positive max_rps
+        strict = SloTable(ttft=(1.0,) * 3, tbt=(1.0,) * 3, e2e=(1.0,) * 3)
+        assert max_throughput("Splitwise-AA", 1, 1, conversation_workload(), duration=30.0,
+                              seeds=(seed,), slo=strict) == 0.0
 
     def test_horizon_overrun_fails_the_probe(self, monkeypatch):
         def overrun(self):

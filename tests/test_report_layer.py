@@ -110,7 +110,7 @@ def reports(draw):
         records.append(rec)
         # references differ per request, so each gap must meet its own
         references[rid] = {"ttft_ms": draw(refs), "tbt_ms": draw(refs), "e2e_ms": draw(refs)}
-    return MetricsReport(records, 1.0, {}, {}), references
+    return MetricsReport(records, 1.0, {}), references
 
 
 percentiles = st.sampled_from([(0.5, 0.9, 0.99), (0.25, 0.5, 1.0), (0.1, 0.2, 0.3)]) | \
@@ -127,7 +127,7 @@ def sized_report(n_records, gaps_each):
         rec.first_token_time, rec.completion = rec.emissions[0], rec.emissions[-1]
         records.append(rec)
         references[rid] = {"ttft_ms": 30.0 + rid % 5, "tbt_ms": 7.0, "e2e_ms": 500.0}
-    return MetricsReport(records, 1.0, {}, {}), references
+    return MetricsReport(records, 1.0, {}), references
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,7 +164,7 @@ def test_columnar_summary_is_bit_identical(case):
 
 
 def test_summary_of_no_records():
-    report = MetricsReport([], 0.0, {}, {})
+    report = MetricsReport([], 0.0, {})
     assert report.summary() == {"requests": 0, "throughput_rps": 0.0}
 
 
@@ -182,7 +182,7 @@ def test_no_gaps_reads_zero():
 @example(sized_report(12, 30))
 def test_tbt_csv_matches_per_row_text(case):
     report, _ = case
-    result = SimResult(report, {}, [], None)
+    result = SimResult(report, [])
     assert engine.tbt_csv(result) == reference_tbt_csv(result)
 
 
@@ -210,5 +210,5 @@ def batch_logs(draw):
 @settings(max_examples=60, deadline=None)
 @given(batch_logs())
 def test_event_log_csv_matches_per_row_text(log):
-    result = SimResult(MetricsReport([], 0.0, {}, {}), {}, log, None)
+    result = SimResult(MetricsReport([], 0.0, {}), log)
     assert engine.event_log_csv(result) == reference_event_log_csv(result)
