@@ -19,7 +19,7 @@ from . import config as cfgmod
 from . import engine, provision
 from .cluster import ClusterConfig
 from .engine import Simulator, percentile
-from .errors import SplitsimError
+from .errors import ConfigurationError, SplitsimError
 from .machine import SchedulerConfig
 from .perf import fit_piecewise_linear, get_calibration, parse_profile_csv, export_profile_csv
 from .trace import PRESETS, SizeDistribution, generate_trace, parse_trace, serialize_trace, trace_stats
@@ -42,6 +42,10 @@ def _dists_from_config(cfg, prefix):
     if kind == "lognormal":
         return SizeDistribution.lognormal(cfg[f"{prefix}.mu"], cfg[f"{prefix}.sigma"], lo, hi)
     if kind == "bimodal-lognormal":
+        if missing := [f"{prefix}.{k}" for k in ("weight2", "mu2", "sigma2")
+                       if f"{prefix}.{k}" not in cfg]:
+            raise ConfigurationError(f"{prefix}.kind = bimodal-lognormal needs "
+                                     f"{', '.join(missing)}, which the config does not have")
         return SizeDistribution.bimodal_lognormal(
             cfg[f"{prefix}.weight2"], cfg[f"{prefix}.mu"], cfg[f"{prefix}.sigma"],
             cfg[f"{prefix}.mu2"], cfg[f"{prefix}.sigma2"], lo, hi)
@@ -73,6 +77,7 @@ def cmd_gen_trace(args) -> int:
     print(f"  median/p90 output tokens: {stats['median_output_tokens']}/"
           f"{stats['p90_output_tokens']}")
     print(f"  mean rate: {stats['mean_rate']:.3f} req/s")
+    print(f"  clamped size draws: {trace.clamped_samples}")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Cluster-level scheduling (CLS): machine pools, JSQ routing of each
 request to a (prompt, token) machine pair, overflow into the mixed pool,
-pool return, and coarse-grained re-purposing.
+pool return, and coarse-grained re-purposing, which runs only when
+``ClusterConfig.repurpose_window_s`` is set.
 
 Queue length for JSQ is the number of pending tokens: queued prompts count
 their full prompt size, queued or running token tasks count one each.
@@ -28,6 +29,8 @@ DESIGNS = {
     "Splitwise-HA": ("H100", "A100", False),
 }
 
+REPURPOSE_FRACTION = 0.5  # mixed-pool share of a window above which a home role flips
+
 
 def normalize_design(name: str) -> str:
     for design in DESIGNS:
@@ -44,9 +47,7 @@ class ClusterConfig:
     llm: str = "llama2-70b"
     sched: SchedulerConfig = field(default_factory=SchedulerConfig)
     transfer: TransferConfig | None = None  # None: derived from design and llm
-    repurpose_window_s: float = 300.0
-    repurpose_fraction: float = 0.5
-    repurpose_enabled: bool = False
+    repurpose_window_s: float | None = None  # None: no re-purposing
 
     def __post_init__(self):
         self.design = normalize_design(self.design)
@@ -54,6 +55,8 @@ class ClusterConfig:
             raise ConfigurationError("machine counts must be >= 0")
         if self.prompt_machines + self.token_machines < 1:
             raise ConfigurationError("cluster needs at least one machine")
+        if self.repurpose_window_s is not None and not 0 < self.repurpose_window_s < math.inf:
+            raise ConfigurationError("repurpose_window_s must be finite and > 0")
         if self.is_baseline and self.token_machines not in (0, self.prompt_machines):
             raise ConfigurationError(
                 "baseline designs take a single machine count (prompt_machines)")
@@ -108,11 +111,6 @@ class Cluster:
 
     # -- routing -----------------------------------------------------------
 
-    @staticmethod
-    def _argmin(machines) -> Machine | None:
-        """Least-loaded machine by (pending tokens, id)."""
-        return min(machines, key=lambda m: (m.pending_token_count, m.id), default=None)
-
     def _pool_minima(self) -> dict[str, Machine]:
         """Each non-empty pool's least-loaded machine, in one pass.
 
@@ -136,17 +134,11 @@ class Cluster:
             best = minima.get(name)
             if best is not None and best.pending_token_count <= threshold:
                 return best
-        # every pool saturated: least-loaded machine able to serve the role
-        best = self._argmin(minima.values())
-        if best is None:
-            raise ConfigurationError("no machines available for routing")
-        return best
+        # every pool saturated: the least-loaded machine, by (pending tokens, id)
+        return min(minima.values(), key=lambda m: (m.pending_token_count, m.id))
 
     def route(self) -> tuple[int, int]:
         """The (prompt, token) machine ids for a request arriving now."""
-        if self.config.is_baseline:
-            best = self._argmin(self.machines.values())
-            return best.id, best.id
         minima = self._pool_minima()
         return self._pick(PROMPT, minima).id, self._pick(TOKEN, minima).id
 
@@ -186,14 +178,12 @@ class Cluster:
         transitions, both as (time, machine, from, to) records.
         """
         flips, transitions = [], []
-        if not math.isfinite(window) or window <= 0:
-            return flips, transitions
         for m in self.machines.values():
             if m.home_role == MIXED:
                 continue
             frac = m.mixed_residency(now) / window
             m.reset_mixed_residency(now)
-            if frac > self.config.repurpose_fraction:
+            if frac > REPURPOSE_FRACTION:
                 old = m.home_role
                 m.home_role = TOKEN if old == PROMPT else PROMPT
                 flips.append((now, m.id, old, m.home_role))

@@ -418,7 +418,7 @@ class Simulator:
         for req in self.trace.requests:
             self.records[req.id] = RequestRecord(req)
             self._push(req.arrival * 1000.0, self._on_arrival, req.id)
-        if self.config.repurpose_enabled and math.isfinite(self.config.repurpose_window_s):
+        if self.config.repurpose_window_s is not None:
             self._push(self.config.repurpose_window_s * 1000.0, self._on_maintenance)
 
         heap, pop = self._heap, heapq.heappop
@@ -449,7 +449,7 @@ class Simulator:
 
     def _enqueue(self, time, mid, task: Task):
         machine = self.cluster.machines[mid]
-        machine.enqueue(task, time)
+        machine.enqueue(task)
         if self.record_log:
             self._emit(time, "task_enqueued", mid, task.request_id, task.kind, task.tokens)
         self._note_transitions(self.cluster.note_enqueue(machine, task.kind, time))
@@ -463,7 +463,7 @@ class Simulator:
         if mid in self._windows:
             self._close_window(machine, time)
         batch = machine.running
-        machine.complete_iteration(batch, time)
+        machine.complete_iteration()
         record_log = self.record_log
         if record_log:
             self._emit(time, "iteration_complete", mid)
@@ -560,7 +560,7 @@ class Simulator:
                 self._close_window(machine, time)
             if machine.running is not None or not machine.has_work():
                 continue
-            batch = machine.form_batch(time)
+            batch = machine.form_batch()
             if batch is None:
                 continue
             machine.running = batch

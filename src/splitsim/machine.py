@@ -9,6 +9,9 @@ slots.  Token tasks are taken capped-first: a task preempted
 are taken FCFS by enqueue time.  Preemption pauses compute but not
 residency: a parked token task keeps its KV memory on the machine, so
 preemption never reclaims memory.
+
+Batching reads queue and memory state only, never the clock; only the
+mixed-pool residency that drives re-purposing is timed.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class Machine:
 
     # -- queueing ----------------------------------------------------------
 
-    def enqueue(self, task: Task, now: float) -> None:
+    def enqueue(self, task: Task) -> None:
         key = (task.request_id, task.kind)
         if key in self._queued_ids:
             raise SplitsimError(f"duplicate task {key} on machine {self.id}")
@@ -147,7 +150,7 @@ class Machine:
 
     # -- batch formation ---------------------------------------------------
 
-    def form_batch(self, now: float) -> Batch | None:
+    def form_batch(self) -> Batch | None:
         """Decide the batch for the next iteration, or None if idle.
 
         Called only at iteration boundaries.  Side effects: admitted queue
@@ -247,15 +250,16 @@ class Machine:
 
     # -- iteration completion ---------------------------------------------
 
-    def complete_iteration(self, batch: Batch, now: float) -> None:
-        """Apply one finished iteration to the machine's state.
+    def complete_iteration(self) -> None:
+        """Apply the running batch's finished iteration to the machine.
 
         Each prompt task has emitted its first token; each token task has
         emitted one more, and one with no ``remaining_output`` is finished
         and releases its memory.
         """
-        if batch is not self.running:
-            raise SplitsimError("completing a batch that is not running")
+        batch = self.running
+        if batch is None:
+            raise SplitsimError("completing an iteration with no batch running")
         # prompt KV leaves this machine (transferred or handed to the local
         # token task, which is charged separately on admission)
         for task in batch.prompt_tasks:

@@ -385,11 +385,10 @@ def export_profile_csv(model: PerfModel) -> str:
 
 
 def parse_profile_csv(source) -> list[ProfileSample]:
-    """Read profile samples from the CSV format above."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif "\n" in str(source):
-        text = str(source)
+    """Read profile samples from the CSV format above: ``source`` is the
+    CSV text when it is a ``str`` holding a newline, and a path otherwise."""
+    if isinstance(source, str) and "\n" in source:
+        text = source
     else:
         with open(source) as fh:
             text = fh.read()

@@ -4,8 +4,9 @@ or iso-throughput framings.
 
 Each candidate (prompt_count, token_count) point is scored by short
 fixed-seed simulations of a synthesized workload; a point passes only if
-all nine SLO constraints hold on every seed.  Cost and power are the dot
-product of machine counts with the per-design rates normalized to a
+all nine SLO constraints hold on every seed, and ``max_throughput``
+bisects to a relative bracket of ``RESOLUTION`` (2%).  Cost and power are
+the dot product of machine counts with the per-design rates normalized to a
 DGX-A100.
 
 ``search`` scores its budget-filtered points in up to
@@ -51,6 +52,8 @@ _COST_POWER = {
     ("Splitwise-HA", "prompt"): (2.35, 1.75),
     ("Splitwise-HA", "token"): (1.0, 1.0),
 }
+
+RESOLUTION = 0.02  # max_throughput's bisection bracket, relative to the passing rate
 
 
 def machine_cost_power(design: str, role: str) -> tuple[float, float]:
@@ -166,8 +169,7 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
 
 def max_throughput(design: str, prompt_count: int, token_count: int,
                    workload: Workload, duration: float = 120.0, seeds=(1, 2, 3),
-                   slo: SloTable | None = None, sched: SchedulerConfig | None = None,
-                   resolution: float = 0.02) -> float:
+                   slo: SloTable | None = None, sched: SchedulerConfig | None = None) -> float:
     """Highest SLO-passing arrival rate, via geometric ramp then bisection."""
 
     def passes(rate):
@@ -192,7 +194,7 @@ def max_throughput(design: str, prompt_count: int, token_count: int,
                 return lo
         else:
             hi = nxt
-    while (hi - lo) / lo > resolution:
+    while (hi - lo) / lo > RESOLUTION:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid

@@ -1,10 +1,11 @@
 """Request traces: CSV replay, synthetic generation, and summary statistics.
 
 A trace is a time-ordered list of requests, each carrying only an arrival
-time and the prompt/output token counts.  Synthetic traces use Poisson
-arrivals with per-request sizes drawn from configurable token-count
-distributions; the ``coding`` and ``conversation`` presets are calibrated
-so their medians match the production workloads they imitate
+time and the prompt/output token counts.  ``parse_trace`` reads the CSV
+from a path, or from text (a ``str`` holding a newline).  Synthetic traces
+use Poisson arrivals with per-request sizes drawn from configurable
+token-count distributions; the ``coding`` and ``conversation`` presets are
+calibrated so their medians match the production workloads they imitate
 (median prompt 1500 / median output 13 for coding, 1020 / 129 for
 conversation).
 
@@ -160,18 +161,13 @@ def _rng(seed: int) -> np.random.Generator:
 def parse_trace(source) -> Trace:
     """Parse the three-column trace CSV; stable-sorts by arrival.
 
-    ``source`` may be a path, a text string, or a readable file object.
+    ``source`` is the CSV text when it is a ``str`` holding a newline, and
+    a path otherwise.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode()
-    elif isinstance(source, bytes):
-        text = source.decode()
-    elif "\n" in str(source) or str(source).startswith(TRACE_HEADER.split(",")[0]):
-        text = str(source)
+    if isinstance(source, str) and "\n" in source:
+        text = source
     else:
-        with open(source, "r") as fh:
+        with open(source) as fh:
             text = fh.read()
     lines = text.strip().splitlines()
     if not lines:

@@ -1,6 +1,14 @@
 import pytest
 
-from splitsim import SchedulerConfig, TransferConfig, export_profile_csv, get_calibration, provision
+from splitsim import (
+    PRESETS,
+    SchedulerConfig,
+    TransferConfig,
+    export_profile_csv,
+    generate_trace,
+    get_calibration,
+    provision,
+)
 from splitsim.cli import _cluster_config, build_parser, main
 from splitsim.config import load_config
 
@@ -35,6 +43,32 @@ class TestGenTrace:
         code = run_cli("gen-trace", "--preset", "gaming", "--rate", "1",
                        "--duration", "5", "--output", str(tmp_path / "t.csv"))
         assert code == 2
+
+    def test_prints_clamped_draws(self, tmp_path, capsys):
+        code = run_cli("gen-trace", "--preset", "coding", "--rate", "2",
+                       "--duration", "20", "--seed", "3", "--output", str(tmp_path / "t.csv"))
+        assert code == 0
+        trace = generate_trace(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"],
+                               2.0, 20.0, 3)
+        assert trace.clamped_samples > 0
+        assert f"  clamped size draws: {trace.clamped_samples}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["gen-trace", "--rate", "1", "--duration", "5"],
+        ["provision", "--design", "Splitwise-AA", "--objective", "max_throughput",
+         "--power-budget", "4"],
+    ])
+    def test_bimodal_prompt_config_is_a_usage_error(self, tmp_path, capsys, command):
+        # the config has mixture keys for outputs only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prompt_dist.kind = bimodal-lognormal\n")
+        code = run_cli("--config", str(cfg), *command,
+                       "--output" if command[0] == "gen-trace" else "--output-dir",
+                       str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "prompt_dist.weight2, prompt_dist.mu2, prompt_dist.sigma2" in err
 
     def test_env_seed(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -86,6 +120,46 @@ class TestSimulate:
                        "--output-dir", str(tmp_path / "o"))
         assert code == 1
         assert "fail" in capsys.readouterr().out
+
+    def test_trace_path_named_like_the_header(self, trace_file, tmp_path, monkeypatch):
+        # a relative path that starts with the header's first column name
+        # is still a path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "arrival_s_trace.csv").write_bytes(trace_file.read_bytes())
+        outputs = []
+        for name, trace in (("a", "arrival_s_trace.csv"), ("b", str(trace_file))):
+            assert run_cli("simulate", "--trace", trace, "--design", "Splitwise-HH",
+                           "--prompt-machines", "2", "--token-machines", "1",
+                           "--output-dir", name) == 0
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("requests.csv", "tbt.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("design, types", [("Splitwise-HH", ["H100"]),
+                                               ("Splitwise-HA", ["H100", "A100"])])
+    def test_profile_matches_calibration(self, trace_file, tmp_path, design, types):
+        # a profile exported from the calibrated models fits them back
+        rows = [export_profile_csv(get_calibration("llama2-70b", mt)).splitlines(True)
+                for mt in types]
+        profile = tmp_path / "profile.csv"
+        profile.write_text("".join(rows[0] + [r for more in rows[1:] for r in more[1:]]))
+        outputs = []
+        for name, extra in (("calibrated", []), ("profiled", ["--profile", str(profile)])):
+            code = run_cli("simulate", "--trace", str(trace_file), "--design", design,
+                           "--prompt-machines", "2", "--token-machines", "1",
+                           "--output-dir", str(tmp_path / name), *extra)
+            outputs.append([code] + [(tmp_path / name / f).read_bytes()
+                                     for f in ("requests.csv", "tbt.csv", "summary.csv")])
+        assert outputs[0][0] in (0, 1)  # an SLO verdict, not an input error
+        assert outputs[0] == outputs[1]
+
+    def test_profile_missing_a_machine_type(self, trace_file, tmp_path, capsys):
+        profile = tmp_path / "profile.csv"
+        profile.write_text(export_profile_csv(get_calibration("llama2-70b", "H100")))
+        assert run_cli("simulate", "--trace", str(trace_file), "--design", "Splitwise-HA",
+                       "--prompt-machines", "1", "--token-machines", "1", "--profile",
+                       str(profile), "--output-dir", str(tmp_path / "o")) == 2
+        assert "['A100']" in capsys.readouterr().err
 
     def test_missing_trace(self, tmp_path):
         assert run_cli("simulate", "--design", "Splitwise-HH",

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from splitsim import (
@@ -47,6 +49,12 @@ class TestDesigns:
         with pytest.raises(ConfigurationError):
             ClusterConfig("Splitwise-HH", -1, 2)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.inf, math.nan])
+    def test_repurpose_window_finite_and_positive(self, window):
+        assert ClusterConfig("Splitwise-HH", 1, 1).repurpose_window_s is None  # off
+        with pytest.raises(ConfigurationError):
+            ClusterConfig("Splitwise-HH", 1, 1, repurpose_window_s=window)
+
     def test_baseline_single_count(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig("Baseline-A100", 3, 2)
@@ -89,8 +97,8 @@ class TestPools:
 class TestRouting:
     def test_argmin_by_pending_tokens(self):
         c = make_cluster(p=2, t=1)
-        c.machines[0].enqueue(Task(50, PROMPT, 3000, 0.0, 1, 1), 0.0)
-        c.machines[1].enqueue(Task(51, PROMPT, 500, 0.0, 1, 1), 0.0)
+        c.machines[0].enqueue(Task(50, PROMPT, 3000, 0.0, 1, 1))
+        c.machines[1].enqueue(Task(51, PROMPT, 500, 0.0, 1, 1))
         assert c.route()[0] == 1
 
     def test_tie_breaks_by_lowest_id(self):
@@ -111,14 +119,14 @@ class TestRouting:
     def test_overflow_to_opposite_pool(self):
         sched = SchedulerConfig(queue_threshold_tokens=100)
         c = make_cluster(p=1, t=1, sched=sched)
-        c.machines[0].enqueue(Task(50, PROMPT, 5000, 0.0, 1, 1), 0.0)
+        c.machines[0].enqueue(Task(50, PROMPT, 5000, 0.0, 1, 1))
         assert c.route()[0] == 1  # token machine takes the prompt
 
     def test_all_saturated_falls_back_to_global_argmin(self):
         sched = SchedulerConfig(queue_threshold_tokens=10)
         c = make_cluster(p=1, t=1, sched=sched)
-        c.machines[0].enqueue(Task(50, PROMPT, 500, 0.0, 1, 1), 0.0)
-        c.machines[1].enqueue(Task(51, PROMPT, 400, 0.0, 1, 1), 0.0)
+        c.machines[0].enqueue(Task(50, PROMPT, 500, 0.0, 1, 1))
+        c.machines[1].enqueue(Task(51, PROMPT, 400, 0.0, 1, 1))
         c.machines[1].note_pool_change(MIXED, 0.0)
         assert c.route()[0] == 1
 
@@ -127,7 +135,7 @@ class TestPoolTransitions:
     def test_opposite_enqueue_moves_to_mixed(self):
         c = make_cluster(p=1, t=1)
         m = c.machines[1]  # token home
-        m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1), 0.0)
+        m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1))
         transitions = c.note_enqueue(m, PROMPT, 0.0)
         assert transitions == [(0.0, 1, TOKEN, MIXED)]
         assert m.current_pool == MIXED
@@ -135,18 +143,18 @@ class TestPoolTransitions:
     def test_same_kind_enqueue_no_transition(self):
         c = make_cluster(p=1, t=1)
         m = c.machines[0]
-        m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1), 0.0)
+        m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1))
         assert c.note_enqueue(m, PROMPT, 0.0) == []
 
     def test_update_pools_returns_home(self):
         c = make_cluster(p=1, t=1)
         m = c.machines[1]
-        m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1), 0.0)
+        m.enqueue(Task(5, PROMPT, 100, 0.0, 1, 1))
         c.note_enqueue(m, PROMPT, 0.0)
         assert c.update_pools(1.0, [1]) == []  # opposite work still queued
-        batch = m.form_batch(1.0)
+        batch = m.form_batch()
         m.running = batch
-        m.complete_iteration(batch, 50.0)
+        m.complete_iteration()
         assert c.update_pools(50.0, [1]) == [(50.0, 1, MIXED, TOKEN)]
         assert m.current_pool == TOKEN
 
@@ -186,20 +194,20 @@ class TestRepurpose:
         m = c.machines[1]
         m.note_pool_change(MIXED, 0.0)
         m.note_pool_change(TOKEN, 60.0)
-        m.enqueue(Task(5, TOKEN, 100, 60.0, 2, 1), 60.0)
+        m.enqueue(Task(5, TOKEN, 100, 60.0, 2, 1))
         # the new prompt pool would never run the token task
         assert c.repurpose(100.0, window=100.0) == ([(100.0, 1, TOKEN, PROMPT)],
                                                     [(100.0, 1, TOKEN, MIXED)])
         assert c.update_pools(100.0, [1]) == []
-        batch = m.form_batch(100.0)
+        batch = m.form_batch()
         m.running = batch
-        m.complete_iteration(batch, 131.0)
+        m.complete_iteration()
         assert c.update_pools(131.0, [1]) == [(131.0, 1, MIXED, PROMPT)]
 
     def test_repurposing_strands_no_work(self):
         config = ClusterConfig("Splitwise-HH", 2, 1,
                                sched=SchedulerConfig(queue_threshold_tokens=256),
-                               repurpose_enabled=True, repurpose_window_s=2.0)
+                               repurpose_window_s=2.0)
         dists = PRESETS["conversation"]
         trace = generate_trace(dists["prompt"], dists["output"], 6.0, 20.0, seed=7)
         res = Simulator(config, models_for(config), trace).run()  # stranded: HorizonExceeded

@@ -27,10 +27,10 @@ def counted_run(config, trace, record_log):
     original = Machine.complete_iteration
     calls = 0
 
-    def counting(self, batch, now):
+    def counting(self):
         nonlocal calls
         calls += 1
-        return original(self, batch, now)
+        return original(self)
 
     models = {mt: get_calibration(config.llm, mt)
               for mt in {config.prompt_type, config.token_type}}
@@ -58,8 +58,7 @@ def scenarios(draw):
     sched = SchedulerConfig(max_preemptions=draw(st.sampled_from([1, 4])),
                             queue_threshold_tokens=draw(st.sampled_from([256, 4096])))
     config = ClusterConfig(design, prompt_machines, token_machines, sched=sched,
-                           repurpose_enabled=window is not None,
-                           repurpose_window_s=float(window or 300))
+                           repurpose_window_s=window)
     grid_ms = draw(st.sampled_from([1, 50]))
     arrivals = sorted(draw(st.lists(st.integers(0, 4000 // grid_ms), min_size=1, max_size=12)))
     sizes = draw(st.lists(st.tuples(st.integers(16, 2048), st.integers(1, 400)),

@@ -47,7 +47,7 @@ CASES = {
     # pool; a short window makes repurposing flip home roles
     "splitwise-hh-repurpose": (dict(design="Splitwise-HH", prompt_machines=2, token_machines=1,
                                     sched=SchedulerConfig(queue_threshold_tokens=256),
-                                    repurpose_enabled=True, repurpose_window_s=5.0),
+                                    repurpose_window_s=5.0),
                                "conversation", 6.0, 30.0, 7),
     # long conversation outputs: token batches keep the same members for
     # many iterations between joins and finishes

@@ -121,10 +121,10 @@ def test_window_pops_once():
     original = Machine.complete_iteration
     completed = 0
 
-    def counting(self, batch, now):
+    def counting(self):
         nonlocal completed
         completed += 1
-        return original(self, batch, now)
+        return original(self)
 
     Machine.complete_iteration = counting
     try:

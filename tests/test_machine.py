@@ -28,9 +28,9 @@ class TestQueueing:
     def test_pending_tokens_counting(self):
         # one queued 1500-token prompt plus three token tasks -> 1503
         m = make_machine(home=MIXED)
-        m.enqueue(prompt_task(0, 1500), 0.0)
+        m.enqueue(prompt_task(0, 1500))
         for rid in (1, 2, 3):
-            m.enqueue(token_task(rid, 100), 0.0)
+            m.enqueue(token_task(rid, 100))
         assert m.pending_token_count == 1503
 
     def test_empty_machine(self):
@@ -38,95 +38,95 @@ class TestQueueing:
 
     def test_duplicate_task_rejected(self):
         m = make_machine()
-        m.enqueue(prompt_task(7, 10), 0.0)
+        m.enqueue(prompt_task(7, 10))
         with pytest.raises(SplitsimError):
-            m.enqueue(prompt_task(7, 10), 0.0)
+            m.enqueue(prompt_task(7, 10))
 
     def test_running_prompt_still_counts(self):
         # in-flight prompt work stays visible to the cluster router until
         # the prompt finishes
         m = make_machine()
-        m.enqueue(prompt_task(0, 1500), 0.0)
-        batch = m.form_batch(0.0)
+        m.enqueue(prompt_task(0, 1500))
+        batch = m.form_batch()
         m.running = batch
         assert m.pending_token_count == 1500
-        m.complete_iteration(batch, 95.0)
+        m.complete_iteration()
         assert m.pending_token_count == 0
 
 
 class TestPromptBatching:
     def test_cap_excludes_second_prompt(self):
         m = make_machine()
-        m.enqueue(prompt_task(0, 1500), 0.0)
-        m.enqueue(prompt_task(1, 1000), 0.0)
-        batch = m.form_batch(0.0)
+        m.enqueue(prompt_task(0, 1500))
+        m.enqueue(prompt_task(1, 1000))
+        batch = m.form_batch()
         assert [t.request_id for t in batch.prompt_tasks] == [0]
 
     def test_fills_up_to_cap(self):
         m = make_machine()
         for rid in range(4):
-            m.enqueue(prompt_task(rid, 512), 0.0)
-        batch = m.form_batch(0.0)
+            m.enqueue(prompt_task(rid, 512))
+        batch = m.form_batch()
         assert [t.request_id for t in batch.prompt_tasks] == [0, 1, 2, 3]
 
     def test_oversized_head_admitted_alone(self):
         m = make_machine()
-        m.enqueue(prompt_task(0, 5000), 0.0)
-        m.enqueue(prompt_task(1, 10), 0.0)
-        batch = m.form_batch(0.0)
+        m.enqueue(prompt_task(0, 5000))
+        m.enqueue(prompt_task(1, 10))
+        batch = m.form_batch()
         assert [t.request_id for t in batch.prompt_tasks] == [0]
 
     def test_fcfs_order(self):
         m = make_machine()
-        m.enqueue(prompt_task(0, 1000), 0.0)
-        m.enqueue(prompt_task(1, 900), 1.0)
-        m.enqueue(prompt_task(2, 500), 2.0)  # would overflow the cap
-        batch = m.form_batch(2.0)
+        m.enqueue(prompt_task(0, 1000))
+        m.enqueue(prompt_task(1, 900))
+        m.enqueue(prompt_task(2, 500))  # would overflow the cap
+        batch = m.form_batch()
         assert [t.request_id for t in batch.prompt_tasks] == [0, 1]
 
     def test_iteration_time_is_prompt_time(self):
         m = make_machine()
-        m.enqueue(prompt_task(0, 1000), 0.0)
-        m.enqueue(prompt_task(1, 500), 0.0)
-        batch = m.form_batch(0.0)
+        m.enqueue(prompt_task(0, 1000))
+        m.enqueue(prompt_task(1, 500))
+        batch = m.form_batch()
         assert batch.iteration_time == m.perf.prompt_time(1500)
 
     def test_token_home_machine_rejects_prompts(self):
         m = make_machine(home=TOKEN)
-        m.enqueue(prompt_task(0, 100), 0.0)
+        m.enqueue(prompt_task(0, 100))
         # machine still in token pool: no prompt may run until the pool
         # transition (handled by the cluster layer) marks it mixed
-        assert m.form_batch(0.0) is None
+        assert m.form_batch() is None
         m.note_pool_change(MIXED, 0.0)
-        assert m.form_batch(0.0) is not None
+        assert m.form_batch() is not None
 
 
 class TestTokenBatching:
     def test_batch_size_limit(self):
         m = make_machine(home=TOKEN)
         for rid in range(70):
-            m.enqueue(token_task(rid, 100), float(rid))
-        batch = m.form_batch(70.0)
+            m.enqueue(token_task(rid, 100))
+        batch = m.form_batch()
         assert len(batch.token_tasks) == 64
         assert len(m.pending_tokens_q) == 6
 
     def test_iteration_grows_context(self):
         m = make_machine(home=TOKEN)
-        m.enqueue(token_task(0, 100, out=3), 0.0)
-        batch = m.form_batch(0.0)
+        m.enqueue(token_task(0, 100, out=3))
+        batch = m.form_batch()
         m.running = batch
-        assert m.complete_iteration(batch, 31.0) is None
+        assert m.complete_iteration() is None
         assert batch.token_tasks[0].tokens == 101
         assert batch.token_tasks[0].remaining_output == 1
         assert m.resident == batch.token_tasks
 
     def test_finish_releases_memory(self):
         m = make_machine(home=TOKEN)
-        m.enqueue(token_task(0, 100, out=2), 0.0)
+        m.enqueue(token_task(0, 100, out=2))
         before = m.memory_used()
-        batch = m.form_batch(0.0)
+        batch = m.form_batch()
         m.running = batch
-        m.complete_iteration(batch, 31.0)
+        m.complete_iteration()
         assert batch.token_tasks[0].remaining_output == 0
         assert m.resident == [] and m.pending_token_count == 0
         assert m.memory_used() == pytest.approx(m.perf.weight_memory)
@@ -137,8 +137,8 @@ class TestTokenBatching:
         # each task reserves its final context; capacity fits 64 tasks of
         # 2048 + overhead, so giant contexts must be throttled
         for rid in range(40):
-            m.enqueue(token_task(rid, 8000, out=100), float(rid))
-        batch = m.form_batch(40.0)
+            m.enqueue(token_task(rid, 8000, out=100))
+        batch = m.form_batch()
         kv = m.perf.kv_bytes_per_token
         reserved = sum(t.tokens + t.remaining_output for t in batch.token_tasks)
         assert m.perf.weight_memory + reserved * kv <= m.perf.memory_capacity
@@ -151,10 +151,10 @@ class TestTokenBatching:
         weights = m.perf.weight_memory
         kv = m.perf.kv_bytes_per_token
         big = int((cap - weights) / kv * 0.9)
-        m.enqueue(token_task(0, big, out=10), 0.0)
-        m.enqueue(token_task(1, big, out=10), 1.0)   # does not fit
-        m.enqueue(token_task(2, 10, out=10), 2.0)    # would fit, must wait
-        batch = m.form_batch(3.0)
+        m.enqueue(token_task(0, big, out=10))
+        m.enqueue(token_task(1, big, out=10))   # does not fit
+        m.enqueue(token_task(2, 10, out=10))    # would fit, must wait
+        batch = m.form_batch()
         assert [t.request_id for t in batch.token_tasks] == [0]
 
 
@@ -163,12 +163,12 @@ class TestMixedBatching:
         sched = SchedulerConfig()
         m = make_machine(home=MIXED, sched=sched)
         for rid in range(m.perf.max_token_batch):
-            m.enqueue(token_task(rid, 100, out=50), float(rid))
-        b1 = m.form_batch(100.0)
+            m.enqueue(token_task(rid, 100, out=50))
+        b1 = m.form_batch()
         m.running = b1
-        m.complete_iteration(b1, 131.0)
-        m.enqueue(prompt_task(999, 500), 131.0)
-        b2 = m.form_batch(131.0)
+        m.complete_iteration()
+        m.enqueue(prompt_task(999, 500))
+        b2 = m.form_batch()
         assert any(t.request_id == 999 for t in b2.prompt_tasks)
         assert len(b2.prompt_tasks) + len(b2.token_tasks) <= m.perf.max_token_batch
         parked = [t for t in m.resident if t.parked]
@@ -178,13 +178,13 @@ class TestMixedBatching:
     def test_preempted_task_keeps_memory(self):
         m = make_machine(home=MIXED)
         for rid in range(m.perf.max_token_batch):
-            m.enqueue(token_task(rid, 100, out=50), float(rid))
-        b1 = m.form_batch(100.0)
+            m.enqueue(token_task(rid, 100, out=50))
+        b1 = m.form_batch()
         m.running = b1
         used_before = m.memory_used()
-        m.complete_iteration(b1, 131.0)
-        m.enqueue(prompt_task(999, 500), 131.0)
-        m.form_batch(131.0)
+        m.complete_iteration()
+        m.enqueue(prompt_task(999, 500))
+        m.form_batch()
         # +64 generated tokens, parked task still resident
         assert m.memory_used() >= used_before
 
@@ -192,93 +192,94 @@ class TestMixedBatching:
         sched = SchedulerConfig(max_preemptions=1)
         m = make_machine(home=MIXED, sched=sched)
         t = token_task(0, 100, out=1000)
-        m.enqueue(t, 0.0)
+        m.enqueue(t)
         t.preempt_count = sched.max_preemptions
-        b = m.form_batch(0.0)
+        b = m.form_batch()
         m.running = b
-        m.complete_iteration(b, 31.0)
+        m.complete_iteration()
         # a flood of prompts cannot take the reserved slot
         for rid in range(1, 70):
-            m.enqueue(prompt_task(rid, 30), 31.0)
-        b2 = m.form_batch(31.0)
+            m.enqueue(prompt_task(rid, 30))
+        b2 = m.form_batch()
         assert any(tt.request_id == 0 for tt in b2.token_tasks)
 
     def test_mixing_rule_sum_vs_max(self):
         for rule, combine in (("sum", lambda p, t: p + t), ("max", max)):
             m = make_machine(home=MIXED,
                              sched=SchedulerConfig(mixing_rule=rule))
-            m.enqueue(token_task(0, 100), 0.0)
-            b1 = m.form_batch(0.0)
+            m.enqueue(token_task(0, 100))
+            b1 = m.form_batch()
             m.running = b1
-            m.complete_iteration(b1, 31.0)
-            m.enqueue(prompt_task(1, 500), 31.0)
-            b2 = m.form_batch(31.0)
+            m.complete_iteration()
+            m.enqueue(prompt_task(1, 500))
+            b2 = m.form_batch()
             assert b2.kind == "mixed"
             expected = combine(m.perf.prompt_time(500), m.perf.token_iter_time(1))
             assert b2.iteration_time == pytest.approx(expected)
 
     def test_aging_orders_token_candidates(self):
         m = make_machine(home=TOKEN)
-        m.enqueue(token_task(0, 100, t=5.0), 5.0)
-        m.enqueue(token_task(1, 100, t=0.0), 0.0)  # older: FCFS by enqueue time
-        batch = m.form_batch(10.0)
+        m.enqueue(token_task(0, 100, t=5.0))
+        m.enqueue(token_task(1, 100, t=0.0))  # older: FCFS by enqueue time
+        batch = m.form_batch()
         assert [t.request_id for t in batch.token_tasks][:1] == [1]
 
 
     def test_token_order_capped_first_then_fcfs(self):
-        def run(m, now):
-            batch = m.form_batch(now)
+        def run(m):
+            batch = m.form_batch()
             m.running = batch
-            m.complete_iteration(batch, now + 1.0)
+            m.complete_iteration()
             return [t.request_id for t in batch.token_tasks]
 
         # capped residents go first, whatever their enqueue time
         m = make_machine(home=MIXED,
                          sched=SchedulerConfig(max_preemptions=1))
         for rid in range(3):
-            m.enqueue(token_task(rid, 100, out=50, t=float(rid)), float(rid))
-        assert run(m, 3.0) == [0, 1, 2]
+            m.enqueue(token_task(rid, 100, out=50, t=float(rid)))
+        assert run(m) == [0, 1, 2]
         m.resident[2].preempt_count = 1
-        assert run(m, 5.0) == [2, 0, 1]
+        assert run(m) == [2, 0, 1]
 
         # residents and queued tasks merge by enqueue time, not by the
         # order they were enqueued in
         m = make_machine(home=TOKEN)
-        m.enqueue(token_task(0, 100, out=50, t=10.0), 10.0)
-        assert run(m, 10.0) == [0]
-        m.enqueue(token_task(1, 100, out=50, t=20.0), 20.0)
-        m.enqueue(token_task(2, 100, out=50, t=5.0), 20.0)
-        assert run(m, 20.0) == [2, 0, 1]
-        assert run(m, 21.0) == [2, 0, 1]  # and stay in that order once resident
+        m.enqueue(token_task(0, 100, out=50, t=10.0))
+        assert run(m) == [0]
+        m.enqueue(token_task(1, 100, out=50, t=20.0))
+        m.enqueue(token_task(2, 100, out=50, t=5.0))
+        assert run(m) == [2, 0, 1]
+        assert run(m) == [2, 0, 1]  # and stay in that order once resident
 
         # FCFS stops at a memory-blocked queued task: neither a later
         # queued task nor a later resident runs ahead of it
         m = make_machine(home=TOKEN)
         free = int((m.perf.memory_capacity - m.perf.weight_memory) / m.perf.kv_bytes_per_token)
-        m.enqueue(token_task(0, 100, out=50, t=0.0), 0.0)
-        m.enqueue(token_task(1, 100, out=50, t=3.0), 3.0)
-        assert run(m, 3.0) == [0, 1]
-        m.enqueue(token_task(2, free, out=10, t=1.0), 4.0)  # does not fit
-        m.enqueue(token_task(3, 10, out=10, t=4.0), 4.0)    # would fit, must wait
-        assert run(m, 4.0) == [0]
+        m.enqueue(token_task(0, 100, out=50, t=0.0))
+        m.enqueue(token_task(1, 100, out=50, t=3.0))
+        assert run(m) == [0, 1]
+        m.enqueue(token_task(2, free, out=10, t=1.0))  # does not fit
+        m.enqueue(token_task(3, 10, out=10, t=4.0))    # would fit, must wait
+        assert run(m) == [0]
         assert [t.request_id for t in m.pending_tokens_q] == [2, 3]
 
 
 class TestInvariants:
     def test_form_batch_mid_iteration_rejected(self):
         m = make_machine()
-        m.enqueue(prompt_task(0, 10), 0.0)
-        m.running = m.form_batch(0.0)
-        m.enqueue(prompt_task(1, 10), 0.0)
+        m.enqueue(prompt_task(0, 10))
+        m.running = m.form_batch()
+        m.enqueue(prompt_task(1, 10))
         with pytest.raises(SplitsimError):
-            m.form_batch(1.0)
+            m.form_batch()
 
     def test_complete_foreign_batch_rejected(self):
+        # a formed batch that was never started is not the running one
         m = make_machine()
-        m.enqueue(prompt_task(0, 10), 0.0)
-        batch = m.form_batch(0.0)
+        m.enqueue(prompt_task(0, 10))
+        m.form_batch()
         with pytest.raises(SplitsimError):
-            m.complete_iteration(batch, 1.0)
+            m.complete_iteration()
 
     def test_scheduler_config_validation(self):
         with pytest.raises(ValidationError):
