@@ -54,18 +54,16 @@ class TestGenTrace:
         assert f"  clamped size draws: {trace.clamped_samples}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [
-        ["gen-trace", "--rate", "1", "--duration", "5"],
+        ["gen-trace", "--rate", "1", "--duration", "5", "--output", "t.csv"],
         ["provision", "--design", "Splitwise-AA", "--objective", "max_throughput",
-         "--power-budget", "4"],
+         "--power-budget", "4", "--output-dir", "out"],
     ])
-    def test_bimodal_prompt_config_is_a_usage_error(self, tmp_path, capsys, command):
+    def test_bimodal_prompt_config_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                    command):
         # the config has mixture keys for outputs only
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("prompt_dist.kind = bimodal-lognormal\n")
-        code = run_cli("--config", str(cfg), *command,
-                       "--output" if command[0] == "gen-trace" else "--output-dir",
-                       str(tmp_path / "out"))
-        assert code == 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("prompt_dist.kind = bimodal-lognormal\n")
+        assert run_cli("--config", "run.cfg", *command) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "prompt_dist.weight2, prompt_dist.mu2, prompt_dist.sigma2" in err
