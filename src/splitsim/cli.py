@@ -42,10 +42,9 @@ def _dists_from_config(cfg, prefix):
     if kind == "lognormal":
         return SizeDistribution.lognormal(cfg[f"{prefix}.mu"], cfg[f"{prefix}.sigma"], lo, hi)
     if kind == "bimodal-lognormal":
-        if missing := [f"{prefix}.{k}" for k in ("weight2", "mu2", "sigma2")
-                       if f"{prefix}.{k}" not in cfg]:
-            raise ConfigurationError(f"{prefix}.kind = bimodal-lognormal needs "
-                                     f"{', '.join(missing)}, which the config does not have")
+        if f"{prefix}.weight2" not in cfg:
+            raise ConfigurationError(f"{prefix}.kind = bimodal-lognormal is not supported: "
+                                     f"only output_dist takes a mixture")
         return SizeDistribution.bimodal_lognormal(
             cfg[f"{prefix}.weight2"], cfg[f"{prefix}.mu"], cfg[f"{prefix}.sigma"],
             cfg[f"{prefix}.mu2"], cfg[f"{prefix}.sigma2"], lo, hi)
@@ -117,12 +116,11 @@ def cmd_simulate(args) -> int:
     cluster_config = _cluster_config(args, cfg)
     llm = cluster_config.llm
     if args.profile:
-        samples = parse_profile_csv(args.profile)
-        types_present = {s.machine_type for s in samples}
+        samples = [s for s in parse_profile_csv(args.profile) if s.llm == llm]
         needed = {cluster_config.prompt_type, cluster_config.token_type}
-        missing = needed - types_present
+        missing = needed - {s.machine_type for s in samples}
         if missing:
-            raise SplitsimError(f"profile {args.profile} has no samples for "
+            raise SplitsimError(f"profile {args.profile} has no {llm} samples for "
                                 f"machine type(s): {sorted(missing)}")
         models = {}
         for mt in needed:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -22,29 +22,34 @@ from .errors import CapacityError, FitError, ParseError, ValidationError
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """Per-machine memory and the back-plane link that carries the KV cache."""
+    """Per-machine memory, the back-plane link that carries the KV cache,
+    and the machine's cost and provisioned power."""
 
     memory_capacity: float            # bytes
     interconnect_bandwidth: float     # bits/second
     transfer_threshold_tokens: int    # below this, KV ships serialized
     layerwise_constant_ms: float      # non-overlapped layer-wise sync floor
+    cost: float                       # relative to a DGX-A100
+    power: float                      # relative to a DGX-A100
+    token_cost: float                 # cost on the token side of a Splitwise design
 
     def __post_init__(self):
-        if min(self.memory_capacity, self.interconnect_bandwidth,
-               self.transfer_threshold_tokens, self.layerwise_constant_ms) <= 0:
+        if min(astuple(self)) <= 0:
             raise ValidationError("MachineSpec fields must be positive")
 
 
 # DGX-class machines: 8 GPUs x 80 GB HBM; Infiniband per the vendor data-sheet
 # ratios (A100 200 Gb/s, H100 400 Gb/s).  Benchmarked layer-wise floors are
 # ~5 ms over 400 Gb/s and ~8 ms over 200 Gb/s; the serialized/layer-wise
-# threshold scales inversely with bandwidth.  Cost and power live in
-# provision._COST_POWER.
+# threshold scales inversely with bandwidth.  Cost and power are normalized
+# to a DGX-A100; an H100 on the token side of a Splitwise design carries the
+# higher serving rate, and a power-capped H100 is an H100 provisioned for
+# 1.23x an A100's power.
 MACHINE_SPECS: dict[str, MachineSpec] = {
-    "A100": MachineSpec(640e9, 200e9, 1024, 8.0),
-    "H100": MachineSpec(640e9, 400e9, 512, 5.0),
-    "H100cap": MachineSpec(640e9, 400e9, 512, 5.0),
+    "A100": MachineSpec(640e9, 200e9, 1024, 8.0, cost=1.0, power=1.0, token_cost=1.0),
+    "H100": MachineSpec(640e9, 400e9, 512, 5.0, cost=2.35, power=1.75, token_cost=2.5),
 }
+MACHINE_SPECS["H100cap"] = replace(MACHINE_SPECS["H100"], power=1.23)
 
 
 @dataclass(frozen=True)
@@ -242,14 +247,15 @@ def _mape(model_fn, samples):
     return 100.0 * float(np.mean(errs))
 
 
-def fit_piecewise_linear(samples, knot_budget=32, holdout_fraction=0.0,
-                         seed=0, memory_capacity=None, max_token_batch=None):
+def fit_piecewise_linear(samples, knot_budget=32, holdout_fraction=0.0, seed=0):
     """Fit a PerfModel from profile samples of a single (machine_type, llm).
 
     With ``holdout_fraction`` > 0, that fraction of samples (seeded split)
     is withheld and the returned report carries the holdout MAPE.
     Memory parameters come from a least-squares line over the samples'
-    measured memory (intercept = weights, slope = KV bytes/token).
+    measured memory (intercept = weights, slope = KV bytes/token).  The
+    token-batch limit is the model's ``LLM_SPECS`` entry, or the largest
+    profiled batch for a model outside the registry.
     """
     samples = list(samples)
     if not samples:
@@ -286,9 +292,10 @@ def fit_piecewise_linear(samples, knot_budget=32, holdout_fraction=0.0,
     else:
         weight_memory, kv_bytes = 0.0, 1.0
 
-    if memory_capacity is None:
-        memory_capacity = MACHINE_SPECS.get(machine_type, MACHINE_SPECS["A100"]).memory_capacity
-    if max_token_batch is None:
+    memory_capacity = MACHINE_SPECS.get(machine_type, MACHINE_SPECS["A100"]).memory_capacity
+    if llm in LLM_SPECS:
+        max_token_batch = LLM_SPECS[llm].max_token_batch
+    else:
         max_token_batch = int(max(s.abscissa for s in token_train))
 
     model = PerfModel(machine_type, llm, prompt_knots, token_knots,
@@ -401,10 +408,12 @@ def parse_profile_csv(source) -> list[ProfileSample]:
         if len(row) != 7:
             raise ValidationError(f"profile line {i}: expected 7 fields")
         mt, llm, phase, ptok, bsz, tms, mem = row
-        ptok, bsz = int(ptok), int(bsz)
         if phase not in ("prompt", "token"):
             raise ValidationError(f"profile line {i}: bad phase {phase!r}")
+        try:
+            ptok, bsz, tms, mem = int(ptok), int(bsz), float(tms), float(mem)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=i) from None
         samples.append(ProfileSample(mt, llm, ptok if phase == "prompt" else 0,
-                                     bsz if phase == "token" else 0,
-                                     float(tms), float(mem)))
+                                     bsz if phase == "token" else 0, tms, mem))
     return samples

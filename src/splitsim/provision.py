@@ -6,8 +6,9 @@ Each candidate (prompt_count, token_count) point is scored by short
 fixed-seed simulations of a synthesized workload; a point passes only if
 all nine SLO constraints hold on every seed, and ``max_throughput``
 bisects to a relative bracket of ``RESOLUTION`` (2%).  Cost and power are
-the dot product of machine counts with the per-design rates normalized to a
-DGX-A100.
+the dot product of machine counts with per-machine rates normalized to a
+DGX-A100.  Each role's rates are its machine type's ``perf.MACHINE_SPECS``
+row; a Splitwise design's token machines take that row's ``token_cost``.
 
 ``search`` scores its budget-filtered points in up to
 ``min(points, usable CPUs)`` forked worker processes and merges the scores
@@ -32,36 +33,20 @@ from .cluster import DESIGNS, ClusterConfig, normalize_design
 from .engine import SloTable, Simulator
 from .errors import ConfigurationError, HorizonExceeded, SloViolated
 from .machine import SchedulerConfig
-from .perf import PerfModel, get_calibration
+from .perf import MACHINE_SPECS, PerfModel, get_calibration
 from .trace import SizeDistribution, generate_trace
-
-# (cost, power) per machine, normalized to DGX-A100 = 1.  Token-side H100
-# carries the higher serving rate; the capped variant trades nothing on
-# cost but drops provisioned power to 1.23x.
-_COST_POWER = {
-    ("Baseline-A100", "prompt"): (1.0, 1.0),
-    ("Baseline-A100", "token"): (1.0, 1.0),
-    ("Baseline-H100", "prompt"): (2.35, 1.75),
-    ("Baseline-H100", "token"): (2.35, 1.75),
-    ("Splitwise-AA", "prompt"): (1.0, 1.0),
-    ("Splitwise-AA", "token"): (1.0, 1.0),
-    ("Splitwise-HH", "prompt"): (2.35, 1.75),
-    ("Splitwise-HH", "token"): (2.5, 1.75),
-    ("Splitwise-HHcap", "prompt"): (2.35, 1.75),
-    ("Splitwise-HHcap", "token"): (2.5, 1.23),
-    ("Splitwise-HA", "prompt"): (2.35, 1.75),
-    ("Splitwise-HA", "token"): (1.0, 1.0),
-}
 
 RESOLUTION = 0.02  # max_throughput's bisection bracket, relative to the passing rate
 
 
 def machine_cost_power(design: str, role: str) -> tuple[float, float]:
     """(cost, power) of one machine of the given role in the given design."""
-    design = normalize_design(design)
+    prompt_type, token_type, baseline = DESIGNS[normalize_design(design)]
     if role not in ("prompt", "token"):
         raise ConfigurationError(f"unknown role {role!r}")
-    return _COST_POWER[(design, role)]
+    spec = MACHINE_SPECS[prompt_type if role == "prompt" else token_type]
+    split_token = role == "token" and not baseline
+    return (spec.token_cost if split_token else spec.cost), spec.power
 
 
 def design_cost_power(design: str, prompt_count: int, token_count: int) -> tuple[float, float]:

@@ -1,13 +1,17 @@
+import math
+
 import pytest
 
 from splitsim import (
     PRESETS,
     SchedulerConfig,
+    SizeDistribution,
     TransferConfig,
     export_profile_csv,
     generate_trace,
     get_calibration,
     provision,
+    serialize_trace,
 )
 from splitsim.cli import _cluster_config, build_parser, main
 from splitsim.config import load_config
@@ -23,6 +27,16 @@ def trace_file(tmp_path):
     code = run_cli("gen-trace", "--preset", "coding", "--rate", "2",
                    "--duration", "20", "--seed", "3", "--output", str(path))
     assert code == 0
+    return path
+
+
+def long_output_trace(path):
+    """60 s at 3 req/s of mid-sized prompts with long outputs: enough
+    concurrent decodes to fill a bloom-176b token batch."""
+    trace = generate_trace(SizeDistribution.lognormal(math.log(300), 0.5, 64, 2048),
+                           SizeDistribution.lognormal(math.log(200), 0.5, 1, 1000),
+                           3.0, 60.0, 3)
+    path.write_text(serialize_trace(trace))
     return path
 
 
@@ -66,7 +80,12 @@ class TestGenTrace:
         assert run_cli("--config", "run.cfg", *command) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "prompt_dist.weight2, prompt_dist.mu2, prompt_dist.sigma2" in err
+        assert "only output_dist takes a mixture" in err
+        # the message names no key that the parser would reject
+        assert "prompt_dist.weight2" not in err
+        (tmp_path / "run.cfg").write_text("prompt_dist.weight2 = 0.5\n")
+        assert run_cli("--config", "run.cfg", *command) == 2
+        assert "unknown key 'prompt_dist.weight2'" in capsys.readouterr().err
 
     def test_env_seed(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -133,19 +152,27 @@ class TestSimulate:
                             for f in ("requests.csv", "tbt.csv", "summary.csv")])
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("design, types", [("Splitwise-HH", ["H100"]),
-                                               ("Splitwise-HA", ["H100", "A100"])])
-    def test_profile_matches_calibration(self, trace_file, tmp_path, design, types):
+    @pytest.mark.parametrize("design, types, llm, machines", [
+        pytest.param("Splitwise-HH", ["H100"], "llama2-70b", "2", id="Splitwise-HH-types0"),
+        pytest.param("Splitwise-HA", ["H100", "A100"], "llama2-70b", "2",
+                     id="Splitwise-HA-types1"),
+        # the long-output trace fills bloom's 26-task token batch
+        pytest.param("Splitwise-HH", ["H100"], "bloom-176b", "1", id="Splitwise-HH-bloom"),
+    ])
+    def test_profile_matches_calibration(self, trace_file, tmp_path, design, types, llm,
+                                         machines):
         # a profile exported from the calibrated models fits them back
-        rows = [export_profile_csv(get_calibration("llama2-70b", mt)).splitlines(True)
+        if llm != "llama2-70b":
+            trace_file = long_output_trace(tmp_path / "long.csv")
+        rows = [export_profile_csv(get_calibration(llm, mt)).splitlines(True)
                 for mt in types]
         profile = tmp_path / "profile.csv"
         profile.write_text("".join(rows[0] + [r for more in rows[1:] for r in more[1:]]))
         outputs = []
         for name, extra in (("calibrated", []), ("profiled", ["--profile", str(profile)])):
             code = run_cli("simulate", "--trace", str(trace_file), "--design", design,
-                           "--prompt-machines", "2", "--token-machines", "1",
-                           "--output-dir", str(tmp_path / name), *extra)
+                           "--prompt-machines", machines, "--token-machines", "1",
+                           "--llm", llm, "--output-dir", str(tmp_path / name), *extra)
             outputs.append([code] + [(tmp_path / name / f).read_bytes()
                                      for f in ("requests.csv", "tbt.csv", "summary.csv")])
         assert outputs[0][0] in (0, 1)  # an SLO verdict, not an input error
@@ -158,6 +185,24 @@ class TestSimulate:
                        "--prompt-machines", "1", "--token-machines", "1", "--profile",
                        str(profile), "--output-dir", str(tmp_path / "o")) == 2
         assert "['A100']" in capsys.readouterr().err
+
+    def test_profile_of_another_model(self, trace_file, tmp_path, capsys):
+        # only the samples of the run's model are fitted
+        profile = tmp_path / "profile.csv"
+        profile.write_text(export_profile_csv(get_calibration("llama2-70b", "H100")))
+        argv = ["simulate", "--trace", str(trace_file), "--design", "Splitwise-HH",
+                "--prompt-machines", "2", "--token-machines", "1", "--llm", "bloom-176b",
+                "--profile", str(profile)]
+        assert run_cli(*argv, "--output-dir", str(tmp_path / "llama")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bloom-176b" in err and "['H100']" in err
+        bloom = export_profile_csv(get_calibration("bloom-176b", "H100"))
+        profile.write_text(profile.read_text() + bloom.split("\n", 1)[1])
+        assert run_cli(*argv, "--output-dir", str(tmp_path / "both")) in (0, 1)
+        assert run_cli(*argv[:-2], "--output-dir", str(tmp_path / "calibrated")) in (0, 1)
+        assert ((tmp_path / "both" / "requests.csv").read_bytes()
+                == (tmp_path / "calibrated" / "requests.csv").read_bytes())
 
     def test_missing_trace(self, tmp_path):
         assert run_cli("simulate", "--design", "Splitwise-HH",
@@ -289,6 +334,18 @@ class TestFitModel:
             "H100,llama2-70b,prompt,100,0,20,0\n")
         assert run_cli("fit-model", "--profile", str(profile),
                        "--output", str(tmp_path / "m.csv")) == 2
+
+    def test_non_numeric_field(self, tmp_path, capsys):
+        profile = tmp_path / "p.csv"
+        profile.write_text(
+            "machine_type,llm,phase,prompt_tokens,batch_size,time_ms,memory_bytes\n"
+            "H100,llama2-70b,prompt,100,0,20,0\n"
+            "H100,llama2-70b,prompt,abc,0,20,0\n")
+        assert run_cli("fit-model", "--profile", str(profile),
+                       "--output", str(tmp_path / "m.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ")
+        assert "'abc'" in err
 
 
 class TestReport:

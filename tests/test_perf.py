@@ -15,7 +15,8 @@ from splitsim import (
     get_calibration,
     parse_profile_csv,
 )
-from splitsim.perf import _piecewise_eval
+from splitsim.cluster import DESIGNS
+from splitsim.perf import LLM_SPECS, _piecewise_eval
 
 
 class TestCalibrationAnchors:
@@ -215,18 +216,34 @@ class TestProfileCsv:
     def test_round_trip(self):
         model = get_calibration("llama2-70b", "H100")
         samples = parse_profile_csv(export_profile_csv(model))
-        refit, _ = fit_piecewise_linear(samples, knot_budget=64,
-                                        memory_capacity=model.memory_capacity,
-                                        max_token_batch=model.max_token_batch)
+        refit, _ = fit_piecewise_linear(samples, knot_budget=64)
+        assert refit.memory_capacity == model.memory_capacity
+        assert refit.max_token_batch == model.max_token_batch
         for x in (1, 512, 1500, 4096):
             assert refit.prompt_time(x) == pytest.approx(model.prompt_time(x))
         for b in (1, 8, 64):
             assert refit.token_iter_time(b) == pytest.approx(model.token_iter_time(b))
         assert refit.kv_bytes_per_token == pytest.approx(model.kv_bytes_per_token)
 
+    def test_batch_limit_from_registry(self):
+        # bloom's token knots reach batch 64, but its memory holds 26 contexts
+        text = export_profile_csv(get_calibration("bloom-176b", "H100"))
+        refit, _ = fit_piecewise_linear(parse_profile_csv(text))
+        assert refit.max_token_batch == 26
+        # a model outside the registry keeps its largest profiled batch
+        refit, _ = fit_piecewise_linear(parse_profile_csv(text.replace("bloom-176b", "other")))
+        assert refit.max_token_batch == 64
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_profile_csv("a,b,c\n1,2,3\n")
+
+    def test_non_numeric_field(self):
+        text = ("machine_type,llm,phase,prompt_tokens,batch_size,time_ms,memory_bytes\n"
+                "A100,x,token,0,8,fast,0\n")
+        with pytest.raises(ParseError) as info:
+            parse_profile_csv(text)
+        assert info.value.line == 2
 
     def test_bad_phase(self):
         text = ("machine_type,llm,phase,prompt_tokens,batch_size,time_ms,memory_bytes\n"
@@ -253,5 +270,16 @@ class TestMachineSpecs:
         assert MACHINE_SPECS["H100"].interconnect_bandwidth == 400e9
 
     def test_fields_positive(self):
-        with pytest.raises(ValidationError):
-            MachineSpec(640e9, 0.0, 512, 5.0)
+        MachineSpec(640e9, 400e9, 512, 5.0, 2.35, 1.75, 2.5)
+        for bad in ((640e9, 0.0, 512, 5.0, 2.35, 1.75, 2.5),
+                    (640e9, 400e9, 512, 5.0, 0.0, 1.75, 2.5),
+                    (640e9, 400e9, 512, 5.0, 2.35, 0.0, 2.5)):
+            with pytest.raises(ValidationError):
+                MachineSpec(*bad)
+
+    def test_registry_covers_every_design(self):
+        types = {"A100"} | {t for prompt, token, _ in DESIGNS.values() for t in (prompt, token)}
+        assert types <= MACHINE_SPECS.keys()
+        for machine_type in types:
+            for llm in LLM_SPECS:
+                assert get_calibration(llm, machine_type).machine_type == machine_type

@@ -35,13 +35,22 @@ def conversation_workload():
 
 
 class TestCostPower:
-    def test_table(self):
-        assert machine_cost_power("Baseline-A100", "prompt") == (1.0, 1.0)
-        assert machine_cost_power("Baseline-H100", "token") == (2.35, 1.75)
-        assert machine_cost_power("Splitwise-HH", "prompt") == (2.35, 1.75)
-        assert machine_cost_power("Splitwise-HH", "token") == (2.5, 1.75)
-        assert machine_cost_power("Splitwise-HHcap", "token") == (2.5, 1.23)
-        assert machine_cost_power("Splitwise-HA", "token") == (1.0, 1.0)
+    @pytest.mark.parametrize("design, role, expected", [
+        ("Baseline-A100", "prompt", (1.0, 1.0)),
+        ("Baseline-A100", "token", (1.0, 1.0)),
+        ("Baseline-H100", "prompt", (2.35, 1.75)),
+        ("Baseline-H100", "token", (2.35, 1.75)),
+        ("Splitwise-AA", "prompt", (1.0, 1.0)),
+        ("Splitwise-AA", "token", (1.0, 1.0)),
+        ("Splitwise-HH", "prompt", (2.35, 1.75)),
+        ("Splitwise-HH", "token", (2.5, 1.75)),
+        ("Splitwise-HHcap", "prompt", (2.35, 1.75)),
+        ("Splitwise-HHcap", "token", (2.5, 1.23)),
+        ("Splitwise-HA", "prompt", (2.35, 1.75)),
+        ("Splitwise-HA", "token", (1.0, 1.0)),
+    ])
+    def test_table(self, design, role, expected):
+        assert machine_cost_power(design, role) == expected
 
     def test_design_totals(self):
         cost, power = design_cost_power("Splitwise-HH", 27, 3)
