@@ -5,7 +5,9 @@ cluster simulation and emit metric CSVs), ``provision`` (design-space
 search), ``fit-model`` (fit a performance model from a profile CSV), and
 ``report`` (re-summarize existing metric CSVs).  ``SPLITSIM_SEED`` sets
 the global seed default.  Exit codes: 0 success (all SLOs pass for
-``simulate``), 1 SLO failure / infeasible search, 2 usage or input error.
+``simulate``), 1 SLO failure / infeasible search, 2 usage or input error:
+a malformed or unreadable input file, or a non-finite number, ends in one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .engine import Simulator, percentile
 from .errors import ConfigurationError, SplitsimError
 from .machine import SchedulerConfig
 from .perf import fit_piecewise_linear, get_calibration, parse_profile_csv, export_profile_csv
-from .trace import PRESETS, SizeDistribution, generate_trace, parse_trace, serialize_trace, trace_stats
+from .trace import (PRESETS, SizeDistribution, generate_trace, parse_trace, read_csv,
+                    serialize_trace, trace_stats)
 
 # config key -> (TransferConfig field, scale to its unit)
 _TRANSFER_KEYS = {
@@ -223,21 +226,11 @@ def cmd_fit_model(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ttft, e2e = [], []
-    with open(args.requests) as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("request_id"):
-                continue
-            parts = line.strip().split(",")
-            ttft.append(float(parts[2]))
-            e2e.append(float(parts[3]))
-    gaps = []
-    if args.tbt:
-        with open(args.tbt) as fh:
-            for line in fh:
-                if line.startswith("request_id"):
-                    continue
-                gaps.append(float(line.strip().split(",")[2]))
+    rows = [row for _, row in read_csv(args.requests, engine.REQUEST_CSV_HEADER,
+                                       (int, float, float, float, int, int, float, int))]
+    ttft, e2e = [row[2] for row in rows], [row[3] for row in rows]
+    gaps = [row[2] for _, row in read_csv(args.tbt, engine.TBT_CSV_HEADER,
+                                          (int, int, float))] if args.tbt else []
     if not ttft:
         print("no requests in input")
         return 0
@@ -315,10 +308,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except SplitsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SplitsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

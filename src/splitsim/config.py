@@ -62,6 +62,8 @@ def parse_config(text: str) -> dict:
         except ValueError:
             raise ConfigurationError(
                 f"config line {lineno}: cannot parse {val!r} as {typ.__name__}") from None
+        if typ is float and not math.isfinite(values[key]):
+            raise ConfigurationError(f"config line {lineno}: {key} must be finite, got {val!r}")
     return values
 
 

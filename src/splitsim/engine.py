@@ -641,6 +641,7 @@ class Simulator:
 
 REQUEST_CSV_HEADER = ("request_id,arrival_s,ttft_ms,e2e_ms,prompt_machine,"
                       "token_machine,transfer_visible_ms,preempt_count")
+TBT_CSV_HEADER = "request_id,gap_index,tbt_ms"
 
 
 def requests_csv(result: SimResult) -> str:
@@ -671,7 +672,7 @@ def tbt_csv(result: SimResult) -> str:
     # a bytearray, not written to a StringIO: a StringIO keeps every chunk
     # it is given until getvalue, and under glibc malloc chunks of this size
     # left the heap fragmented (about 10 MB more peak RSS on a 600k-row run).
-    out = bytearray(b"request_id,gap_index,tbt_ms\n")
+    out = bytearray(f"{TBT_CSV_HEADER}\n".encode())
     texts = _Texts(b"%.6f\n".__mod__)
     index: list[bytes] = []  # b",{i}," for every gap index seen so far
     for rec in result.report.records:

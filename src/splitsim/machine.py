@@ -166,12 +166,6 @@ class Machine:
         cap = sched.max_preemptions
         resident = self.resident
 
-        if pool == TOKEN and resident and not self.pending_tokens_q \
-                and len(resident) <= perf.max_token_batch \
-                and not any(t.parked or t.preempt_count >= cap for t in resident):
-            # every resident runs, in FCFS order, and none is admitted or parked
-            return Batch([], resident[:], perf.token_iter_time(len(resident)))
-
         prompt_batch: list[Task] = []
         prompt_tokens = 0
         pending = self.pending_prompts

@@ -11,13 +11,13 @@ schedulers assume non-decreasing costs.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, FitError, ParseError, ValidationError
+from .errors import CapacityError, FitError, ValidationError
+from .trace import read_csv
 
 
 @dataclass(frozen=True)
@@ -184,17 +184,17 @@ class FitReport:
     holdout_mape: float | None = None
 
 
-def _pav_nondecreasing(ys, weights):
+def _pav_nondecreasing(ys):
     """Pool-adjacent-violators for a non-decreasing sequence."""
-    blocks = []  # [value, weight, count]
-    for y, w in zip(ys, weights):
-        blocks.append([float(y), float(w), 1])
+    blocks = []  # [mean value, count]
+    for y in ys:
+        blocks.append([float(y), 1])
         while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v2, w2, c2 = blocks.pop()
-            v1, w1, c1 = blocks.pop()
-            blocks.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2, c1 + c2])
+            v2, c2 = blocks.pop()
+            v1, c1 = blocks.pop()
+            blocks.append([(v1 * c1 + v2 * c2) / (c1 + c2), c1 + c2])
     out = []
-    for v, _, c in blocks:
+    for v, c in blocks:
         out.extend([v] * c)
     return np.asarray(out)
 
@@ -233,7 +233,7 @@ def _fit_curve(samples, knot_budget):
     ux, uy = _dedupe(xs, ys)
     if len(ux) < 2:
         raise FitError("need at least 2 distinct abscissas per phase")
-    uy = _pav_nondecreasing(uy, np.ones(len(uy)))
+    uy = _pav_nondecreasing(uy)
     uy = np.maximum(uy, 1e-9)
     if len(ux) > knot_budget:
         ux, uy = _merge_knots(ux, uy, knot_budget)
@@ -392,28 +392,13 @@ def export_profile_csv(model: PerfModel) -> str:
 
 
 def parse_profile_csv(source) -> list[ProfileSample]:
-    """Read profile samples from the CSV format above: ``source`` is the
-    CSV text when it is a ``str`` holding a newline, and a path otherwise."""
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    reader = csv.reader(io.StringIO(text.strip()))
-    rows = list(reader)
-    if not rows or ",".join(rows[0]) != PROFILE_HEADER:
-        raise ParseError(f"expected header {PROFILE_HEADER!r}", line=1)
+    """Read profile samples in the CSV format above from a path or text, as
+    ``read_csv`` takes them."""
     samples = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 7:
-            raise ValidationError(f"profile line {i}: expected 7 fields")
-        mt, llm, phase, ptok, bsz, tms, mem = row
+    for i, (mt, llm, phase, ptok, bsz, tms, mem) in read_csv(
+            source, PROFILE_HEADER, (str, str, str, int, int, float, float)):
         if phase not in ("prompt", "token"):
             raise ValidationError(f"profile line {i}: bad phase {phase!r}")
-        try:
-            ptok, bsz, tms, mem = int(ptok), int(bsz), float(tms), float(mem)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i) from None
         samples.append(ProfileSample(mt, llm, ptok if phase == "prompt" else 0,
                                      bsz if phase == "token" else 0, tms, mem))
     return samples

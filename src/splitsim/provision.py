@@ -109,6 +109,8 @@ class SearchSpec:
             raise ConfigurationError(f"unknown constraint {self.constraint!r}")
         if self.objective == "max_throughput" and self.constraint == "throughput_target":
             raise ConfigurationError("throughput cannot be both objective and constraint")
+        if not math.isfinite(self.budget):
+            raise ConfigurationError(f"{self.constraint} must be finite, got {self.budget}")
         if not self.prompt_counts:
             raise ConfigurationError("empty prompt count range")
         if not self.seeds:

@@ -1,13 +1,12 @@
-"""Request traces: CSV replay, synthetic generation, and summary statistics.
+"""Request traces: CSV replay, synthetic generation, and summary statistics;
+and ``read_csv``, the checked reader of every input CSV.
 
 A trace is a time-ordered list of requests, each carrying only an arrival
-time and the prompt/output token counts.  ``parse_trace`` reads the CSV
-from a path, or from text (a ``str`` holding a newline).  Synthetic traces
-use Poisson arrivals with per-request sizes drawn from configurable
-token-count distributions; the ``coding`` and ``conversation`` presets are
-calibrated so their medians match the production workloads they imitate
-(median prompt 1500 / median output 13 for coding, 1020 / 129 for
-conversation).
+time and the prompt/output token counts.  Synthetic traces use Poisson
+arrivals with per-request sizes drawn from configurable token-count
+distributions; the ``coding`` and ``conversation`` presets are calibrated
+so their medians match the production workloads they imitate (median
+prompt 1500 / median output 13 for coding, 1020 / 129 for conversation).
 
 All randomness goes through numpy's Philox generator (counter-based,
 documented, portable), so a fixed seed reproduces the same trace on any
@@ -158,35 +157,63 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def parse_trace(source) -> Trace:
-    """Parse the three-column trace CSV; stable-sorts by arrival.
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_CONVERTERS = {str: str, int: int, float: _finite_float}
+_WANTED = {int: "an integer", _finite_float: "a finite number"}
+
+
+def read_csv(source, header: str, types: tuple):
+    """Yield ``(line number, fields)`` for each row of a fixed-header CSV.
 
     ``source`` is the CSV text when it is a ``str`` holding a newline, and
-    a path otherwise.
+    a path otherwise.  Blank lines and ``#`` lines are skipped; the first
+    other line must be ``header``, and each later one holds one field per
+    column, converted by its entry of ``types`` (``str``, ``int``, or
+    ``float``, which must be finite).  Any failure raises ``ParseError``
+    naming the line.
     """
     if isinstance(source, str) and "\n" in source:
-        text = source
+        lines = source.splitlines()
     else:
         with open(source) as fh:
-            text = fh.read()
-    lines = text.strip().splitlines()
-    if not lines:
-        raise ValidationError("empty trace")
-    if lines[0].strip() != TRACE_HEADER:
-        raise ParseError(f"expected header {TRACE_HEADER!r}, got {lines[0]!r}", line=1)
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+            lines = fh.read().splitlines()
+    columns = list(zip(header.split(","), [_CONVERTERS[typ] for typ in types]))
+    seen_header = False
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 fields, got {len(parts)}", line=i)
-        try:
-            arrival = float(parts[0])
-            prompt = int(parts[1])
-            output = int(parts[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i) from None
+        if not seen_header:
+            if line != header:
+                raise ParseError(f"expected header {header!r}, got {line!r}", line=i)
+            seen_header = True
+            continue
+        fields = line.split(",")
+        if len(fields) != len(types):
+            raise ParseError(f"expected {len(types)} fields, got {len(fields)}", line=i)
+        row = []
+        for (name, convert), field in zip(columns, fields):
+            try:
+                row.append(convert(field))
+            except ValueError:
+                raise ParseError(f"{name} = {field!r} is not {_WANTED[convert]}",
+                                 line=i) from None
+        yield i, row
+    if not seen_header:
+        raise ParseError(f"expected header {header!r}, found none", line=1)
+
+
+def parse_trace(source) -> Trace:
+    """Parse the three-column trace CSV from a path or text, as ``read_csv``
+    takes them; stable-sorts by arrival."""
+    rows = []
+    for i, (arrival, prompt, output) in read_csv(source, TRACE_HEADER, (float, int, int)):
         if prompt < 1 or output < 1:
             raise ValidationError(f"line {i}: non-positive token count")
         if arrival < 0:
@@ -216,10 +243,10 @@ def generate_trace(prompt_dist: SizeDistribution, output_dist: SizeDistribution,
     are drawn independently per request.  Draw order is fixed (arrivals,
     then prompts, then outputs) so a seed pins the whole trace.
     """
-    if rate < 0:
-        raise ValidationError("rate must be >= 0")
-    if duration <= 0:
-        raise ValidationError("duration must be > 0")
+    if not 0 <= rate < math.inf:
+        raise ValidationError("rate must be finite and >= 0")
+    if not 0 < duration < math.inf:
+        raise ValidationError("duration must be finite and > 0")
     rng = _rng(seed)
     arrivals: list[float] = []
     if rate > 0:

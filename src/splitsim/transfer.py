@@ -70,7 +70,7 @@ def select_mode(prompt_tokens: int, config: TransferConfig) -> str:
 
 
 def plan_transfer(prompt_tokens: int, kv_bytes: float, prompt_compute_ms: float,
-                  config: TransferConfig, mode: str | None = None) -> TransferPlan:
+                  config: TransferConfig) -> TransferPlan:
     """Build the transfer plan for one request.
 
     Layer-wise transfer can hide at most the prompt compute excluding the
@@ -82,8 +82,7 @@ def plan_transfer(prompt_tokens: int, kv_bytes: float, prompt_compute_ms: float,
     if prompt_compute_ms < 0:
         raise ValidationError("prompt_compute_ms must be >= 0")
     raw = raw_transfer_time(kv_bytes, config)
-    if mode is None:
-        mode = select_mode(prompt_tokens, config)
+    mode = select_mode(prompt_tokens, config)
     if mode == SERIALIZED:
         visible = raw
     else:

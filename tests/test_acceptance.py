@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 captured output) and asserts the same condition.
 """
 
+import dataclasses
 import time as wallclock
 
 import numpy as np
@@ -31,7 +32,6 @@ from splitsim import (
 from splitsim.cli import main as cli_main
 from splitsim.machine import MIXED, PROMPT, TOKEN
 from splitsim.perf import _piecewise_eval
-from splitsim.transfer import SERIALIZED
 
 
 def report(num, name, ok):
@@ -106,7 +106,8 @@ def test_04_transfer_overlap():
         kv = m.kv_cache_bytes(tokens)
         compute = m.prompt_time(tokens)
         plan = plan_transfer(tokens, kv, compute, cfg)
-        serial = plan_transfer(tokens, kv, compute, cfg, mode=SERIALIZED)
+        serial = plan_transfer(tokens, kv, compute,
+                               dataclasses.replace(cfg, mode_threshold_tokens=tokens + 1))
         raw = raw_transfer_time(kv, cfg)
         window = compute * (1 - 1 / 80)
         if raw <= window:

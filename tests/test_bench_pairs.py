@@ -1,6 +1,9 @@
-"""The verdicts ``tools/bench_pairs.py`` prints, on synthetic pairs."""
+"""The verdicts ``tools/bench_pairs.py`` prints, on synthetic pairs, and the
+file it writes when a bench run fails."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,40 @@ class TestBoundVerdict:
         parent = [2.0, 3.0, 2.5, 3.5]
         change = [1.0, 1.9, 1.5, 1.2]
         assert bench_pairs.bound_verdict(parent, change, "lower", 0.25) == "within bound"
+
+
+class TestFailedRun:
+    def test_measured_pairs_kept(self, tmp_path, monkeypatch, capsys):
+        checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+        for path in checkouts.values():
+            path.mkdir()
+        (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+
+        def fake_run_bench(checkout, workload, seed, seconds, trace):
+            if checkout == checkouts["change"] and seed == 502:
+                raise subprocess.CalledProcessError(
+                    3, ["bench/run.py"], output="",
+                    stderr="".join(f"line {i}\n" for i in range(30)) + "ValueError: boom\n")
+            env = {"git_commit": checkout.name, "python": "3", "numpy": "1", "nproc": 2,
+                   "platform": "linux"}
+            return {"environment": env, "fingerprints": {"seed": seed},
+                    "result": {"failed": 0, "attempted": 3,
+                               "metrics": {"wall_s": {"value": 1.0}}}}
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+
+        code = bench_pairs.main(["--parent", str(checkouts["parent"]),
+                                 "--change", str(checkouts["change"]),
+                                 "--workload", "w", "--seeds", "501", "502", "503",
+                                 "--seconds", "1", "--traced-seed", "5", "--pr", "99"])
+        assert code == 1
+        entry = json.loads((checkouts["change"] / "BENCH_99.json").read_text())["workloads"]["w"]
+        assert [p["seed"] for p in entry["pairs"]] == [501]
+        assert entry["summary"]["wall_s"]["pairs"] == 1
+        failed = entry["failed_run"]
+        # seed 502 runs the change first
+        assert {k: failed[k] for k in ("side", "seed", "trace", "returncode")} == \
+            {"side": "change", "seed": 502, "trace": 0, "returncode": 3}
+        assert failed["stderr_tail"][-1] == "ValueError: boom"
+        assert len(failed["stderr_tail"]) == 20
+        assert "traced_seed_5" not in entry

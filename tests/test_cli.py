@@ -15,6 +15,9 @@ from splitsim import (
 )
 from splitsim.cli import _cluster_config, build_parser, main
 from splitsim.config import load_config
+from splitsim.engine import REQUEST_CSV_HEADER, TBT_CSV_HEADER
+from splitsim.perf import PROFILE_HEADER
+from splitsim.trace import TRACE_HEADER
 
 
 def run_cli(*argv):
@@ -360,3 +363,88 @@ class TestReport:
         assert code == 0
         out = capsys.readouterr().out
         assert "TTFT" in out and "TBT" in out and "E2E" in out
+
+
+# input file -> (header, a valid row, the index of a numeric field in it)
+INPUTS = {
+    "trace": (TRACE_HEADER, "0.0,200,3", 0),
+    "profile": (PROFILE_HEADER, "H100,llama2-70b,prompt,100,0,20,0", 5),
+    "requests": (REQUEST_CSV_HEADER, "0,0.0,87.1,120.5,0,1,5.0,0", 2),
+    "tbt": (TBT_CSV_HEADER, "0,0,31.5", 2),
+}
+
+
+def _corrupt(name, case):
+    """The file text for one malformed case, and the line it breaks."""
+    header, row, k = INPUTS[name]
+    if case == "bad header":
+        return f"x,y,z\n{row}\n", 1
+    if case == "field count":
+        return f"{header}\n{row}\n{row},1\n", 3
+    fields = row.split(",")
+    fields[k] = {"non-number": "abc", "non-finite": "nan"}[case]
+    return f"{header}\n{row}\n{','.join(fields)}\n", 3
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def argv(self, tmp_path, trace_file):
+        requests = tmp_path / "requests.csv"
+        requests.write_text(f"{REQUEST_CSV_HEADER}\n{INPUTS['requests'][1]}\n")
+        simulate = ["simulate", "--design", "Splitwise-HH", "--prompt-machines", "1",
+                    "--token-machines", "1", "--output-dir", str(tmp_path / "o")]
+        return {
+            "simulate --trace": ("trace", lambda p: [*simulate, "--trace", p]),
+            "simulate --profile": ("profile", lambda p: [*simulate, "--trace",
+                                                         str(trace_file), "--profile", p]),
+            "fit-model --profile": ("profile", lambda p: ["fit-model", "--profile", p,
+                                                          "--output", str(tmp_path / "m.csv")]),
+            "report --requests": ("requests", lambda p: ["report", "--requests", p]),
+            "report --tbt": ("tbt", lambda p: ["report", "--requests", str(requests),
+                                               "--tbt", p]),
+        }
+
+    @pytest.mark.parametrize("case", ["bad header", "field count", "non-number", "non-finite",
+                                      "directory"])
+    @pytest.mark.parametrize("option", ["simulate --trace", "simulate --profile",
+                                        "fit-model --profile", "report --requests",
+                                        "report --tbt"])
+    def test_exit_two_with_error_line(self, tmp_path, capsys, argv, option, case):
+        name, make_argv = argv[option]
+        if case == "directory":
+            path, prefix = tmp_path, "error: "
+        else:
+            text, line = _corrupt(name, case)
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            prefix = f"error: line {line}: "
+        capsys.readouterr()
+        assert run_cli(*make_argv(str(path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, command", [
+        pytest.param("", ["gen-trace", "--rate", "1", "--duration", "inf"], id="duration-inf"),
+        pytest.param("", ["gen-trace", "--rate", "1", "--duration", "nan"], id="duration-nan"),
+        pytest.param("", ["gen-trace", "--rate", "inf", "--duration", "5"], id="rate-inf"),
+        pytest.param("", ["gen-trace", "--rate", "nan", "--duration", "5"], id="rate-nan"),
+        pytest.param("prompt_dist.sigma = nan\n",
+                     ["gen-trace", "--rate", "1", "--duration", "5"], id="config-sigma"),
+        pytest.param("transfer.bandwidth_gbps = nan\n",
+                     ["simulate", "--design", "Splitwise-HH", "--prompt-machines", "1",
+                      "--token-machines", "1"], id="config-bandwidth"),
+        pytest.param("", ["provision", "--design", "Splitwise-AA", "--objective",
+                          "max_throughput", "--power-budget", "nan", "--preset",
+                          "conversation"], id="power-budget-nan"),
+    ])
+    def test_non_finite_number(self, tmp_path, monkeypatch, capsys, trace_file, config,
+                               command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(config)
+        if command[0] == "simulate":
+            command = [*command, "--trace", str(trace_file)]
+        capsys.readouterr()
+        assert run_cli("--config", "run.cfg", *command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err

@@ -36,6 +36,13 @@ class TestParse:
         with pytest.raises(ConfigurationError):
             parse_config("mls.max_preemptions = abc")
 
+    @pytest.mark.parametrize("line", ["prompt_dist.sigma = nan", "transfer.bandwidth_gbps = inf",
+                                      "output_dist.mu = -inf"])
+    def test_non_finite_float(self, line):
+        with pytest.raises(ConfigurationError, match="must be finite") as exc:
+            parse_config(f"mls.max_preemptions = 1\n{line}\n")
+        assert "line 2" in str(exc.value)
+
     def test_line_numbers(self):
         with pytest.raises(ConfigurationError) as exc:
             parse_config("mls.max_preemptions = 1\nbogus.key = 2\n")

@@ -245,6 +245,14 @@ class TestProfileCsv:
             parse_profile_csv(text)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("time_ms", ["nan", "inf"])
+    def test_non_finite_time(self, time_ms):
+        text = ("machine_type,llm,phase,prompt_tokens,batch_size,time_ms,memory_bytes\n"
+                f"A100,x,prompt,100,0,20,0\nA100,x,prompt,200,0,{time_ms},0\n")
+        with pytest.raises(ParseError) as info:
+            parse_profile_csv(text)
+        assert info.value.line == 3
+
     def test_bad_phase(self):
         text = ("machine_type,llm,phase,prompt_tokens,batch_size,time_ms,memory_bytes\n"
                 "A100,x,warmup,1,0,5,0\n")

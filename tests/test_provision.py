@@ -108,6 +108,11 @@ class TestSearchSpec:
         with pytest.raises(ConfigurationError):
             self._spec(seeds=())
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            self._spec(budget=budget)
+
 
 class TestThroughputSearch:
     def test_single_machine_feasible(self):

@@ -16,6 +16,7 @@ from splitsim import (
     serialize_trace,
     trace_stats,
 )
+from splitsim.trace import read_csv
 
 
 class TestParse:
@@ -68,6 +69,65 @@ class TestParse:
         path.write_text("arrival_s,prompt_tokens,output_tokens\n0.5,7,3\n")
         assert parse_trace(str(path)).requests[0].prompt_tokens == 7
 
+    @pytest.mark.parametrize("arrival", ["nan", "inf"])
+    def test_non_finite_arrival(self, arrival):
+        with pytest.raises(ParseError) as exc:
+            parse_trace(f"arrival_s,prompt_tokens,output_tokens\n{arrival},200,3\n")
+        assert exc.value.line == 2
+
+
+class TestReadCsv:
+    HEADER = "name,count,value"
+
+    def rows(self, source):
+        return list(read_csv(source, self.HEADER, (str, int, float)))
+
+    def test_text_or_path(self, tmp_path):
+        text = "name,count,value\na,1,2.5\n"
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        assert self.rows(text) == self.rows(str(path)) == [(2, ["a", 1, 2.5])]
+        # a str holding no newline is a path, even when it reads like the header
+        with pytest.raises(FileNotFoundError):
+            self.rows("name,count,value")
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = "\n# design=x\nname,count,value\n\n# note\na,1,2.5\n  \nb,2,3\n"
+        assert self.rows(text) == [(6, ["a", 1, 2.5]), (8, ["b", 2, 3.0])]
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,1,2.5\nname,count,value\n", 1),
+        ("# only a comment\n", 1),
+        ("\nname,count\na,1\n", 2),
+    ])
+    def test_header_not_first(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            self.rows(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("row", ["a,1", "a,1,2.5,4", "a"])
+    def test_wrong_field_count(self, row):
+        with pytest.raises(ParseError, match="expected 3 fields") as exc:
+            self.rows(f"name,count,value\na,1,2.5\n{row}\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,x,2.5", "count = 'x' is not an integer"),
+        ("a,1.5,2.5", "count = '1.5' is not an integer"),
+        ("a,1,fast", "value = 'fast' is not a finite number"),
+        ("a,1,", "value = '' is not a finite number"),
+    ])
+    def test_non_number(self, row, message):
+        with pytest.raises(ParseError) as exc:
+            self.rows(f"name,count,value\n{row}\n")
+        assert str(exc.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite(self, value):
+        with pytest.raises(ParseError) as exc:
+            self.rows(f"name,count,value\na,1,{value}\n")
+        assert str(exc.value) == f"line 2: value = {value!r} is not a finite number"
+
 
 class TestRequestInvariants:
     def test_negative_arrival(self):
@@ -119,6 +179,13 @@ class TestGenerate:
         p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
         with pytest.raises(ValidationError):
             generate_trace(p, o, 1.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize("rate, duration", [
+        (math.inf, 10.0), (math.nan, 10.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_rate_or_duration(self, rate, duration):
+        p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
+        with pytest.raises(ValidationError):
+            generate_trace(p, o, rate, duration, seed=0)
 
     def test_arrivals_within_duration(self):
         p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,7 +74,8 @@ class TestPlan:
     def test_forced_mode_override(self):
         m = get_calibration("llama2-70b", "H100")
         kv = m.kv_cache_bytes(1500)
-        plan = plan_transfer(1500, kv, m.prompt_time(1500), H100_CFG, mode=SERIALIZED)
+        serialized = dataclasses.replace(H100_CFG, mode_threshold_tokens=1501)
+        plan = plan_transfer(1500, kv, m.prompt_time(1500), serialized)
         assert plan.visible_latency == plan.raw_time
 
     def test_partial_overlap(self):
@@ -99,7 +102,8 @@ class TestPlan:
         kv = m.kv_cache_bytes(tokens)
         plan = plan_transfer(tokens, kv, compute, H100_CFG)
         assert 0.0 <= plan.visible_latency <= plan.raw_time + 1e-9
-        serial = plan_transfer(tokens, kv, compute, H100_CFG, mode=SERIALIZED)
+        serial = plan_transfer(tokens, kv, compute,
+                               dataclasses.replace(H100_CFG, mode_threshold_tokens=tokens + 1))
         assert plan.visible_latency <= serial.visible_latency + 1e-9
 
 

@@ -13,7 +13,10 @@ adds one ``--trace 1`` run per side for the per-layer counts.  It prints,
 per end-to-end metric, each side's median and quartiles and the pairs the
 change won, and stores every run under ``workloads[<workload>]`` of
 ``<change>/BENCH_<pr>.json``; the other workloads already in that file are
-kept, so one file collects several invocations.
+kept, so one file collects several invocations.  When a run exits non-zero,
+the tool stops there, records that run's side, seed, exit code and the tail
+of its stderr as ``failed_run`` beside the pairs already measured, writes
+the file and exits 1.
 
 It also prints a verdict per metric, by the direction and bound that
 ``BENCHMARK.json`` gives it.  The ``--claim`` metric is a ``gain`` only when
@@ -37,6 +40,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+class BenchFailed(Exception):
+    """A bench run that exited non-zero; ``run`` describes it."""
+
+    def __init__(self, run: dict):
+        super().__init__(f"bench/run.py failed: {run}")
+        self.run = run
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -133,41 +144,54 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
 
-    pairs, commits, environment, mismatched = [], {}, {}, []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        runs = {side: run_bench(checkouts[side], args.workload, seed, args.seconds, 0)
-                for side in order}
-        for side in SIDES:
-            env = runs[side]["environment"]
-            commits[side] = env["git_commit"]
-            environment = {k: env[k] for k in ("python", "numpy", "nproc", "platform")}
-        equal = runs["parent"]["fingerprints"] == runs["change"]["fingerprints"]
-        if not equal:
-            mismatched.append(seed)
-        pairs.append({"seed": seed, "first": order[0],
-                      **{side: runs[side]["result"] for side in SIDES},
-                      "fingerprints_equal": equal})
-        wall = {side: runs[side]["result"]["metrics"]["wall_s"]["value"] for side in SIDES}
-        print(f"seed {seed} ({order[0]} first): wall_s parent {wall['parent']:.3f} "
-              f"change {wall['change']:.3f} fingerprints {'equal' if equal else 'DIFFER'}",
-              file=sys.stderr)
+    def bench(side, seed, trace):
+        try:
+            return run_bench(checkouts[side], args.workload, seed, args.seconds, trace)
+        except subprocess.CalledProcessError as exc:
+            raise BenchFailed({"side": side, "seed": seed, "trace": trace,
+                               "returncode": exc.returncode,
+                               "stderr_tail": exc.stderr.splitlines()[-20:]}) from None
+
+    pairs, commits, environment, mismatched, traced, failed_run = [], {}, {}, [], {}, None
+    try:
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            runs = {side: bench(side, seed, 0) for side in order}
+            for side in SIDES:
+                env = runs[side]["environment"]
+                commits[side] = env["git_commit"]
+                environment = {k: env[k] for k in ("python", "numpy", "nproc", "platform")}
+            equal = runs["parent"]["fingerprints"] == runs["change"]["fingerprints"]
+            if not equal:
+                mismatched.append(seed)
+            pairs.append({"seed": seed, "first": order[0],
+                          **{side: runs[side]["result"] for side in SIDES},
+                          "fingerprints_equal": equal})
+            wall = {side: runs[side]["result"]["metrics"]["wall_s"]["value"] for side in SIDES}
+            print(f"seed {seed} ({order[0]} first): wall_s parent {wall['parent']:.3f} "
+                  f"change {wall['change']:.3f} fingerprints {'equal' if equal else 'DIFFER'}",
+                  file=sys.stderr)
+        if args.traced_seed is not None:
+            for side in SIDES:
+                result = bench(side, args.traced_seed, 1)["result"]
+                traced[side] = {
+                    "failed": result["failed"], "attempted": result["attempted"],
+                    "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    except BenchFailed as exc:
+        failed_run = exc.run
+        print(exc, file=sys.stderr)
 
     entry = {
         "seeds": list(args.seeds),
         "pairs": pairs,
         "claim": args.claim,
-        "summary": summarize(pairs, metrics, args.claim),
+        "summary": summarize(pairs, metrics, args.claim) if pairs else {},
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
     }
-    if args.traced_seed is not None:
-        entry[f"traced_seed_{args.traced_seed}"] = {}
-        for side in SIDES:
-            result = run_bench(checkouts[side], args.workload, args.traced_seed,
-                               args.seconds, 1)["result"]
-            entry[f"traced_seed_{args.traced_seed}"][side] = {
-                "failed": result["failed"], "attempted": result["attempted"],
-                "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    if traced:
+        entry[f"traced_seed_{args.traced_seed}"] = traced
+    if failed_run is not None:
+        entry["failed_run"] = failed_run
 
     out = checkouts["change"] / f"BENCH_{args.pr}.json"
     doc = json.loads(out.read_text()) if out.exists() else {
@@ -175,8 +199,9 @@ def main(argv=None) -> int:
                        "the parent and the change, alternating which side runs first, "
                        "plus the --trace 1 metrics of one seed.",
         "workloads": {}}
-    doc["environment"] = environment
-    doc["commits"] = commits
+    if pairs:  # a run that failed first reports no environment
+        doc["environment"] = environment
+        doc["commits"] = commits
     doc["workloads"][args.workload] = entry
     out.write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -188,7 +213,7 @@ def main(argv=None) -> int:
     print(f"failed operations: {entry['failed']}")
     if mismatched:
         print(f"fingerprints differ on seeds {mismatched}", file=sys.stderr)
-    return 1 if mismatched or any(entry["failed"].values()) else 0
+    return 1 if mismatched or failed_run or any(entry["failed"].values()) else 0
 
 
 if __name__ == "__main__":
