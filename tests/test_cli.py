@@ -389,7 +389,7 @@ def _corrupt(name, case):
 class TestMalformedInput:
     @pytest.fixture
     def argv(self, tmp_path, trace_file):
-        requests = tmp_path / "requests.csv"
+        requests = tmp_path / "valid_requests.csv"
         requests.write_text(f"{REQUEST_CSV_HEADER}\n{INPUTS['requests'][1]}\n")
         simulate = ["simulate", "--design", "Splitwise-HH", "--prompt-machines", "1",
                     "--token-machines", "1", "--output-dir", str(tmp_path / "o")]
