@@ -15,8 +15,8 @@ from splitsim import (
     Simulator,
     generate_trace,
     get_calibration,
-    percentile,
 )
+from splitsim.engine import report_percentiles
 
 
 def main():
@@ -50,9 +50,8 @@ def main():
           f"{len(report.records)} requests at {args.rate} req/s")
     print(f"  throughput  {report.throughput_rps:.2f} req/s")
     for label, vals in (("TTFT", ttft), ("TBT", tbt), ("E2E", e2e)):
-        print(f"  {label:<5} P50 {percentile(vals, 0.50):8.1f} ms   "
-              f"P90 {percentile(vals, 0.90):8.1f} ms   "
-              f"P99 {percentile(vals, 0.99):8.1f} ms")
+        print(f"  {label:<5} " + "   ".join(
+            f"{p} {value:8.1f} ms" for p, value in report_percentiles(vals)))
 
     slo = report.slo
     print(f"\nSLO check ({'pass' if slo['pass'] else 'FAIL'}):")

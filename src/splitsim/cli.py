@@ -20,10 +20,9 @@ import sys
 from . import config as cfgmod
 from . import engine, provision
 from .cluster import ClusterConfig
-from .engine import Simulator, percentile
 from .errors import ConfigurationError, SplitsimError
 from .machine import SchedulerConfig
-from .perf import fit_piecewise_linear, get_calibration, parse_profile_csv, export_profile_csv
+from .perf import KNOT_BUDGET, fit_piecewise_linear, parse_profile_csv, export_profile_csv
 from .trace import (PRESETS, SizeDistribution, generate_trace, parse_trace, read_csv,
                     serialize_trace, trace_stats)
 
@@ -36,7 +35,11 @@ _TRANSFER_KEYS = {
 
 
 def _default_seed():
-    return int(os.environ.get("SPLITSIM_SEED", "0"))
+    text = os.environ.get("SPLITSIM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"SPLITSIM_SEED must be an integer, got {text!r}") from None
 
 
 def _dists_from_config(cfg, prefix):
@@ -84,12 +87,7 @@ def cmd_gen_trace(args) -> int:
 
 
 def _sched_config(cfg) -> SchedulerConfig:
-    return SchedulerConfig(
-        prompt_token_cap=cfg["mls.prompt_token_cap"],
-        max_preemptions=cfg["mls.max_preemptions"],
-        queue_threshold_tokens=cfg["cls.queue_threshold_tokens"],
-        mixing_rule=cfg["mls.mixing_rule"],
-    )
+    return SchedulerConfig(**{key.partition(".")[2]: cfg[key] for key in cfgmod.SCHED_KEYS})
 
 
 def _cluster_config(args, cfg) -> ClusterConfig:
@@ -118,23 +116,17 @@ def cmd_simulate(args) -> int:
     trace = parse_trace(trace_path)
     cluster_config = _cluster_config(args, cfg)
     llm = cluster_config.llm
+    models, reference = provision._run_models(llm, cluster_config.design)
     if args.profile:
         samples = [s for s in parse_profile_csv(args.profile) if s.llm == llm]
-        needed = {cluster_config.prompt_type, cluster_config.token_type}
-        missing = needed - {s.machine_type for s in samples}
+        missing = models.keys() - {s.machine_type for s in samples}
         if missing:
             raise SplitsimError(f"profile {args.profile} has no {llm} samples for "
                                 f"machine type(s): {sorted(missing)}")
-        models = {}
-        for mt in needed:
-            group = [s for s in samples if s.machine_type == mt]
-            models[mt], _ = fit_piecewise_linear(group)
-    else:
-        models = {mt: get_calibration(llm, mt)
-                  for mt in {cluster_config.prompt_type, cluster_config.token_type}}
-    reference = get_calibration(llm, "A100")
-    result = Simulator(cluster_config, models, trace, reference_model=reference,
-                       record_log=args.event_log).run()
+        models = {mt: fit_piecewise_linear([s for s in samples if s.machine_type == mt])[0]
+                  for mt in models}
+    result = engine.Simulator(cluster_config, models, trace, reference_model=reference,
+                              record_log=args.event_log).run()
 
     outdir = args.output_dir or cfg["run.output_dir"]
     os.makedirs(outdir, exist_ok=True)
@@ -164,14 +156,16 @@ def cmd_simulate(args) -> int:
     return 0 if slo["pass"] else 1
 
 
-def _parse_counts(text: str) -> list[int]:
+def _parse_counts(flag: str, text: str) -> list[int]:
     """Count ranges: '1,2,4' or 'start:stop[:step]' (stop inclusive)."""
-    if ":" in text:
-        parts = [int(x) for x in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
+    try:
+        if ":" not in text:
+            return [int(x) for x in text.split(",")]
+        start, stop, step = ([int(x) for x in text.split(":")] + [1])[:3]
         return list(range(start, stop + 1, step))
-    return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{flag} {text!r}: expected counts 'a,b,c' or "
+                                 f"'start:stop[:step]'") from None
 
 
 def cmd_provision(args) -> int:
@@ -187,8 +181,8 @@ def cmd_provision(args) -> int:
     workload = provision.Workload(prompt_dist, output_dist, llm=args.llm or cfg["run.llm"])
     spec = provision.SearchSpec(
         design=args.design, objective=args.objective, constraint=constraint,
-        budget=budget, prompt_counts=_parse_counts(args.prompt_counts),
-        token_counts=_parse_counts(args.token_counts), workload=workload,
+        budget=budget, prompt_counts=_parse_counts("--prompt-counts", args.prompt_counts),
+        token_counts=_parse_counts("--token-counts", args.token_counts), workload=workload,
         trace_duration=args.duration, seeds=tuple(args.seeds), sched=_sched_config(cfg),
     )
     result = provision.search(spec)
@@ -236,10 +230,9 @@ def cmd_report(args) -> int:
         return 0
     print(f"{len(ttft)} requests")
     for name, vals in (("TTFT", ttft), ("E2E", e2e), ("TBT", gaps)):
-        if not vals:
-            continue
-        p50, p90, p99 = (percentile(vals, p) for p in (0.5, 0.9, 0.99))
-        print(f"{name:>4} ms: P50={p50:.1f} P90={p90:.1f} P99={p99:.1f}")
+        if vals:
+            print(f"{name:>4} ms: " + " ".join(
+                f"{label}={value:.1f}" for label, value in engine.report_percentiles(vals)))
     return 0
 
 
@@ -280,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--llm", default=None)
     p.add_argument("--prompt-counts", default="1:8")
     p.add_argument("--token-counts", default="1:4")
-    p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--duration", type=float, default=provision.SearchSpec.trace_duration)
+    p.add_argument("--seeds", type=int, nargs="+", default=list(provision.SearchSpec.seeds))
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("fit-model", help="fit a performance model from profiles")
     p.add_argument("--profile", required=True)
-    p.add_argument("--knot-budget", type=int, default=32)
+    p.add_argument("--knot-budget", type=int, default=KNOT_BUDGET)
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--output", default="model.csv")
@@ -301,13 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: a usage error or --help
+        return exc.code if isinstance(exc.code, int) else 2
     except (SplitsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

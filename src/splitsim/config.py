@@ -9,20 +9,24 @@ from __future__ import annotations
 
 import math
 
+from .cluster import ClusterConfig
 from .errors import ConfigurationError
+from .machine import SchedulerConfig
+
+# each key sets the SchedulerConfig field named after its dot, and takes its default
+SCHED_KEYS = ("mls.prompt_token_cap", "mls.max_preemptions", "mls.mixing_rule",
+              "cls.queue_threshold_tokens")
 
 # key -> (type, default).  None default means "unset".
 KNOWN_KEYS = {
     "run.trace": (str, None),
     "run.output_dir": (str, "."),
-    "run.llm": (str, "llama2-70b"),
+    "run.llm": (str, ClusterConfig.llm),
     "cluster.design": (str, "Baseline-A100"),
     "cluster.prompt_machines": (int, 1),
     "cluster.token_machines": (int, 0),
-    "mls.prompt_token_cap": (int, 2048),
-    "mls.max_preemptions": (int, 4),
-    "mls.mixing_rule": (str, "sum"),
-    "cls.queue_threshold_tokens": (int, 4096),
+    **{key: (type(default), default) for key in SCHED_KEYS
+       for default in [getattr(SchedulerConfig, key.partition(".")[2])]},
     "transfer.bandwidth_gbps": (float, None),
     "transfer.threshold_tokens": (int, None),
     "transfer.layerwise_constant_ms": (float, None),

@@ -79,7 +79,7 @@ exactly as the same Python float expression does, so every ratio is the
 float the per-request loop computes.  ``np.partition(ratios, k)`` puts at
 index ``k`` the element that ``sorted`` puts there, so each nearest-rank
 percentile, and with it ``observed_ratio``, is bit-identical;
-``MetricsReport.summary`` takes its percentiles the same way.  ``tbt_csv``
+``report_percentiles`` takes P50/P90/P99 the same way.  ``tbt_csv``
 formats each distinct gap once and each gap index once, and appends a
 record's rows to a bytearray as one chunk; ``b"%.6f" % gap`` and
 ``f"{gap:.6f}"`` format a float the same way.  ``event_log_csv`` joins each
@@ -150,6 +150,12 @@ def _percentiles(values: np.ndarray, ps) -> list[float]:
     ranks = [_rank(len(values), p) for p in ps]
     ordered = np.partition(values, ranks)
     return [float(ordered[k]) for k in ranks]
+
+
+def report_percentiles(values) -> list[tuple[str, float]]:
+    """The percentiles a run reports, ``[("P50", P50), ("P90", P90), ("P99", P99)]``."""
+    ps = (0.5, 0.9, 0.99)
+    return [(f"P{int(p * 100)}", value) for p, value in zip(ps, _percentiles(values, ps))]
 
 
 def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
@@ -232,10 +238,9 @@ class MetricsReport:
             gaps = _gap_column(records)[0]
             if len(gaps):
                 columns.append(("tbt_ms", gaps))
-            ps = (0.5, 0.9, 0.99)
             for name, values in columns:
-                for p, value in zip(ps, _percentiles(values, ps)):
-                    out[f"{name}_p{int(p * 100)}"] = value
+                for label, value in report_percentiles(values):
+                    out[f"{name}_{label.lower()}"] = value
         return out
 
 

@@ -247,16 +247,24 @@ def _mape(model_fn, samples):
     return 100.0 * float(np.mean(errs))
 
 
-def fit_piecewise_linear(samples, knot_budget=32, holdout_fraction=0.0, seed=0):
+KNOT_BUDGET = 32  # most knots per fitted curve
+
+
+def fit_piecewise_linear(samples, knot_budget=KNOT_BUDGET, holdout_fraction=0.0, seed=0):
     """Fit a PerfModel from profile samples of a single (machine_type, llm).
 
-    With ``holdout_fraction`` > 0, that fraction of samples (seeded split)
+    Each curve keeps at most ``knot_budget`` (>= 2) knots.  With
+    ``holdout_fraction`` in (0, 1), that fraction of samples (seeded split)
     is withheld and the returned report carries the holdout MAPE.
     Memory parameters come from a least-squares line over the samples'
     measured memory (intercept = weights, slope = KV bytes/token).  The
     token-batch limit is the model's ``LLM_SPECS`` entry, or the largest
     profiled batch for a model outside the registry.
     """
+    if knot_budget < 2:
+        raise FitError(f"knot budget must be >= 2, got {knot_budget}")
+    if not 0 <= holdout_fraction < 1:
+        raise FitError(f"holdout fraction must be in [0, 1), got {holdout_fraction}")
     samples = list(samples)
     if not samples:
         raise FitError("no samples")

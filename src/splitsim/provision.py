@@ -5,10 +5,12 @@ or iso-throughput framings.
 Each candidate (prompt_count, token_count) point is scored by short
 fixed-seed simulations of a synthesized workload; a point passes only if
 all nine SLO constraints hold on every seed, and ``max_throughput``
-bisects to a relative bracket of ``RESOLUTION`` (2%).  Cost and power are
-the dot product of machine counts with per-machine rates normalized to a
-DGX-A100.  Each role's rates are its machine type's ``perf.MACHINE_SPECS``
-row; a Splitwise design's token machines take that row's ``token_cost``.
+bisects to a relative bracket of ``RESOLUTION`` (2%).  Probes, the
+calibration before forking and ``splitsim simulate`` take a run's models
+from one helper, ``_run_models``.  Cost and power are the dot product of
+machine counts with per-machine rates normalized to a DGX-A100.  Each
+role's rates are its machine type's ``perf.MACHINE_SPECS`` row; a
+Splitwise design's token machines take that row's ``token_cost``.
 
 ``search`` scores its budget-filtered points in up to
 ``min(points, usable CPUs)`` forked worker processes and merges the scores
@@ -69,7 +71,7 @@ class Workload:
 
     prompt_dist: SizeDistribution
     output_dist: SizeDistribution
-    llm: str = "llama2-70b"
+    llm: str = ClusterConfig.llm
 
 
 @dataclass
@@ -124,9 +126,15 @@ def _calibration(llm: str, machine_type: str) -> PerfModel:
     return get_calibration(llm, machine_type)
 
 
-def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
-                     workload: Workload, rate: float, duration: float = 120.0,
-                     seeds=(1, 2, 3), slo: SloTable | None = None,
+def _run_models(llm: str, design: str) -> tuple[dict[str, PerfModel], PerfModel]:
+    """One model per machine type of ``design``, and the SLO reference."""
+    types = set(DESIGNS[design][:2])
+    return {mt: _calibration(llm, mt) for mt in types}, _calibration(llm, "A100")
+
+
+def slo_pass_at_rate(design: str, prompt_count: int, token_count: int, workload: Workload,
+                     rate: float, duration: float = SearchSpec.trace_duration,
+                     seeds=SearchSpec.seeds, slo: SloTable | None = None,
                      sched: SchedulerConfig | None = None) -> bool:
     """True iff all nine SLOs pass on every seed at the given arrival rate.
 
@@ -138,9 +146,7 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
         raise ConfigurationError("empty probe seed list")
     config = ClusterConfig(design, prompt_count, token_count, llm=workload.llm,
                            sched=sched or SchedulerConfig())
-    models = {mt: _calibration(workload.llm, mt)
-              for mt in {config.prompt_type, config.token_type}}
-    reference = _calibration(workload.llm, "A100")
+    models, reference = _run_models(workload.llm, config.design)
     for seed in seeds:
         trace = generate_trace(workload.prompt_dist, workload.output_dist,
                                rate, duration, seed)
@@ -154,8 +160,8 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int,
     return True
 
 
-def max_throughput(design: str, prompt_count: int, token_count: int,
-                   workload: Workload, duration: float = 120.0, seeds=(1, 2, 3),
+def max_throughput(design: str, prompt_count: int, token_count: int, workload: Workload,
+                   duration: float = SearchSpec.trace_duration, seeds=SearchSpec.seeds,
                    slo: SloTable | None = None, sched: SchedulerConfig | None = None) -> float:
     """Highest SLO-passing arrival rate, via geometric ramp then bisection."""
 
@@ -244,10 +250,7 @@ def _evaluate_all(spec: SearchSpec, points: list[tuple[int, int]]) -> list[tuple
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
-            # calibrate before forking so every worker inherits the models
-            ptype, ttype, _ = DESIGNS[spec.design]
-            for mt in (ptype, ttype, "A100"):
-                _calibration(spec.workload.llm, mt)
+            _run_models(spec.workload.llm, spec.design)  # forked workers inherit the models
             with ProcessPoolExecutor(max_workers=n,
                                      mp_context=multiprocessing.get_context("fork")) as ex:
                 return list(ex.map(evaluate, points))

@@ -13,7 +13,7 @@ from splitsim import (
     provision,
     serialize_trace,
 )
-from splitsim.cli import _cluster_config, build_parser, main
+from splitsim.cli import _cluster_config, _sched_config, build_parser, main
 from splitsim.config import load_config
 from splitsim.engine import REQUEST_CSV_HEADER, TBT_CSV_HEADER
 from splitsim.perf import PROFILE_HEADER
@@ -448,3 +448,41 @@ class TestMalformedInput:
         assert run_cli("--config", "run.cfg", *command) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("env, command, named", [
+        pytest.param({}, ["provision", "--prompt-counts", "1:x"], "--prompt-counts",
+                     id="prompt-counts"),
+        pytest.param({}, ["provision", "--token-counts", "1,,2"], "--token-counts",
+                     id="token-counts"),
+        pytest.param({"SPLITSIM_SEED": "abc"}, ["gen-trace", "--rate", "1", "--duration", "5"],
+                     "SPLITSIM_SEED", id="env-seed"),
+        pytest.param({}, ["fit-model", "--knot-budget", "1"], "knot budget", id="knot-budget"),
+        pytest.param({}, ["fit-model", "--holdout", "nan"], "holdout", id="holdout-nan"),
+        pytest.param({}, ["fit-model", "--holdout", "-0.1"], "holdout", id="holdout-negative"),
+        pytest.param({}, ["fit-model", "--holdout", "1"], "holdout", id="holdout-one"),
+    ])
+    def test_bad_value(self, tmp_path, monkeypatch, capsys, env, command, named):
+        monkeypatch.chdir(tmp_path)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        if command[0] == "provision":
+            command = [*command, "--design", "Splitwise-AA", "--objective", "max_throughput",
+                       "--power-budget", "4", "--preset", "conversation"]
+        if command[0] == "fit-model":
+            profile = tmp_path / "profile.csv"
+            profile.write_text(export_profile_csv(get_calibration("llama2-70b", "H100")))
+            command = [*command, "--profile", str(profile)]
+        capsys.readouterr()
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
+
+def test_defaults_have_one_home():
+    """The CLI's defaults are the library's, so neither can drift from the other."""
+    assert _sched_config(load_config(None)) == SchedulerConfig()
+    args = build_parser().parse_args(["provision", "--design", "Splitwise-AA",
+                                      "--objective", "max_throughput"])
+    assert args.duration == provision.SearchSpec.trace_duration
+    assert tuple(args.seeds) == provision.SearchSpec.seeds
