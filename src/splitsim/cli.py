@@ -162,7 +162,7 @@ def _parse_counts(flag: str, text: str) -> list[int]:
         if ":" not in text:
             return [int(x) for x in text.split(",")]
         start, stop, step = ([int(x) for x in text.split(":")] + [1])[:3]
-        return list(range(start, stop + 1, step))
+        return list(range(start, stop + (1 if step > 0 else -1), step))
     except ValueError:
         raise ConfigurationError(f"{flag} {text!r}: expected counts 'a,b,c' or "
                                  f"'start:stop[:step]'") from None
@@ -236,9 +236,16 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ConfigurationError``, so that ``main``
+    reports it in one ``error:`` line like any other input error."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="splitsim",
-                                     description="Phase-split LLM serving simulator")
+    parser = _Parser(prog="splitsim", description="Phase-split LLM serving simulator")
     parser.add_argument("--config", default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _default_seed()
@@ -297,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse: a usage error or --help
+    except SystemExit as exc:  # argparse: --help
         return exc.code if isinstance(exc.code, int) else 2
     except (SplitsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

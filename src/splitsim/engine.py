@@ -7,8 +7,8 @@ insertion; the end of an iteration on machine ``m`` takes
 ``ITER_BASE + m``, so at an equal time it comes after every other event,
 and after the ends of machines with lower ids.  An iteration end's key does
 not depend on when it was pushed.  The simulation clock runs in
-milliseconds; trace arrivals, given in seconds, are converted once on
-entry.
+milliseconds.  Trace arrivals stay in seconds: each use that needs one in
+ms (its event, TTFT, E2E and the SLO checks) computes ``arrival * 1000.0``.
 
 The engine wires the request lifecycle: arrival -> JSQ routing -> prompt
 iterations -> KV-cache transfer -> token iterations -> completion, and
@@ -16,18 +16,18 @@ extracts TTFT/TBT/E2E metrics plus the nine-way SLO verdict against an
 unbatched reference machine.
 
 Only machines whose state an event changed are *dirty*; after each event
-``_dispatch`` runs ``Cluster.update_pools`` and starts batches on those
-machines alone, in id order, and on none when no machine is dirty.  This
-gives the same transitions as checking every machine.  A machine leaves
-the mixed pool once it has no opposite-kind work, and
-``has_opposite_work`` turns false only when one of the machine's
-iterations finishes or its home role flips, and both mark it dirty.  ``form_batch`` moves work from queue to batch and never turns it
+``_dispatch`` runs ``Cluster.update_pools`` on those machines alone and, in
+id order, asks each idle one for a batch: ``Machine.form_batch`` alone
+judges whether it can start one.  This gives the same transitions as
+dispatching every machine: a machine leaves the mixed pool once it has no
+opposite-kind work, and ``has_opposite_work`` turns false only when one of
+the machine's iterations finishes or its home role flips, and both mark it
+dirty.  ``form_batch`` moves work from queue to batch and never turns it
 from true to false.
 
 With the event log off, a token batch that nothing can join is
-fast-forwarded.  At dispatch, when the batch is token-only, the machine has
-no pending prompt and no queued token task, and every resident task is in
-the batch, the next ``min(remaining_output) - 1`` iterations run the same
+fast-forwarded.  At dispatch, ``Machine.unchanged_repeats`` counts the
+iterations after the first that run the same
 batch.  The window gets one heap entry, at the end of its last iteration;
 ``_start_iteration`` computes its boundaries with one ``accumulate``, which
 makes the float additions of one push per iteration.  Since no key depends
@@ -40,9 +40,10 @@ iteration in flight its own heap entry.  The window's entry stays in the
 heap and is skipped when it pops, because it no longer matches the
 machine's due time.  Closing applies the deferred iterations (tokens,
 remaining outputs, resident context, emission times, and ``busy_time`` one
-addition per iteration, so the floats match) and checks memory once, which
-is enough because memory only grows inside a window.  With the log on every
-iteration runs in full, which is the oracle the tests compare against.
+addition per iteration, so the floats match) and checks memory once with
+``Machine.check_memory``, which is enough because memory only grows inside
+a window.  With the log on every iteration runs in full, which is the
+oracle the tests compare against.
 
 A token iteration's bookkeeping lives in ``_emit_tokens(mid, tasks,
 times)``: one loop over the batch appends the emission ``times``, counts the
@@ -110,8 +111,6 @@ from .transfer import plan_transfer
 # Heap entries are (time, key, handler, arg); the end of an iteration on
 # machine m has key ITER_BASE + m, above every sequence number.
 ITER_BASE = 1 << 62
-
-_remaining_output = operator.attrgetter("remaining_output")
 
 # event kind -> payload format of its fields; only event_log_csv reads it.
 # A tuple field (the request ids of a batch) prints comma-joined.
@@ -563,24 +562,19 @@ class Simulator:
             machine = machines[mid]
             if mid in self._windows:
                 self._close_window(machine, time)
-            if machine.running is not None or not machine.has_work():
+            if machine.running is not None:
                 continue
             batch = machine.form_batch()
             if batch is None:
                 continue
             machine.running = batch
-            tasks = batch.token_tasks
-            repeats = 0
-            if not (record_log or batch.prompt_tasks or machine.pending_prompts
-                    or machine.pending_tokens_q) and len(tasks) == len(machine.resident):
-                # nothing else can join: the batch repeats until a task finishes
-                repeats = min(map(_remaining_output, tasks)) - 1
-            self._start_iteration(time, machine, batch, repeats)
-            self._assert_memory(machine)
+            self._start_iteration(time, machine, batch,
+                                  0 if record_log else machine.unchanged_repeats())
+            machine.check_memory()
             if record_log:
                 self._emit(time, "batch_started", mid, batch.kind,
                            tuple(t.request_id for t in batch.prompt_tasks),
-                           tuple(t.request_id for t in tasks), batch.iteration_time)
+                           tuple(t.request_id for t in batch.token_tasks), batch.iteration_time)
         self._dirty.clear()
 
     def _start_iteration(self, time, machine: Machine, batch, repeats=0):
@@ -616,13 +610,7 @@ class Simulator:
             busy += duration
         machine.busy_time = busy
         self._emit_tokens(mid, batch.token_tasks, bounds[:k])
-        self._assert_memory(machine)  # memory only grew inside the window
-
-    def _assert_memory(self, machine: Machine):
-        if machine.memory_used() > machine.perf.memory_capacity + 1e-6:
-            raise InvariantError(
-                f"machine {machine.id} memory {machine.memory_used():.3e} exceeds "
-                f"capacity {machine.perf.memory_capacity:.3e}")
+        machine.check_memory()  # memory only grew inside the window
 
     # -- reporting ---------------------------------------------------------
 

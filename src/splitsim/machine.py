@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .errors import SplitsimError, ValidationError
+from .errors import InvariantError, SplitsimError, ValidationError
 from .perf import PerfModel
 
 PROMPT = "prompt"
@@ -29,6 +29,7 @@ TOKEN = "token"
 MIXED = "mixed"
 
 _task_seq = itertools.count()
+_MEMORY_SLACK = 1e-6  # bytes of round-off by which memory may exceed capacity
 
 
 @dataclass
@@ -118,7 +119,14 @@ class Machine:
     def _memory_fits(self, extra_tokens: int) -> bool:
         projected = self.perf.weight_memory + \
             self.perf.kv_cache_bytes(self._resident_projected + extra_tokens)
-        return projected <= self.perf.memory_capacity + 1e-6
+        return projected <= self.perf.memory_capacity + _MEMORY_SLACK
+
+    def check_memory(self) -> None:
+        """Raise ``InvariantError`` when the machine holds more than fits."""
+        used = self.memory_used()
+        if used > self.perf.memory_capacity + _MEMORY_SLACK:
+            raise InvariantError(f"machine {self.id} memory {used:.3e} exceeds "
+                                 f"capacity {self.perf.memory_capacity:.3e}")
 
     # -- queueing ----------------------------------------------------------
 
@@ -144,22 +152,21 @@ class Machine:
             return True
         return self.running is not None and bool(self.running.prompt_tasks)
 
-    def has_work(self) -> bool:
-        return bool(self.pending_prompts or self.pending_tokens_q
-                    or any(not t.parked for t in self.resident))
-
     # -- batch formation ---------------------------------------------------
 
     def form_batch(self) -> Batch | None:
-        """Decide the batch for the next iteration, or None if idle.
+        """Decide the batch for the next iteration, or None if idle: the one
+        judge of whether the machine can start a batch.
 
         Called only at iteration boundaries.  Side effects: admitted queue
-        tasks become resident (token) or leave the queue (prompt); token
-        tasks bumped out of the previous batch are parked with their
-        preempt count incremented.
+        tasks become resident (token) or leave the queue (prompt); parked
+        residents may resume; token tasks bumped out of the previous batch
+        are parked with their preempt count incremented.
         """
         if self.running is not None:
             raise SplitsimError("form_batch called mid-iteration")
+        if not (self.pending_prompts or self.pending_tokens_q or self.resident):
+            return None
         sched = self.sched
         perf = self.perf
         pool = self.current_pool
@@ -268,6 +275,16 @@ class Machine:
                 self._resident_projected -= task.tokens
                 self.pending_token_count -= 1
         self.running = None
+
+    def unchanged_repeats(self) -> int:
+        """How many more iterations the running batch repeats unchanged: a
+        token-only batch of every resident, with nothing queued to join it,
+        repeats until its first task finishes."""
+        batch = self.running
+        if batch.prompt_tasks or self.pending_prompts or self.pending_tokens_q \
+                or len(batch.token_tasks) != len(self.resident):
+            return 0
+        return min(t.remaining_output for t in batch.token_tasks) - 1
 
     def repeat_iterations(self, k: int) -> None:
         """Apply ``k`` iterations of the running token-only batch in which

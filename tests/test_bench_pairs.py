@@ -103,3 +103,40 @@ class TestFailedRun:
         assert failed["stderr_tail"][-1] == "ValueError: boom"
         assert len(failed["stderr_tail"]) == 20
         assert "traced_seed_5" not in entry
+
+
+class TestTracedDiff:
+    def test_lists_moved_exact_metrics(self, tmp_path, monkeypatch, capsys):
+        checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+        for path in checkouts.values():
+            path.mkdir()
+        (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({
+            "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "calls", "unit": "count", "better": "lower"},
+                          {"name": "useful", "unit": "ratio", "better": "higher"},
+                          {"name": "same", "unit": "count", "better": "lower"},
+                          {"name": "self_s", "unit": "s", "better": "lower"}]}))
+        traced = {"parent": {"calls": 10, "useful": 1.0, "same": 3, "self_s": 0.5},
+                  "change": {"calls": 15, "useful": 0.67, "same": 3, "self_s": 0.7}}
+
+        def fake_run_bench(checkout, workload, seed, seconds, trace):
+            env = {"git_commit": checkout.name, "python": "3", "numpy": "1", "nproc": 2,
+                   "platform": "linux"}
+            metrics = {"wall_s": 1.0, **(traced[checkout.name] if trace else {})}
+            return {"environment": env, "fingerprints": {"seed": seed},
+                    "result": {"failed": 0, "attempted": 3,
+                               "metrics": {k: {"value": v} for k, v in metrics.items()}}}
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+
+        code = bench_pairs.main(["--parent", str(checkouts["parent"]),
+                                 "--change", str(checkouts["change"]),
+                                 "--workload", "w", "--seeds", "501", "502",
+                                 "--seconds", "1", "--traced-seed", "5", "--pr", "99"])
+        assert code == 0
+        entry = json.loads((checkouts["change"] / "BENCH_99.json").read_text())["workloads"]["w"]
+        # timings move on every run; only counts and ratios are compared
+        assert entry["traced_diff"] == {"calls": {"parent": 10, "change": 15},
+                                        "useful": {"parent": 1.0, "change": 0.67}}
+        out = capsys.readouterr().out
+        assert "w traced calls: parent 10 change 15" in out
+        assert "traced same" not in out and "traced self_s" not in out

@@ -4,6 +4,7 @@ import pytest
 
 from splitsim import (
     PRESETS,
+    Request,
     SchedulerConfig,
     SizeDistribution,
     TransferConfig,
@@ -12,8 +13,9 @@ from splitsim import (
     get_calibration,
     provision,
     serialize_trace,
+    Trace,
 )
-from splitsim.cli import _cluster_config, _sched_config, build_parser, main
+from splitsim.cli import _cluster_config, _parse_counts, _sched_config, build_parser, main
 from splitsim.config import load_config
 from splitsim.engine import REQUEST_CSV_HEADER, TBT_CSV_HEADER
 from splitsim.perf import PROFILE_HEADER
@@ -230,6 +232,22 @@ class TestSimulate:
         header = (tmp_path / "o" / "summary.csv").read_text().splitlines()[0]
         assert "design=Splitwise-HH" in header
         assert "prompt_machines=4" in header
+
+    def test_parked_residents_resume(self, tmp_path):
+        """A burst whose prompt-only batch parks the token machine's every
+        resident ends in an SLO verdict, not in an invariant error."""
+        requests = [Request(0, 0.0, 100, 400)]
+        requests += [Request(i, 1.0, 4, 1) for i in range(1, 53)]
+        trace = tmp_path / "burst.csv"
+        trace.write_text(serialize_trace(Trace(requests, duration=1.0)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cls.queue_threshold_tokens = 32\n")
+        assert run_cli("--config", str(cfg), "simulate", "--trace", str(trace),
+                       "--design", "Splitwise-HH", "--prompt-machines", "1",
+                       "--token-machines", "1", "--llm", "bloom-176b",
+                       "--output-dir", str(tmp_path / "o")) == 1
+        rows = (tmp_path / "o" / "requests.csv").read_text().splitlines()[2:]  # past comment, header
+        assert [row.split(",")[0] for row in rows] == [str(i) for i in range(53)]
 
     def test_bad_config_key(self, trace_file, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -454,6 +472,8 @@ class TestMalformedInput:
                      id="prompt-counts"),
         pytest.param({}, ["provision", "--token-counts", "1,,2"], "--token-counts",
                      id="token-counts"),
+        pytest.param({}, ["provision", "--prompt-counts", "4:1:0"], "--prompt-counts",
+                     id="prompt-counts-zero-step"),
         pytest.param({"SPLITSIM_SEED": "abc"}, ["gen-trace", "--rate", "1", "--duration", "5"],
                      "SPLITSIM_SEED", id="env-seed"),
         pytest.param({}, ["fit-model", "--knot-budget", "1"], "knot budget", id="knot-budget"),
@@ -477,6 +497,30 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["gen-trace", "--rate", "abc", "--duration", "5"], id="bad-type"),
+        pytest.param(["gen-trace", "--rate", "1", "--duration", "5", "--bogus"],
+                     id="unknown-flag"),
+        pytest.param([], id="missing-subcommand"),
+    ])
+    def test_argparse_rejection(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "usage:" not in err
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli("--help") == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, counts", [("8:1:-1", [8, 7, 6, 5, 4, 3, 2, 1]),
+                                          ("1:8:3", [1, 4, 7])])
+def test_count_ranges_include_stop(text, counts):
+    assert _parse_counts("--prompt-counts", text) == counts
 
 
 def test_defaults_have_one_home():

@@ -6,6 +6,7 @@ from splitsim import (
     InvariantError,
     Machine,
     Request,
+    SchedulerConfig,
     Simulator,
     SloTable,
     SplitsimError,
@@ -232,6 +233,36 @@ class TestEngineBehavior:
         res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
                         single_request_trace(), record_log=False).run()
         assert res.event_log == []
+
+
+def stranding_trace():
+    """One long decode, then a burst of one-output prompts.  With a 32-token
+    queue threshold the burst overflows onto the token machine, whose
+    prompt-only batch takes all 26 bloom-176b token slots and parks the
+    decode, and leaves nothing queued behind it."""
+    requests = [Request(0, 0.0, 100, 400)]
+    requests += [Request(i, 1.0, 4, 1) for i in range(1, 53)]
+    return Trace(requests, duration=1.0)
+
+
+class TestParkedResidents:
+    def run(self, record_log):
+        config = ClusterConfig("Splitwise-HH", 1, 1, llm="bloom-176b",
+                               sched=SchedulerConfig(queue_threshold_tokens=32))
+        return Simulator(config, {"H100": get_calibration("bloom-176b", "H100")},
+                         stranding_trace(), record_log=record_log).run()
+
+    def test_parked_residents_resume(self):
+        """A machine whose every resident is parked and whose queues are
+        empty still starts a batch: the parked decode resumes."""
+        logged, fast = self.run(True), self.run(False)
+        for result in (logged, fast):
+            assert len(result.report.records) == 53
+            assert all(r.completion is not None for r in result.report.records)
+        assert engine.requests_csv(fast) == engine.requests_csv(logged)
+        assert engine.tbt_csv(fast) == engine.tbt_csv(logged)
+        # the decode really was parked behind the burst
+        assert logged.report.records[0].preempt_count > 0
 
 
 class TestCsvEmission:

@@ -80,3 +80,38 @@ def test_log_off_matches_log_on(scenario):
     assert outputs(fast) == outputs(logged)
     # the fast path engages: most iterations skip complete_iteration
     assert 2 * fast_calls < full_calls
+
+
+class EveryMachine(set):
+    """A dirty set that holds every machine again whenever it is cleared, so
+    that the simulator dispatches every machine after every event."""
+
+    def __init__(self, mids):
+        self.mids = tuple(mids)
+        super().__init__(self.mids)
+
+    def clear(self):
+        self.update(self.mids)
+
+
+def dispatched_run(config, trace, record_log, every_machine):
+    models = {mt: get_calibration(config.llm, mt)
+              for mt in {config.prompt_type, config.token_type}}
+    sim = Simulator(config, models, trace, reference_model=get_calibration(config.llm, "A100"),
+                    record_log=record_log)
+    if every_machine:
+        sim._dirty = EveryMachine(sim.cluster.machines)
+    return sim.run()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_dirty_machines_match_every_machine(scenario):
+    """Dispatching only the machines an event changed gives the run that
+    dispatching every machine after every event gives."""
+    config, trace = scenario
+    for record_log in (True, False):
+        dirty = dispatched_run(config, trace, record_log, every_machine=False)
+        every = dispatched_run(config, trace, record_log, every_machine=True)
+        assert outputs(dirty) == outputs(every)
+        assert engine.event_log_csv(dirty) == engine.event_log_csv(every)

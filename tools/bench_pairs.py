@@ -9,7 +9,10 @@ Run from the repository root, with the parent commit checked out elsewhere:
 For each seed it runs ``bench/run.py --trace 0`` once in each checkout,
 alternating which side runs first, and checks that both sides report the
 same simulated fingerprints and no failed operation.  ``--traced-seed``
-adds one ``--trace 1`` run per side for the per-layer counts.  It prints,
+adds one ``--trace 1`` run per side for the per-layer counts; every exact
+per-layer metric (unit ``count`` or ``ratio`` in ``BENCHMARK.json``) that
+differs between the two is printed and stored under ``traced_diff``, so a
+moved count is listed in one place.  It prints,
 per end-to-end metric, each side's median and quartiles and the pairs the
 change won, and stores every run under ``workloads[<workload>]`` of
 ``<change>/BENCH_<pr>.json``; the other workloads already in that file are
@@ -127,6 +130,13 @@ def summarize(pairs: list[dict], metrics: dict, claim: str | None) -> dict:
     return summary
 
 
+def traced_diff(traced: dict, exact: list[str]) -> dict:
+    """The ``exact`` traced metrics whose values differ between the sides."""
+    values = {side: traced[side]["metrics"] for side in SIDES}
+    return {name: {side: values[side].get(name) for side in SIDES} for name in exact
+            if values["parent"].get(name) != values["change"].get(name)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -139,8 +149,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = {m["name"]: m for m in
-               json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
+    exact = [m["name"] for m in benchmark.get("per_layer", []) if m["unit"] in ("count", "ratio")]
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
 
@@ -190,6 +201,8 @@ def main(argv=None) -> int:
     }
     if traced:
         entry[f"traced_seed_{args.traced_seed}"] = traced
+    if len(traced) == len(SIDES):
+        entry["traced_diff"] = traced_diff(traced, exact)
     if failed_run is not None:
         entry["failed_run"] = failed_run
 
@@ -210,6 +223,9 @@ def main(argv=None) -> int:
               f"(IQR {s['parent']['iqr']:.3g}), change median {s['change']['median']:.4g} "
               f"(IQR {s['change']['iqr']:.3g}), change better in "
               f"{s['change_better_pairs']}/{s['pairs']} pairs: {s['verdict']}")
+    for name, moved in entry.get("traced_diff", {}).items():
+        print(f"{args.workload} traced {name}: parent {moved['parent']} "
+              f"change {moved['change']}")
     print(f"failed operations: {entry['failed']}")
     if mismatched:
         print(f"fingerprints differ on seeds {mismatched}", file=sys.stderr)
