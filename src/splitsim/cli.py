@@ -58,10 +58,7 @@ def _dists_from_config(cfg, prefix):
 
 
 def _workload_dists(args, cfg):
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise SplitsimError(f"unknown preset {args.preset!r}; "
-                                f"choose from {sorted(PRESETS)}")
+    if getattr(args, "preset", None):  # argparse accepts only PRESETS names
         return PRESETS[args.preset]["prompt"], PRESETS[args.preset]["output"]
     return _dists_from_config(cfg, "prompt_dist"), _dists_from_config(cfg, "output_dist")
 

@@ -12,6 +12,7 @@ import math
 from .cluster import ClusterConfig
 from .errors import ConfigurationError
 from .machine import SchedulerConfig
+from .trace import PRESETS
 
 # each key sets the SchedulerConfig field named after its dot, and takes its default
 SCHED_KEYS = ("mls.prompt_token_cap", "mls.max_preemptions", "mls.mixing_rule",
@@ -30,16 +31,13 @@ KNOWN_KEYS = {
     "transfer.bandwidth_gbps": (float, None),
     "transfer.threshold_tokens": (int, None),
     "transfer.layerwise_constant_ms": (float, None),
-    "prompt_dist.kind": (str, "lognormal"),
-    "prompt_dist.mu": (float, math.log(1500)),
-    "prompt_dist.sigma": (float, 1.1),
-    "prompt_dist.min": (int, 512),
-    "prompt_dist.max": (int, 8192),
-    "output_dist.kind": (str, "lognormal"),
-    "output_dist.mu": (float, math.log(13)),
-    "output_dist.sigma": (float, 0.8),
-    "output_dist.min": (int, 1),
-    "output_dist.max": (int, 4096),
+    # the workload defaults are the ``coding`` preset, whose two
+    # distributions are lognormal: params (mu, sigma)
+    **{f"{role}_dist.{key}": (type(default), default)
+       for role in ("prompt", "output")
+       for dist in [PRESETS["coding"][role]]
+       for key, default in zip(("kind", "mu", "sigma", "min", "max"),
+                               (dist.kind, *dist.params, dist.min_tokens, dist.max_tokens))},
     "output_dist.weight2": (float, 0.0),
     "output_dist.mu2": (float, 0.0),
     "output_dist.sigma2": (float, 1.0),

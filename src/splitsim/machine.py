@@ -6,9 +6,13 @@ batch tokens FCFS until memory or the batch-size limit is hit; mixed
 machines prioritize prompts and may preempt running token tasks for batch
 slots.  Token tasks are taken capped-first: a task preempted
 ``max_preemptions`` times is non-preemptable and keeps its slot.  The rest
-are taken FCFS by enqueue time.  Preemption pauses compute but not
-residency: a parked token task keeps its KV memory on the machine, so
-preemption never reclaims memory.
+are taken FCFS in arrival order: the engine enqueues at the current event
+time, so each queue is already in that order, and ``enqueue`` raises
+``InvariantError`` for a token task older than one the machine holds.
+Every resident arrived before every task still queued, because admission
+stops at a blocked head.  Preemption pauses compute but not residency: a
+parked token task keeps its KV memory on the machine, so preemption never
+reclaims memory.
 
 Batching reads queue and memory state only, never the clock; only the
 mixed-pool residency that drives re-purposing is timed.
@@ -16,19 +20,15 @@ mixed-pool residency that drives re-purposing is timed.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 
-from .errors import InvariantError, SplitsimError, ValidationError
+from .errors import InvariantError, ValidationError
 from .perf import PerfModel
 
 PROMPT = "prompt"
 TOKEN = "token"
 MIXED = "mixed"
 
-_task_seq = itertools.count()
 _MEMORY_SLACK = 1e-6  # bytes of round-off by which memory may exceed capacity
 
 
@@ -49,10 +49,7 @@ class SchedulerConfig:
 
 @dataclass(eq=False, slots=True)
 class Task:
-    """One phase of one request on one machine.
-
-    Tasks compare by identity: ``seq`` is unique, so no two are equal.
-    """
+    """One phase of one request on one machine; tasks compare by identity."""
 
     request_id: int
     kind: str                  # PROMPT or TOKEN
@@ -62,11 +59,6 @@ class Task:
     remaining_output: int
     preempt_count: int = 0
     parked: bool = False
-    seq: int = field(default_factory=_task_seq.__next__)
-
-
-# FCFS order of token tasks: enqueue time, ties broken by creation
-_fcfs_key = attrgetter("enqueue_time", "seq")
 
 
 @dataclass
@@ -133,14 +125,18 @@ class Machine:
     def enqueue(self, task: Task) -> None:
         key = (task.request_id, task.kind)
         if key in self._queued_ids:
-            raise SplitsimError(f"duplicate task {key} on machine {self.id}")
-        self._queued_ids.add(key)
+            raise InvariantError(f"duplicate task {key} on machine {self.id}")
         if task.kind == PROMPT:
             self.pending_prompts.append(task)
             self.pending_token_count += task.tokens
         else:
-            bisect.insort(self.pending_tokens_q, task, key=_fcfs_key)
+            held = self.pending_tokens_q or self.resident
+            if held and task.enqueue_time < held[-1].enqueue_time:
+                raise InvariantError(f"token task {key} enqueued at {task.enqueue_time} "
+                                     f"after one of {held[-1].enqueue_time} on machine {self.id}")
+            self.pending_tokens_q.append(task)
             self.pending_token_count += 1
+        self._queued_ids.add(key)
 
     def has_opposite_work(self) -> bool:
         """True while tasks of the non-home kind are pending or running."""
@@ -164,7 +160,7 @@ class Machine:
         are parked with their preempt count incremented.
         """
         if self.running is not None:
-            raise SplitsimError("form_batch called mid-iteration")
+            raise InvariantError("form_batch called mid-iteration")
         if not (self.pending_prompts or self.pending_tokens_q or self.resident):
             return None
         sched = self.sched
@@ -172,6 +168,7 @@ class Machine:
         pool = self.current_pool
         cap = sched.max_preemptions
         resident = self.resident
+        capped = [t for t in resident if t.preempt_count >= cap]
 
         prompt_batch: list[Task] = []
         prompt_tokens = 0
@@ -180,8 +177,7 @@ class Machine:
             slots = len(pending)  # no slot limit in the prompt pool
             if pool == MIXED:
                 # non-preemptable resident tokens keep their slots ahead of prompts
-                slots = perf.max_token_batch - sum(
-                    1 for t in self.resident if not t.parked and t.preempt_count >= cap)
+                slots = perf.max_token_batch - sum(1 for t in capped if not t.parked)
             for task in pending:
                 if len(prompt_batch) >= slots:
                     break
@@ -201,19 +197,15 @@ class Machine:
         token_batch: list[Task] = []
         if pool != PROMPT:
             slots = perf.max_token_batch - len(prompt_batch)
-            capped = [t for t in resident if t.preempt_count >= cap]
-            uncapped = [t for t in resident if t.preempt_count < cap] if capped else resident
-            token_batch = capped[:slots]
-            # FCFS merge of the uncapped residents with the queue (queued
-            # tasks have never run, so none of them is capped)
+            # capped residents first, then the rest FCFS; queued tasks come
+            # after every resident and have never run, so none is capped
+            ranked = resident
+            if capped:
+                ranked = capped + [t for t in resident if t.preempt_count < cap]
+            token_batch = ranked[:slots]
             queue = self.pending_tokens_q
-            i = admitted = 0
+            admitted = 0
             for task in queue:
-                # residents ahead of this queued task go first
-                ahead = bisect.bisect_left(uncapped, _fcfs_key(task), i, key=_fcfs_key)
-                ahead = min(ahead, i + slots - len(token_batch))
-                token_batch += uncapped[i:ahead]
-                i = ahead
                 if len(token_batch) >= slots:
                     break
                 need = task.tokens + task.remaining_output
@@ -223,12 +215,8 @@ class Machine:
                 self._resident_context += task.tokens
                 token_batch.append(task)
                 admitted += 1
-            else:
-                rest = uncapped[i:i + slots - len(token_batch)]
-                token_batch += rest
-                i += len(rest)
             # resident tokens that lost their slot get parked
-            for task in itertools.chain(capped[slots:], uncapped[i:]):
+            for task in ranked[slots:]:
                 if not task.parked:
                     task.parked = True
                     task.preempt_count += 1
@@ -236,7 +224,7 @@ class Machine:
                 task.parked = False
             for task in queue[:admitted]:
                 self._queued_ids.discard((task.request_id, TOKEN))
-                bisect.insort(resident, task, key=_fcfs_key)
+                resident.append(task)
             del queue[:admitted]
 
         if not prompt_batch and not token_batch:
@@ -260,7 +248,7 @@ class Machine:
         """
         batch = self.running
         if batch is None:
-            raise SplitsimError("completing an iteration with no batch running")
+            raise InvariantError("completing an iteration with no batch running")
         # prompt KV leaves this machine (transferred or handed to the local
         # token task, which is charged separately on admission)
         for task in batch.prompt_tasks:

@@ -16,9 +16,8 @@ Splitwise design's token machines take that row's ``token_cost``.
 ``min(points, usable CPUs)`` forked worker processes and merges the scores
 in grid order, so its points, Pareto front, optimum and ``results.csv`` are
 the same as a serial run's: each point is a pure function of the spec and
-its counts (its traces are seeded), the calibration memo only caches
-values, and the per-process ``Task`` sequence only orders the tasks within
-one simulation.  With one usable CPU, one point, or no ``fork`` start
+its counts (its traces are seeded) and the calibration memo only caches
+values.  With one usable CPU, one point, or no ``fork`` start
 method, the points are scored in-process and no multiprocessing module is
 imported.
 """

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from splitsim import config, provision
-from splitsim.cli import main
+from splitsim.cli import _dists_from_config, main
 from splitsim.config import KNOWN_KEYS, load_config, parse_config
 from splitsim.errors import ConfigurationError
+from splitsim.trace import PRESETS
 
 
 class TestParse:
@@ -57,6 +58,15 @@ class TestLoad:
         assert cfg["cls.queue_threshold_tokens"] == 4096
         assert cfg["run.llm"] == "llama2-70b"
         assert cfg["prompt_dist.mu"] == pytest.approx(math.log(1500))
+
+    def test_workload_defaults_are_the_coding_preset(self):
+        # gen-trace without --preset draws the same workload as --preset coding
+        cfg = load_config(None)
+        for role in ("prompt", "output"):
+            got = _dists_from_config(cfg, f"{role}_dist")
+            want = PRESETS["coding"][role]
+            assert (got.kind, got.params, got.min_tokens, got.max_tokens) == \
+                (want.kind, want.params, want.min_tokens, want.max_tokens)
 
     def test_file_overlay(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,9 +1,9 @@
 import pytest
 
 from splitsim import (
+    InvariantError,
     Machine,
     SchedulerConfig,
-    SplitsimError,
     Task,
     ValidationError,
     get_calibration,
@@ -39,7 +39,7 @@ class TestQueueing:
     def test_duplicate_task_rejected(self):
         m = make_machine()
         m.enqueue(prompt_task(7, 10))
-        with pytest.raises(SplitsimError):
+        with pytest.raises(InvariantError):
             m.enqueue(prompt_task(7, 10))
 
     def test_running_prompt_still_counts(self):
@@ -217,14 +217,6 @@ class TestMixedBatching:
             expected = combine(m.perf.prompt_time(500), m.perf.token_iter_time(1))
             assert b2.iteration_time == pytest.approx(expected)
 
-    def test_aging_orders_token_candidates(self):
-        m = make_machine(home=TOKEN)
-        m.enqueue(token_task(0, 100, t=5.0))
-        m.enqueue(token_task(1, 100, t=0.0))  # older: FCFS by enqueue time
-        batch = m.form_batch()
-        assert [t.request_id for t in batch.token_tasks][:1] == [1]
-
-
     def test_token_order_capped_first_then_fcfs(self):
         def run(m):
             batch = m.form_batch()
@@ -241,26 +233,16 @@ class TestMixedBatching:
         m.resident[2].preempt_count = 1
         assert run(m) == [2, 0, 1]
 
-        # residents and queued tasks merge by enqueue time, not by the
-        # order they were enqueued in
-        m = make_machine(home=TOKEN)
-        m.enqueue(token_task(0, 100, out=50, t=10.0))
-        assert run(m) == [0]
-        m.enqueue(token_task(1, 100, out=50, t=20.0))
-        m.enqueue(token_task(2, 100, out=50, t=5.0))
-        assert run(m) == [2, 0, 1]
-        assert run(m) == [2, 0, 1]  # and stay in that order once resident
-
-        # FCFS stops at a memory-blocked queued task: neither a later
-        # queued task nor a later resident runs ahead of it
+        # FCFS stops at a memory-blocked queued task: a later queued task
+        # does not run ahead of it
         m = make_machine(home=TOKEN)
         free = int((m.perf.memory_capacity - m.perf.weight_memory) / m.perf.kv_bytes_per_token)
         m.enqueue(token_task(0, 100, out=50, t=0.0))
-        m.enqueue(token_task(1, 100, out=50, t=3.0))
+        m.enqueue(token_task(1, 100, out=50, t=1.0))
         assert run(m) == [0, 1]
-        m.enqueue(token_task(2, free, out=10, t=1.0))  # does not fit
+        m.enqueue(token_task(2, free, out=10, t=3.0))  # does not fit
         m.enqueue(token_task(3, 10, out=10, t=4.0))    # would fit, must wait
-        assert run(m) == [0]
+        assert run(m) == [0, 1]
         assert [t.request_id for t in m.pending_tokens_q] == [2, 3]
 
 
@@ -270,7 +252,7 @@ class TestInvariants:
         m.enqueue(prompt_task(0, 10))
         m.running = m.form_batch()
         m.enqueue(prompt_task(1, 10))
-        with pytest.raises(SplitsimError):
+        with pytest.raises(InvariantError):
             m.form_batch()
 
     def test_complete_foreign_batch_rejected(self):
@@ -278,8 +260,24 @@ class TestInvariants:
         m = make_machine()
         m.enqueue(prompt_task(0, 10))
         m.form_batch()
-        with pytest.raises(SplitsimError):
+        with pytest.raises(InvariantError):
             m.complete_iteration()
+
+    def test_out_of_order_token_enqueue_rejected(self):
+        # token queues are FCFS by arrival: a token task older than one the
+        # machine holds, queued or resident, is a defect of the caller
+        m = make_machine(home=TOKEN)
+        m.enqueue(token_task(0, 100, out=50, t=5.0))
+        with pytest.raises(InvariantError):
+            m.enqueue(token_task(1, 100, out=50, t=0.0))
+        m.enqueue(token_task(1, 100, out=50, t=5.0))  # a tie is in order
+        m.running = m.form_batch()
+        m.complete_iteration()
+        assert m.pending_tokens_q == []
+        with pytest.raises(InvariantError):
+            m.enqueue(token_task(2, 100, out=50, t=4.0))
+        m.enqueue(token_task(2, 100, out=50, t=6.0))
+        assert [t.request_id for t in m.resident + m.pending_tokens_q] == [0, 1, 2]
 
     def test_scheduler_config_validation(self):
         with pytest.raises(ValidationError):

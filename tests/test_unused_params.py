@@ -1,8 +1,11 @@
-"""Lint: every function parameter in ``src/splitsim`` is read by its body.
+"""Lint: every function parameter in ``src/splitsim`` is read by its body,
+and every ``_``-prefixed module-level name is read somewhere in the package.
 
 A parameter that no line reads cannot change a run, yet it reads as if it
 did (a ``now`` passed to a batching method suggests that batching depends
-on the clock).  ``self``, ``cls`` and ``_``-prefixed names are exempt.
+on the clock).  ``self``, ``cls`` and ``_``-prefixed parameters are exempt.
+A private helper, constant or counter that nothing reads is left over from
+code that was removed.
 """
 
 import ast
@@ -27,6 +30,42 @@ def unused_parameters(source: str, filename: str) -> list[str]:
     return found
 
 
+def private_names(source: str, filename: str) -> list[tuple[str, str]]:
+    """``(name, "file:line name")`` for each ``_``-prefixed module-level name."""
+    found = []
+    for node in ast.parse(source, filename).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [(name, f"{filename}:{node.lineno} {name}") for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Every name that ``source`` loads, bare or as an attribute."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``file:line name`` for each private module-level name no source reads."""
+    read = set().union(*map(read_names, sources.values()))
+    return [where for filename, source in sources.items()
+            for name, where in private_names(source, filename) if name not in read]
+
+
 def test_finds_an_unread_parameter():
     source = "def f(a, b, _c, *args):\n    return a\n"
     assert unused_parameters(source, "x.py") == ["x.py:1 b", "x.py:1 args"]
@@ -37,3 +76,14 @@ def test_every_parameter_is_read():
     for path in sorted(SRC.glob("*.py")):
         found += unused_parameters(path.read_text(), path.name)
     assert found == []
+
+
+def test_finds_an_unread_private_name():
+    sources = {"a.py": "_a = 1\n_b: int = 2\ndef _f():\n    return _a\nclass _C: pass\n",
+               "b.py": "import a\n__all__ = []\nprint(a._C)\n"}
+    assert unread_private_names(sources) == ["a.py:2 _b", "a.py:3 _f"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
