@@ -38,18 +38,28 @@ the machine: it then applies the boundaries strictly before now (an event
 at a boundary comes before the iteration end there) and gives the
 iteration in flight its own heap entry.  The window's entry stays in the
 heap and is skipped when it pops, because it no longer matches the
-machine's due time.  Closing applies the deferred iterations (tokens,
-remaining outputs, resident context, emission times, and ``busy_time`` one
-addition per iteration, so the floats match) and checks memory once with
-``Machine.check_memory``, which is enough because memory only grows inside
-a window.  With the log on every iteration runs in full, which is the
-oracle the tests compare against.
+machine's due time (``Machine.due``).  Closing appends the boundaries it
+applies to the machine's iteration ends (``Machine.repeat_iterations``),
+adds to ``busy_time`` one addition per iteration, so the floats match, and
+checks memory once with ``Machine.check_memory``, which is enough because
+memory only grows inside a window.  It touches no task: a task's tokens,
+remaining output and emissions follow from the segments of its machine's
+``ends`` during which it was in the batch (see ``machine.py``).  With the
+log on every iteration runs in full, which is the oracle the tests compare
+against.
 
-A token iteration's bookkeeping lives in ``_emit_tokens(mid, tasks,
-times)``: one loop over the batch appends the emission ``times``, counts the
-ledger's TBT gaps and finishes each task with no output left.
-``_on_iteration`` passes ``[time]``; ``_close_window`` passes the boundaries
-it applies, none of which finishes a task.
+A token iteration's bookkeeping lives in ``_emit_tokens(machine, batch,
+k)``, for the batch's iterations that end at the machine's last ``k``
+``ends``: it counts the ledger's TBT gaps and finishes each task with no
+output left.  ``_on_iteration`` passes ``k = 1``; ``_close_window`` passes
+the number of boundaries it applies, none of which finishes a task.  With
+the log on, an unchanged batch is the same ``Batch`` object on every
+iteration, so its ``batch_started`` rows share one id tuple
+(``Batch.request_ids``).  It loops over
+the batch only when a task finishes, or when the ledger is on and the batch
+runs its first iteration; otherwise it touches no task.  A finished task's
+record gets its emissions then, as slices of its machine's ``ends``, so
+``RequestRecord.emissions`` stays a plain list.
 
 A provisioning probe needs only the verdict, and it runs with
 ``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
@@ -60,9 +70,9 @@ final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
 gap at its emission (``_emit_tokens``), E2E in ``_finish``.  The tasks of an
 iteration that ran the previous one share its first gap, so the gap is
 counted once, weighted by their number; a task whose last emission differs
-is counted on its own.  Every task of a window shares its later gaps
-``times[i+1] - times[i]``, so each of those is counted once, weighted by the
-batch size.  The
+is counted on its own.  On every later iteration of the same batch, reused
+or in a window, all its tasks share each gap, so each is counted once,
+weighted by the batch size.  The
 first count over its allowance raises ``SloViolated``: the run simulates no
 event after it, and invariants are checked up to that point.
 ``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
@@ -203,6 +213,7 @@ class RequestRecord:
     prompt_machine: int = -1
     token_machine: int = -1
     first_token_time: float | None = None
+    # the first token's time, then the token phase's, added when it finishes
     emissions: list[float] = field(default_factory=list)
     completion: float | None = None
     transfer_visible_ms: float = 0.0
@@ -385,8 +396,6 @@ class Simulator:
         self._dirty: set[int] = set()
         self.records: dict[int, RequestRecord] = {}
         self._completed = 0
-        # machine id -> end of its iteration in flight (None when idle)
-        self._due: dict[int, float | None] = dict.fromkeys(self.cluster.machines)
         # machine id -> boundaries of its fast-forwarded batch: the ends of
         # all its iterations but the last
         self._windows: dict[int, list[float]] = {}
@@ -402,10 +411,10 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, handler, arg))
         self._seq += 1
 
-    def _push_end(self, time, mid):
-        """Schedule the end of machine ``mid``'s iteration in flight."""
-        self._due[mid] = time
-        heapq.heappush(self._heap, (time, ITER_BASE + mid, self._on_iteration, mid))
+    def _push_end(self, time, machine: Machine):
+        """Schedule the end of the machine's iteration in flight."""
+        machine.due = time
+        heapq.heappush(self._heap, (time, ITER_BASE + machine.id, self._on_iteration, machine.id))
 
     def _emit(self, time, kind, *fields):
         self._log.append((time, len(self._log), kind, fields))
@@ -455,15 +464,14 @@ class Simulator:
         machine = self.cluster.machines[mid]
         machine.enqueue(task)
         if self.record_log:
-            self._emit(time, "task_enqueued", mid, task.request_id, task.kind, task.tokens)
+            self._emit(time, "task_enqueued", mid, task.request_id, task.kind, task.context)
         self._note_transitions(self.cluster.note_enqueue(machine, task.kind, time))
         self._dirty.add(mid)
 
     def _on_iteration(self, time, mid):
-        if self._due[mid] != time:
-            return  # the superseded end of an early-closed window
-        self._due[mid] = None
         machine = self.cluster.machines[mid]
+        if machine.due != time:
+            return  # the superseded end of an early-closed window
         if mid in self._windows:
             self._close_window(machine, time)
         batch = machine.running
@@ -479,44 +487,67 @@ class Simulator:
             if ledger is not None:
                 ledger.ttft(rec.request, time)
             if record_log:
-                self._emit(time, "prompt_finished", task.request_id, mid, task.tokens)
+                self._emit(time, "prompt_finished", task.request_id, mid, task.context)
             if task.output_tokens > 1:
                 self._start_token_phase(time, rec, batch.prompt_ms)
             else:
                 self._finish(time, rec, task, mid)
         if batch.token_tasks:
-            self._emit_tokens(mid, batch.token_tasks, [time])
+            self._emit_tokens(machine, batch, 1)
         self._dirty.add(mid)
 
-    def _emit_tokens(self, mid, tasks, times):
-        """Each task emits a token at each of ``times``: the ends of
-        iterations its batch ran.  Counts the ledger's TBT gaps and finishes
-        the tasks with no output left."""
-        records, ledger = self.records, self._ledger
-        first = times[0]
-        # a task's first gap starts at its own last emission; the tasks that
-        # ran the previous iteration share it
-        lead = records[tasks[0].request_id].emissions[-1]
-        shared = 0
-        for task in tasks:
-            rec = records[task.request_id]
-            emissions = rec.emissions
-            if ledger is not None:
-                if emissions[-1] == lead:
+    def _emit_tokens(self, machine: Machine, batch, k: int):
+        """Each task of ``batch`` emitted a token at each of the machine's
+        last ``k`` iteration ends.  Counts the ledger's TBT gaps and
+        finishes the tasks with no output left; when no task finishes and
+        the ledger is off, it touches no task."""
+        ends, tasks, ledger, records = machine.ends, batch.token_tasks, self._ledger, self.records
+        n = len(ends)
+        i = n - k  # the first of the k iterations
+        if ledger is not None and i == batch.first:
+            # a task's first gap starts at its own last emission; the tasks
+            # that ran the previous iteration share it
+            first = ends[i]
+            lead = self._last_emission(tasks[0], i, ends)
+            shared = 0
+            for task in tasks:
+                last = self._last_emission(task, i, ends)
+                if last == lead:
                     shared += 1
                 else:
-                    ledger.tbt(first - emissions[-1], first)
-            emissions.extend(times)
-            if task.remaining_output == 0:
-                self._finish(times[-1], rec, task, mid)
-        if ledger is not None:
-            if shared:
-                ledger.tbt(first - lead, first, shared)
-            ledger.shared_tbt(times, len(tasks))  # every task shares the later gaps
+                    ledger.tbt(first - last, first)
+                if task.finish == n:
+                    self._finish(ends[-1], records[task.request_id], task, machine.id)
+        else:
+            if n == batch.finish:
+                for task in [t for t in tasks if t.finish == n]:
+                    self._finish(ends[-1], records[task.request_id], task, machine.id)
+            if ledger is None:
+                return
+            # every task ran the batch's previous iteration
+            lead, shared = ends[i - 1], len(tasks)
+        if shared:
+            ledger.tbt(ends[i] - lead, ends[i], shared)
+        ledger.shared_tbt(ends[i:], len(tasks))  # every task shares the later gaps
+
+    def _last_emission(self, task: Task, i: int, ends: list[float]) -> float:
+        """The emission before the one ``task`` made at ``ends[i]``."""
+        segments = task.segments
+        j = len(segments) - 2 + len(segments) % 2  # where the segment holding i starts
+        if segments[j] < i:
+            return ends[i - 1]
+        if j:
+            return ends[segments[j - 1] - 1]  # the end of its previous segment
+        return self.records[task.request_id].first_token_time
 
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
         rec.completion = time
         rec.preempt_count = task.preempt_count
+        # after the first token, the emissions are the token task's segments
+        # of its machine's iteration ends (a prompt task has none)
+        segments, ends = task.segments, task.ends
+        for a, b in zip(segments[::2], segments[1::2]):
+            rec.emissions += ends[a:b]
         self._completed += 1
         if self.record_log:
             self._emit(time, "request_finished", task.request_id, mid, task.kind)
@@ -572,9 +603,8 @@ class Simulator:
                                   0 if record_log else machine.unchanged_repeats())
             machine.check_memory()
             if record_log:
-                self._emit(time, "batch_started", mid, batch.kind,
-                           tuple(t.request_id for t in batch.prompt_tasks),
-                           tuple(t.request_id for t in batch.token_tasks), batch.iteration_time)
+                self._emit(time, "batch_started", mid, batch.kind, *batch.request_ids,
+                           batch.iteration_time)
         self._dirty.clear()
 
     def _start_iteration(self, time, machine: Machine, batch, repeats=0):
@@ -589,27 +619,26 @@ class Simulator:
             bounds = list(accumulate(repeat(duration, repeats), initial=end))
             end = bounds.pop()
             self._windows[machine.id] = bounds
-        self._push_end(end, machine.id)
+        self._push_end(end, machine)
 
     def _close_window(self, machine: Machine, now):
         """Apply the iterations that a window ran before ``now`` without
         completing them.  When that is not all of them, the window closes
         early: the iteration in flight gets its own heap entry, and the
         window's entry is skipped when it pops."""
-        mid = machine.id
-        bounds = self._windows.pop(mid)
+        bounds = self._windows.pop(machine.id)
         k = bisect_left(bounds, now)
         if k < len(bounds):
-            self._push_end(bounds[k], mid)
+            self._push_end(bounds[k], machine)
         if not k:
             return
         batch = machine.running
-        machine.repeat_iterations(k)
+        machine.repeat_iterations(bounds[:k])
         duration, busy = batch.iteration_time, machine.busy_time
         for _ in range(k):  # one addition per iteration, so the floats match
             busy += duration
         machine.busy_time = busy
-        self._emit_tokens(mid, batch.token_tasks, bounds[:k])
+        self._emit_tokens(machine, batch, k)
         machine.check_memory()  # memory only grew inside the window
 
     # -- reporting ---------------------------------------------------------

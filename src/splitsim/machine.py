@@ -14,13 +14,26 @@ stops at a blocked head.  Preemption pauses compute but not residency: a
 parked token task keeps its KV memory on the machine, so preemption never
 reclaims memory.
 
+A token iteration costs no per-task work unless its batch changes.  Each
+machine keeps one list of its token iterations' end times, ``ends``.  A
+token task records only the segments of that list during which it was in
+the batch: it entered at index ``a`` and left (finished or parked) at index
+``b``, and its emissions are ``ends[a:b]``.  Its ``tokens`` and
+``remaining_output`` follow from its segments, and while it is in the batch
+``finish`` is the length ``ends`` will have once its last token is out.  A
+batch keeps the earliest ``finish`` of its tasks, so an iteration in which
+no task finishes touches none of them.  ``form_batch`` returns the batch
+that ran last, the same object, when nothing joined, left or finished.  It
+keeps the capped residents in a list, rebuilt only when a parked task
+reaches the cap, in place of a scan of every resident on each call.
+
 Batching reads queue and memory state only, never the clock; only the
 mixed-pool residency that drives re-purposing is timed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvariantError, ValidationError
 from .perf import PerfModel
@@ -49,16 +62,49 @@ class SchedulerConfig:
 
 @dataclass(eq=False, slots=True)
 class Task:
-    """One phase of one request on one machine; tasks compare by identity."""
+    """One phase of one request on one machine; tasks compare by identity.
+
+    A token task's ``segments`` are ``[a0, b0, a1, b1, ...]``: the indices of
+    its machine's ``ends`` at which it entered and left the batch, with a
+    last ``a`` open while it is in the batch.
+    """
 
     request_id: int
     kind: str                  # PROMPT or TOKEN
-    tokens: int                # prompt size, or context length so far
+    context: int               # prompt size, or context length when enqueued
     enqueue_time: float
     output_tokens: int         # total outputs for the request
-    remaining_output: int
+    outputs: int               # outputs left when enqueued
     preempt_count: int = 0
     parked: bool = False
+    segments: list[int] = field(default_factory=list)
+    ends: list[float] | None = None  # its machine's iteration ends, once it runs
+    emitted: int = 0           # tokens emitted in its closed segments
+    finish: int = 0            # in the batch: len(ends) once its last token is out
+
+    @property
+    def remaining_output(self) -> int:
+        if len(self.segments) % 2:  # in the batch
+            return self.finish - len(self.ends)
+        return self.outputs - self.emitted
+
+    @property
+    def tokens(self) -> int:
+        """The prompt size, or the context length so far."""
+        return self.context + self.outputs - self.remaining_output
+
+    def join(self, ends: list[float]) -> None:
+        """Enter the batch at the machine's next iteration."""
+        n = len(ends)
+        self.ends = ends
+        self.finish = n + self.outputs - self.emitted
+        self.segments.append(n)
+
+    def leave(self) -> None:
+        """Leave the batch: finished or parked."""
+        n = len(self.ends)
+        self.emitted += n - self.segments[-1]
+        self.segments.append(n)
 
 
 @dataclass
@@ -68,12 +114,23 @@ class Batch:
     iteration_time: float  # ms
     prompt_tokens: int = 0  # total prompt tokens
     prompt_ms: float = 0.0  # prompt compute, which a layer-wise transfer overlaps
+    first: int = 0   # index in its machine's ends of its first token iteration
+    finish: int = 0  # the earliest finish of its token tasks
+    _ids: tuple[tuple[int, ...], tuple[int, ...]] | None = field(default=None, repr=False)
 
     @property
     def kind(self):
         if self.prompt_tasks and self.token_tasks:
             return MIXED
         return "prompt_only" if self.prompt_tasks else "token_only"
+
+    @property
+    def request_ids(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The prompt and the token tasks' request ids, built once per batch."""
+        if self._ids is None:
+            self._ids = (tuple([t.request_id for t in self.prompt_tasks]),
+                         tuple([t.request_id for t in self.token_tasks]))
+        return self._ids
 
 
 class Machine:
@@ -90,6 +147,12 @@ class Machine:
         self.pending_tokens_q: list[Task] = []
         self.resident: list[Task] = []      # token tasks holding KV memory
         self.running: Batch | None = None
+        self.due: float | None = None       # end of the iteration in flight
+        self.ends: list[float] = []         # end times of its token iterations
+        # the token-only batch that ran last, unless one of its tasks finished
+        self._previous: Batch | None = None
+        # residents preempted max_preemptions times, in resident order
+        self._capped: list[Task] = []
         self.busy_time = 0.0
         self.pending_token_count = 0        # JSQ queue length
         self._resident_context = 0          # sum of resident token contexts
@@ -128,7 +191,7 @@ class Machine:
             raise InvariantError(f"duplicate task {key} on machine {self.id}")
         if task.kind == PROMPT:
             self.pending_prompts.append(task)
-            self.pending_token_count += task.tokens
+            self.pending_token_count += task.context
         else:
             held = self.pending_tokens_q or self.resident
             if held and task.enqueue_time < held[-1].enqueue_time:
@@ -157,18 +220,18 @@ class Machine:
         Called only at iteration boundaries.  Side effects: admitted queue
         tasks become resident (token) or leave the queue (prompt); parked
         residents may resume; token tasks bumped out of the previous batch
-        are parked with their preempt count incremented.
+        are parked with their preempt count incremented.  When nothing
+        joins, leaves or finished, it returns the batch that ran last.
         """
         if self.running is not None:
             raise InvariantError("form_batch called mid-iteration")
-        if not (self.pending_prompts or self.pending_tokens_q or self.resident):
+        resident = self.resident
+        if not (self.pending_prompts or self.pending_tokens_q or resident):
             return None
         sched = self.sched
         perf = self.perf
         pool = self.current_pool
         cap = sched.max_preemptions
-        resident = self.resident
-        capped = [t for t in resident if t.preempt_count >= cap]
 
         prompt_batch: list[Task] = []
         prompt_tokens = 0
@@ -177,17 +240,17 @@ class Machine:
             slots = len(pending)  # no slot limit in the prompt pool
             if pool == MIXED:
                 # non-preemptable resident tokens keep their slots ahead of prompts
-                slots = perf.max_token_batch - sum(1 for t in capped if not t.parked)
+                slots = perf.max_token_batch - sum(1 for t in self._capped if not t.parked)
             for task in pending:
                 if len(prompt_batch) >= slots:
                     break
                 # always admit the head prompt, even above the cap
-                if prompt_batch and prompt_tokens + task.tokens > sched.prompt_token_cap:
+                if prompt_batch and prompt_tokens + task.context > sched.prompt_token_cap:
                     break
-                if not self._memory_fits(prompt_tokens + task.tokens):
+                if not self._memory_fits(prompt_tokens + task.context):
                     break
                 prompt_batch.append(task)
-                prompt_tokens += task.tokens
+                prompt_tokens += task.context
             # note: pending_token_count keeps counting admitted prompts until
             # they finish, so JSQ sees in-flight prompt work
             del pending[:len(prompt_batch)]
@@ -197,34 +260,48 @@ class Machine:
         token_batch: list[Task] = []
         if pool != PROMPT:
             slots = perf.max_token_batch - len(prompt_batch)
-            # capped residents first, then the rest FCFS; queued tasks come
-            # after every resident and have never run, so none is capped
-            ranked = resident
-            if capped:
-                ranked = capped + [t for t in resident if t.preempt_count < cap]
-            token_batch = ranked[:slots]
+            # queued tasks come after every resident (FCFS) and have never
+            # run, so none is capped
             queue = self.pending_tokens_q
             admitted = 0
             for task in queue:
-                if len(token_batch) >= slots:
+                if len(resident) + admitted >= slots:
                     break
-                need = task.tokens + task.remaining_output
+                need = task.context + task.outputs
                 if not self._memory_fits(prompt_tokens + need):
                     break  # FCFS: do not skip ahead of a blocked task
                 self._resident_projected += need
-                self._resident_context += task.tokens
-                token_batch.append(task)
+                self._resident_context += task.context
                 admitted += 1
+            # a token-only batch holds every resident (admission keeps them
+            # within the token slots), so with no task finished and none
+            # joining, this path would form it again
+            if self._previous is not None and not (prompt_batch or admitted):
+                return self._previous
+            ranked = resident
+            if self._capped:  # capped residents first, then the rest FCFS
+                ranked = self._capped + [t for t in resident if t.preempt_count < cap]
+            token_batch = ranked[:slots]
             # resident tokens that lost their slot get parked
+            capping = False
             for task in ranked[slots:]:
                 if not task.parked:
                     task.parked = True
+                    task.leave()
                     task.preempt_count += 1
+                    capping |= task.preempt_count == cap
+            if capping:
+                self._capped = [t for t in resident if t.preempt_count >= cap]
+            ends = self.ends
             for task in token_batch:
-                task.parked = False
+                if task.parked:  # it resumes
+                    task.parked = False
+                    task.join(ends)
             for task in queue[:admitted]:
                 self._queued_ids.discard((task.request_id, TOKEN))
+                task.join(ends)
                 resident.append(task)
+                token_batch.append(task)
             del queue[:admitted]
 
         if not prompt_batch and not token_batch:
@@ -235,16 +312,19 @@ class Machine:
             iteration_ms = max(prompt_ms, token_ms)
         else:
             iteration_ms = prompt_ms + token_ms
-        return Batch(prompt_batch, token_batch, iteration_ms, prompt_tokens, prompt_ms)
+        finish = min([t.finish for t in token_batch]) if token_batch else 0
+        return Batch(prompt_batch, token_batch, iteration_ms, prompt_tokens, prompt_ms,
+                     len(self.ends), finish)
 
     # -- iteration completion ---------------------------------------------
 
     def complete_iteration(self) -> None:
-        """Apply the running batch's finished iteration to the machine.
+        """Apply the running batch's finished iteration, which ended at
+        ``due``, to the machine.
 
         Each prompt task has emitted its first token; each token task has
-        emitted one more, and one with no ``remaining_output`` is finished
-        and releases its memory.
+        emitted one more at the end appended to ``ends``, and one with no
+        ``remaining_output`` is finished and releases its memory.
         """
         batch = self.running
         if batch is None:
@@ -252,17 +332,30 @@ class Machine:
         # prompt KV leaves this machine (transferred or handed to the local
         # token task, which is charged separately on admission)
         for task in batch.prompt_tasks:
-            self.pending_token_count -= task.tokens
-        for task in batch.token_tasks:
-            task.tokens += 1
-            task.remaining_output -= 1
-            self._resident_context += 1
-            if task.remaining_output == 0:
-                self.resident.remove(task)
-                self._resident_context -= task.tokens
-                self._resident_projected -= task.tokens
-                self.pending_token_count -= 1
+            self.pending_token_count -= task.context
+        tasks = batch.token_tasks
+        previous = None
+        if tasks:
+            ends = self.ends
+            ends.append(self.due)
+            self._resident_context += len(tasks)
+            n = len(ends)
+            if n == batch.finish:
+                cap = self.sched.max_preemptions
+                for task in [t for t in tasks if t.finish == n]:
+                    task.leave()
+                    self.resident.remove(task)
+                    final = task.context + task.outputs
+                    self._resident_context -= final
+                    self._resident_projected -= final
+                    self.pending_token_count -= 1
+                    if task.preempt_count >= cap:
+                        self._capped.remove(task)
+            elif not batch.prompt_tasks:
+                previous = batch
+        self._previous = previous
         self.running = None
+        self.due = None
 
     def unchanged_repeats(self) -> int:
         """How many more iterations the running batch repeats unchanged: a
@@ -272,15 +365,13 @@ class Machine:
         if batch.prompt_tasks or self.pending_prompts or self.pending_tokens_q \
                 or len(batch.token_tasks) != len(self.resident):
             return 0
-        return min(t.remaining_output for t in batch.token_tasks) - 1
+        return batch.finish - len(self.ends) - 1
 
-    def repeat_iterations(self, k: int) -> None:
-        """Apply ``k`` iterations of the running token-only batch in which
-        no task finishes; the batch keeps running."""
-        for task in self.running.token_tasks:
-            task.tokens += k
-            task.remaining_output -= k
-        self._resident_context += k * len(self.running.token_tasks)
+    def repeat_iterations(self, times: list[float]) -> None:
+        """Apply the iterations of the running token-only batch that ended
+        at ``times``; no task finishes in them, and the batch keeps running."""
+        self.ends.extend(times)
+        self._resident_context += len(times) * len(self.running.token_tasks)
 
     # -- pool residency tracking ------------------------------------------
 

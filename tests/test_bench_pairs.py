@@ -44,6 +44,16 @@ class TestGainVerdict:
         change = [p - 0.3 for p in PARENT]
         assert bench_pairs.gain_verdict(PARENT[:9], change[:9], "lower") == "no gain"
 
+    def test_shortfalls_name_each_failed_condition(self):
+        assert bench_pairs.gain_shortfalls(PARENT, [p - 0.3 for p in PARENT], "lower") == []
+        # wins 8/10 by a gap inside the parent's IQR of 0.045
+        change = [p - 0.01 for p in PARENT[:8]] + [p + 0.01 for p in PARENT[8:]]
+        assert bench_pairs.gain_shortfalls(PARENT, change, "lower") == [
+            "change won 8/10 pairs, below 9/10",
+            "median gap 0.01 at or below the parent's IQR 0.045"]
+        assert bench_pairs.gain_shortfalls(PARENT[:9], change[:9], "lower")[0] == \
+            "9 pairs, below 10"
+
 
 class TestBoundVerdict:
     @pytest.mark.parametrize("shift, verdict", [(0.0, "within bound"), (0.2, "within bound"),
@@ -140,3 +150,36 @@ class TestTracedDiff:
         out = capsys.readouterr().out
         assert "w traced calls: parent 10 change 15" in out
         assert "traced same" not in out and "traced self_s" not in out
+
+
+class TestClaimReport:
+    def test_no_gain_says_which_conditions_failed(self, tmp_path, monkeypatch, capsys):
+        checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+        for path in checkouts.values():
+            path.mkdir()
+        (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+        walls = dict(zip(range(501, 511), PARENT))
+
+        def fake_run_bench(checkout, workload, seed, seconds, trace):
+            # the change is 0.01 s faster on every pair: inside the parent's IQR
+            wall = walls[seed] - (0.01 if checkout.name == "change" else 0.0)
+            env = {"git_commit": checkout.name, "python": "3", "numpy": "1", "nproc": 2,
+                   "platform": "linux"}
+            return {"environment": env, "fingerprints": {"seed": seed},
+                    "result": {"failed": 0, "attempted": 3,
+                               "metrics": {"wall_s": {"value": wall}}}}
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+
+        code = bench_pairs.main(["--parent", str(checkouts["parent"]),
+                                 "--change", str(checkouts["change"]), "--workload", "w",
+                                 "--seeds", *map(str, walls), "--seconds", "1",
+                                 "--claim", "wall_s", "--pr", "99"])
+        assert code == 0
+        summary = json.loads((checkouts["change"] / "BENCH_99.json").read_text())[
+            "workloads"]["w"]["summary"]["wall_s"]
+        assert summary["verdict"] == "no gain"
+        assert summary["gain_shortfalls"] == [
+            "median gap 0.01 at or below the parent's IQR 0.045"]
+        assert capsys.readouterr().out.splitlines()[0].endswith(
+            "10/10 pairs: no gain; median gap 0.01 at or below the parent's IQR 0.045")

@@ -1,3 +1,6 @@
+import math
+from unittest import mock
+
 import pytest
 
 from splitsim import (
@@ -8,6 +11,7 @@ from splitsim import (
     Request,
     SchedulerConfig,
     Simulator,
+    SizeDistribution,
     SloTable,
     SplitsimError,
     Trace,
@@ -263,6 +267,32 @@ class TestParkedResidents:
         assert engine.tbt_csv(fast) == engine.tbt_csv(logged)
         # the decode really was parked behind the burst
         assert logged.report.records[0].preempt_count > 0
+
+
+class TestLedgerWithPreemption:
+    @pytest.mark.parametrize("record_log", [True, False])
+    def test_ledger_counts_every_tbt_gap(self, record_log):
+        """With preempted tasks that resume, the ledger's TBT counts equal
+        the counts over every gap of the records: a resumed task's first gap
+        starts at its last emission before it was parked."""
+        dist = SizeDistribution.lognormal
+        trace = generate_trace(dist(math.log(256), 0.5, 16, 4096),
+                               dist(math.log(400), 0.5, 16, 2048), 4.0, 20.0, seed=5)
+        config = ClusterConfig("Baseline-H100", 1, 0)
+        reference = get_calibration(config.llm, "A100")
+
+        def run(**kwargs):
+            return Simulator(config, h100_models(), trace, reference_model=reference,
+                             record_log=record_log, **kwargs).run().report
+
+        report = run()
+        assert sum(r.preempt_count for r in report.records) > 0
+        tbt_ref = reference.token_iter_time(1)
+        ratios = [gap / tbt_ref for rec in report.records for gap in rec.tbt_ms()]
+        with mock.patch.object(engine.SloLedger, "violated", lambda self, i, time: None):
+            counted = run(stop_on_slo_fail=True).slo["constraints"]
+        assert [c["exceeded"] for c in counted if c["metric"] == "TBT"] == \
+            [sum(r > c["multiplier"] for r in ratios) for c in counted if c["metric"] == "TBT"]
 
 
 class TestCsvEmission:

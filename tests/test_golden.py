@@ -53,6 +53,10 @@ CASES = {
     # many iterations between joins and finishes
     "splitwise-aa-conversation": (dict(design="Splitwise-AA", prompt_machines=2, token_machines=1),
                                   "conversation", 3.0, 30.0, 11),
+    # the default cap of 4: tasks are parked, resume and reach the cap, so
+    # capped-first ordering runs with the default SchedulerConfig
+    "baseline-h100-decode": (dict(design="Baseline-H100", prompt_machines=2, token_machines=0),
+                             DECODE, 6.0, 60.0, 13),
 }
 
 # name -> (requests_csv, tbt_csv, event_log_csv) sha256
@@ -65,6 +69,10 @@ GOLDEN = {
         "ebdac36a1c39bd4ec9220393fe10c1c082735b1c42a68c6ad2cbdaaee938cd84",
         "c3b0a0f2469264da4b3da1627bb3d55c03bf8f7d962afa9806d11bd5e7f13112",
         "f2c90108a305c63bcfefe3e942550e54c68645a8ae32005a9169274352e119f1"),
+    "baseline-h100-decode": (
+        "c9d1984eb771fb1e151353e91909741ae6299129e1922d4ee0d860849a63894a",
+        "10532fadf06806211c8f20ce8135cf475d99062a51035228d153d54728f2d501",
+        "618d9e8d43dca5125a43d19d6eb2112c5a9b8bdce3c294ef33ea3075b8f2adc0"),
     "baseline-h100-capped": (
         "3490c08a86c3400093f0465be1aedeed5fd6b83682d85ee84ca1176c96c329ad",
         "a4fa4af98c5759878bd23f8db48548c5a9b3c290de72e27247abb0a9dccbb9a1",
@@ -99,6 +107,7 @@ GOLDEN = {
 GOLDEN_SUMMARY = {
     "baseline-a100": "170720fcfce5fd6e7b2ed640b163bbed6f76a33945f273b7078adfd18660533b",
     "baseline-h100": "59d2171a8602c5af35c504d263cc1f11d994c6d51fdf3fcee7dd09a27aee5e89",
+    "baseline-h100-decode": "e013e399bd68ab3403fed829064e80dd396fb2f19fe1da0d953be08ca5b38dc4",
     "baseline-h100-capped": "fd0712d258ff4accea440bc6cc238988940f9156238723a25c54f984a62d6c63",
     "splitwise-aa": "55047ee98d641c454d87835ea8310a00be336bece84769727cf16c5dc92e6d1d",
     "splitwise-aa-conversation": "9ea55a44a74c696bf3b187e495dc268faf2cfb1dea071088b4177c12fe7de2ee",
@@ -149,6 +158,13 @@ def test_capped_case_reaches_the_cap():
     result = run_case("baseline-h100-capped")
     cap = CASES["baseline-h100-capped"][0]["sched"].max_preemptions
     assert max(r.preempt_count for r in result.report.records) >= cap
+
+
+def test_decode_case_preempts_to_the_default_cap():
+    result = run_case("baseline-h100-decode")
+    counts = [r.preempt_count for r in result.report.records]
+    assert sum(counts) > 0
+    assert max(counts) == SchedulerConfig().max_preemptions
 
 
 def test_repurpose_case_logs_pool_changes():

@@ -191,12 +191,22 @@ class TestMixedBatching:
     def test_max_preemptions_makes_nonpreemptable(self):
         sched = SchedulerConfig(max_preemptions=1)
         m = make_machine(home=MIXED, sched=sched)
-        t = token_task(0, 100, out=1000)
-        m.enqueue(t)
-        t.preempt_count = sched.max_preemptions
-        b = m.form_batch()
-        m.running = b
-        m.complete_iteration()
+
+        def run(prompts):
+            for rid in prompts:
+                m.enqueue(prompt_task(rid, 30))
+            b = m.form_batch()
+            m.running = b
+            m.complete_iteration()
+            return b
+
+        m.enqueue(token_task(0, 100, out=1000))
+        run([])
+        # a batch of prompts takes every slot: the task is parked and
+        # reaches the cap, then resumes
+        assert run(range(100, 164)).token_tasks == []
+        assert m.resident[0].preempt_count == sched.max_preemptions
+        run([])
         # a flood of prompts cannot take the reserved slot
         for rid in range(1, 70):
             m.enqueue(prompt_task(rid, 30))
@@ -230,7 +240,11 @@ class TestMixedBatching:
         for rid in range(3):
             m.enqueue(token_task(rid, 100, out=50, t=float(rid)))
         assert run(m) == [0, 1, 2]
-        m.resident[2].preempt_count = 1
+        # prompts take all but two token slots: the newest resident is
+        # parked and reaches the cap
+        for rid in range(100, 162):
+            m.enqueue(prompt_task(rid, 30))
+        assert run(m) == [0, 1]
         assert run(m) == [2, 0, 1]
 
         # FCFS stops at a memory-blocked queued task: a later queued task

@@ -25,7 +25,9 @@ It also prints a verdict per metric, by the direction and bound that
 ``BENCHMARK.json`` gives it.  The ``--claim`` metric is a ``gain`` only when
 the change wins at least nine tenths of at least ten pairs (ties count for
 neither) and the medians differ, in the better direction, by more than the
-parent's interquartile range.  Every other metric is ``worse`` when the
+parent's interquartile range.  For ``no gain`` it prints, and stores under
+``gain_shortfalls``, each of these conditions that failed, with its numbers.
+Every other metric is ``worse`` when the
 change's median is worse than the parent's by more than the bound (a
 fraction of the parent's median), ``unresolved`` when either side's
 interquartile range is wider than the bound, and otherwise ``within bound``;
@@ -84,14 +86,25 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (p - c) > 0 for p, c in zip(parent, change))
 
 
+def gain_shortfalls(parent: list[float], change: list[float], better: str) -> list[str]:
+    """The conditions of a ``gain`` that paired runs of the claimed metric
+    miss, each with its numbers; empty for a gain."""
+    n, won = len(parent), wins(parent, change, better)
+    p, c = quartiles(parent), quartiles(change)
+    gap = improvement_sign(better) * (p["median"] - c["median"])
+    missed = []
+    if n < 10:
+        missed.append(f"{n} pairs, below 10")
+    if won < 0.9 * n:
+        missed.append(f"change won {won}/{n} pairs, below 9/10")
+    if gap <= p["iqr"]:
+        missed.append(f"median gap {gap:.4g} at or below the parent's IQR {p['iqr']:.4g}")
+    return missed
+
+
 def gain_verdict(parent: list[float], change: list[float], better: str) -> str:
     """``gain`` or ``no gain`` for the claimed metric of paired runs."""
-    sign = improvement_sign(better)
-    p, c = quartiles(parent), quartiles(change)
-    if len(parent) >= 10 and wins(parent, change, better) >= 0.9 * len(parent) \
-            and sign * (p["median"] - c["median"]) > p["iqr"]:
-        return "gain"
-    return "no gain"
+    return "no gain" if gain_shortfalls(parent, change, better) else "gain"
 
 
 def bound_verdict(parent: list[float], change: list[float], better: str,
@@ -127,6 +140,9 @@ def summarize(pairs: list[dict], metrics: dict, claim: str | None) -> dict:
                         if name == claim else
                         bound_verdict(values["parent"], values["change"], better, bound)),
         }
+        if name == claim:
+            summary[name]["gain_shortfalls"] = gain_shortfalls(values["parent"],
+                                                               values["change"], better)
     return summary
 
 
@@ -222,7 +238,8 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name}: parent median {s['parent']['median']:.4g} "
               f"(IQR {s['parent']['iqr']:.3g}), change median {s['change']['median']:.4g} "
               f"(IQR {s['change']['iqr']:.3g}), change better in "
-              f"{s['change_better_pairs']}/{s['pairs']} pairs: {s['verdict']}")
+              f"{s['change_better_pairs']}/{s['pairs']} pairs: {s['verdict']}"
+              + "".join(f"; {missed}" for missed in s.get("gain_shortfalls", [])))
     for name, moved in entry.get("traced_diff", {}).items():
         print(f"{args.workload} traced {name}: parent {moved['parent']} "
               f"change {moved['change']}")
