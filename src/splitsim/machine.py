@@ -79,14 +79,14 @@ class Task:
     parked: bool = False
     segments: list[int] = field(default_factory=list)
     ends: list[float] | None = None  # its machine's iteration ends, once it runs
-    emitted: int = 0           # tokens emitted in its closed segments
-    finish: int = 0            # in the batch: len(ends) once its last token is out
+    finish: int = 0  # len(ends) once its last token is out, as of its last segment
 
     @property
     def remaining_output(self) -> int:
-        if len(self.segments) % 2:  # in the batch
-            return self.finish - len(self.ends)
-        return self.outputs - self.emitted
+        segments = self.segments
+        if not segments:
+            return self.outputs
+        return self.finish - (len(self.ends) if len(segments) % 2 else segments[-1])
 
     @property
     def tokens(self) -> int:
@@ -96,15 +96,13 @@ class Task:
     def join(self, ends: list[float]) -> None:
         """Enter the batch at the machine's next iteration."""
         n = len(ends)
+        self.finish = n + self.remaining_output
         self.ends = ends
-        self.finish = n + self.outputs - self.emitted
         self.segments.append(n)
 
     def leave(self) -> None:
         """Leave the batch: finished or parked."""
-        n = len(self.ends)
-        self.emitted += n - self.segments[-1]
-        self.segments.append(n)
+        self.segments.append(len(self.ends))
 
 
 @dataclass
