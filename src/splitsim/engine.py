@@ -58,8 +58,9 @@ iteration, so its ``batch_started`` rows share one id tuple
 (``Batch.request_ids``).  It loops over
 the batch only when a task finishes, or when the ledger is on and the batch
 runs its first iteration; otherwise it touches no task.  A finished task's
-record gets its emissions then, as slices of its machine's ``ends``, so
-``RequestRecord.emissions`` stays a plain list.
+record keeps a reference to its machine's ``ends`` and the task's
+``segments``, not a copy of its emission times; ``RequestRecord.emissions``
+and ``tbt_ms()`` derive them, as ``Task.tokens`` does its count.
 
 A provisioning probe needs only the verdict, and it runs with
 ``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
@@ -81,21 +82,26 @@ log-on replay, where no window shares its gaps.  The ledger's agreement with
 ``check_slo`` is pinned by ``tests/test_slo_ledger.py``, not checked at run
 time.
 
-The report layer works on columns and cached text, and gives the same bytes
-as a per-request loop.  ``check_slo`` flattens every record's emission times
-into one float64 array, takes the gaps with one ``np.diff``, drops the gaps
-that end at a record's first emission (they cross a record boundary) and
-divides by each gap's reference.  A float64 subtraction or division rounds
-exactly as the same Python float expression does, so every ratio is the
-float the per-request loop computes.  ``np.partition(ratios, k)`` puts at
-index ``k`` the element that ``sorted`` puts there, so each nearest-rank
-percentile, and with it ``observed_ratio``, is bit-identical;
-``report_percentiles`` takes P50/P90/P99 the same way.  ``tbt_csv``
-formats each distinct gap once and each gap index once, and appends a
-record's rows to a bytearray as one chunk; ``b"%.6f" % gap`` and
-``f"{gap:.6f}"`` format a float the same way.  ``event_log_csv`` joins each
-distinct id tuple of ``batch_started`` once.  ``tests/test_report_layer.py``
-compares all three with per-request, per-row references on random input.
+The report layer works on columns and cached text, reads each record's
+token phase from its machine's ``ends``, and gives the same bytes as a
+per-request loop.  ``check_slo`` gathers every record's emission times
+after the first token from one float64 copy of each machine's ``ends``,
+takes the gaps with one subtraction and replaces each record's first gap by
+its first segment start minus its first token's time; it divides by each
+gap's reference.  A float64 subtraction or division rounds exactly as the
+same Python float expression does, so every ratio is the float the
+per-request loop computes.  ``np.partition(ratios, k)`` puts at index ``k``
+the element that ``sorted`` puts there, so each nearest-rank percentile,
+and with it ``observed_ratio``, is bit-identical; ``report_percentiles``
+takes P50/P90/P99 the same way.  ``tbt_csv`` formats each gap between a
+machine's consecutive ends once per machine, and each gap index once; a
+record's rows are list slices of those texts, and only the gap into each
+segment, from the first token or across a preemption, is subtracted on its
+own.  ``b"%.6f" % gap`` and ``f"{gap:.6f}"`` format a float the same way.
+``event_log_csv`` makes one format call per row, formats each distinct time
+once and joins each id tuple of ``batch_started`` once.
+``tests/test_report_layer.py`` compares all three with per-request, per-row
+references on random records that share their machines' ``ends``.
 """
 
 from __future__ import annotations
@@ -169,16 +175,50 @@ def report_percentiles(values) -> list[tuple[str, float]]:
 
 def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
     """Every record's token gaps, in record order, as one float64 column,
-    and each record's emission count."""
-    lengths = np.fromiter((len(rec.emissions) for rec in records), dtype=np.intp,
-                          count=len(records))
-    times = np.fromiter(chain.from_iterable(rec.emissions for rec in records),
-                        dtype=float, count=int(lengths.sum()))
-    first = np.zeros(len(times), dtype=bool)  # a record's first emission
-    first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
-    # gap j ends at times[j + 1]; one that ends at a first emission crosses
-    # a record boundary
-    return np.diff(times)[~first[1:]], lengths
+    and each record's gap count.
+
+    The emission times after each first token are gathered from one float64
+    column of every token machine's ``ends``: the index steps by one inside
+    a segment (which is never empty) and jumps at the next one's start.
+    Differencing them gives every gap but each record's first, which is its
+    first segment's start minus its first token's time; a gap across a
+    preemption is the difference of its two segments' adjacent ends."""
+    bases: dict[int, int] = {}  # id of a machine's ends -> where they start in the column
+    machines: list[list[float]] = []
+    total = 0
+    flat, sizes, record_bases, firsts = [], [], [], []
+    for rec in records:
+        segments = rec.segments
+        sizes.append(len(segments))
+        if segments:
+            ends = rec.ends
+            base = bases.get(id(ends))
+            if base is None:
+                base = bases[id(ends)] = total
+                total += len(ends)
+                machines.append(ends)
+            flat += segments
+            record_bases.append(base)
+            firsts.append(rec.first_token_time)
+    pairs = np.array(sizes, dtype=np.intp) // 2  # segments per record
+    bounds = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    starts = bounds[:, 0] + np.repeat(np.array(record_bases, dtype=np.intp), pairs[pairs > 0])
+    through = np.concatenate(([0], np.cumsum(lengths)))  # times before each segment
+    counts = np.diff(through[np.cumsum(pairs)], prepend=0)
+    if not len(lengths):
+        return np.empty(0), counts
+    index = np.ones(int(through[-1]), dtype=np.intp)
+    index[0] = starts[0]
+    index[through[1:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    times = np.fromiter(chain.from_iterable(machines), dtype=float, count=total)[
+        np.cumsum(index, out=index)]
+    del index
+    gaps = np.empty_like(times)
+    np.subtract(times[1:], times[:-1], out=gaps[1:])
+    heads = (np.cumsum(counts) - counts)[counts > 0]  # each record's first time
+    gaps[heads] = times[heads] - np.array(firsts, dtype=float)
+    return gaps, counts
 
 
 @dataclass
@@ -209,15 +249,19 @@ def reference_latencies(request: Request, reference_model: PerfModel) -> dict:
 
 @dataclass
 class RequestRecord:
+    """One request's outcome.  Its token phase, set when it finishes, is its
+    token machine's ``ends`` (shared, not copied) and the ``segments`` of
+    them during which its token task was in the batch (see ``Task``)."""
+
     request: Request
     prompt_machine: int = -1
     token_machine: int = -1
     first_token_time: float | None = None
-    # the first token's time, then the token phase's, added when it finishes
-    emissions: list[float] = field(default_factory=list)
     completion: float | None = None
     transfer_visible_ms: float = 0.0
     preempt_count: int = 0
+    ends: list[float] | None = field(default=None, repr=False, compare=False)
+    segments: list[int] | tuple = ()
 
     @property
     def ttft_ms(self) -> float:
@@ -227,8 +271,19 @@ class RequestRecord:
     def e2e_ms(self) -> float:
         return self.completion - self.request.arrival * 1000.0
 
+    @property
+    def emissions(self) -> list[float]:
+        """The first token's time, then the token phase's; derived."""
+        if self.first_token_time is None:
+            return []
+        out, ends, segments = [self.first_token_time], self.ends, self.segments
+        for a, b in zip(segments[::2], segments[1::2]):
+            out += ends[a:b]
+        return out
+
     def tbt_ms(self) -> list[float]:
-        return [b - a for a, b in zip(self.emissions, self.emissions[1:])]
+        emissions = self.emissions
+        return [b - a for a, b in zip(emissions, emissions[1:])]
 
 
 @dataclass
@@ -275,8 +330,8 @@ def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
                    / column(ref["ttft_ms"] for ref in refs))
     e2e_ratios = ((column(rec.completion for rec in records) - arrival_ms)
                   / column(ref["e2e_ms"] for ref in refs))
-    tbt_ratios, lengths = _gap_column(records)
-    tbt_ratios /= np.repeat(column(ref["tbt_ms"] for ref in refs), np.maximum(lengths - 1, 0))
+    tbt_ratios, counts = _gap_column(records)
+    tbt_ratios /= np.repeat(column(ref["tbt_ms"] for ref in refs), counts)
 
     result = {"constraints": [], "pass": True}
     for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
@@ -436,15 +491,20 @@ class Simulator:
 
         heap, pop = self._heap, heapq.heappop
         n = len(self.trace.requests)
-        while heap and self._completed < n:
-            time, _, handler, arg = pop(heap)
-            if time > self._horizon_ms:
-                raise HorizonExceeded(
-                    f"simulation exceeded horizon {self.horizon:.1f}s with "
-                    f"{n - self._completed} requests unfinished")
-            handler(time, arg)
-            if self._dirty:
-                self._dispatch(time)
+        try:
+            while heap and self._completed < n:
+                time, _, handler, arg = pop(heap)
+                if time > self._horizon_ms:
+                    raise HorizonExceeded(
+                        f"simulation exceeded horizon {self.horizon:.1f}s with "
+                        f"{n - self._completed} requests unfinished")
+                handler(time, arg)
+                if self._dirty:
+                    self._dispatch(time)
+        finally:
+            # the entries left hold bound methods of self; dropping them lets
+            # a finished simulator go by refcount, not wait for the cyclic GC
+            heap.clear()
 
         if self._completed < n:
             raise InvariantError("event queue drained with unfinished requests")
@@ -483,7 +543,6 @@ class Simulator:
         for task in batch.prompt_tasks:
             rec = records[task.request_id]
             rec.first_token_time = time
-            rec.emissions.append(time)
             if ledger is not None:
                 ledger.ttft(rec.request, time)
             if record_log:
@@ -543,11 +602,7 @@ class Simulator:
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
         rec.completion = time
         rec.preempt_count = task.preempt_count
-        # after the first token, the emissions are the token task's segments
-        # of its machine's iteration ends (a prompt task has none)
-        segments, ends = task.segments, task.ends
-        for a, b in zip(segments[::2], segments[1::2]):
-            rec.emissions += ends[a:b]
+        rec.ends, rec.segments = task.ends, task.segments  # a prompt task has none
         self._completed += 1
         if self.record_log:
             self._emit(time, "request_finished", task.request_id, mid, task.kind)
@@ -677,8 +732,7 @@ def requests_csv(result: SimResult) -> str:
 
 
 class _Texts(dict):
-    """value -> its text, formatted once: a run has few distinct gaps and
-    few distinct batch memberships."""
+    """value -> its text, formatted once: a run has few distinct gaps."""
 
     def __init__(self, fmt):
         super().__init__()
@@ -696,19 +750,34 @@ def tbt_csv(result: SimResult) -> str:
     # left the heap fragmented (about 10 MB more peak RSS on a 600k-row run).
     out = bytearray(f"{TBT_CSV_HEADER}\n".encode())
     texts = _Texts(b"%.6f\n".__mod__)
+    # id of a machine's ends -> the text of each gap between consecutive ends
+    machine_gaps: dict[int, list[bytes]] = {}
     index: list[bytes] = []  # b",{i}," for every gap index seen so far
     for rec in result.report.records:
-        emissions = rec.emissions
-        n = len(emissions) - 1
-        if n <= 0:
+        segments = rec.segments
+        if not segments:
             continue
+        ends = rec.ends
+        gaps = machine_gaps.get(id(ends))
+        if gaps is None:
+            gaps = machine_gaps[id(ends)] = list(map(texts.__getitem__,
+                                                     map(operator.sub, ends[1:], ends)))
+        # the gap into each segment, from the first token or across a
+        # preemption, then the segment's own gaps
+        tails, last = [], rec.first_token_time
+        for a, b in zip(segments[::2], segments[1::2]):
+            tails.append(texts[ends[a] - last])
+            tails += gaps[a:b - 1]
+            last = ends[b - 1]
+        n = len(tails)
         if n > len(index):
             index.extend(b",%d," % i for i in range(len(index), n))
-        # rows "{rid},{i},{gap}\n": the ",{i},{gap}\n" tails joined by rid
-        rid = str(rec.request.id).encode()
-        gaps = map(operator.sub, emissions[1:], emissions)
-        out += rid
-        out += rid.join(map(bytes.__add__, index, map(texts.__getitem__, gaps)))
+        # rows "{rid},{i},{gap}\n", joined from their three parts
+        parts = [str(rec.request.id).encode()] * (3 * n)
+        parts[1::3] = index[:n]
+        parts[2::3] = tails
+        out += b"".join(parts)
+    del texts, machine_gaps, index  # freed before decode copies the rows
     return out.decode("ascii")
 
 
@@ -723,12 +792,34 @@ def summary_csv(result: SimResult) -> str:
     return buf.getvalue()
 
 
+# event kind -> its whole row's format: time, sequence number, kind, payload
+_EVENT_ROWS = {kind: f"{{}},{{}},{kind},{fmt}\n" for kind, fmt in EVENT_FORMATS.items()}
+
+
 def event_log_csv(result: SimResult) -> str:
+    # One format call per row.  The log is in time order, so each distinct
+    # time is formatted once.  Only batch_started has tuple fields, and each
+    # tuple is joined once: an unchanged batch logs the same
+    # Batch.request_ids tuples on every iteration, and the log keeps every
+    # tuple alive, so an id names one.
     buf = io.StringIO()
-    buf.write("time_ms,seq,kind,payload\n")
-    joined = _Texts(lambda ids: ",".join(map(str, ids)))
-    for (t, seq, kind, fields) in result.event_log:
-        payload = EVENT_FORMATS[kind].format(
-            *(joined[f] if type(f) is tuple else f for f in fields))
-        buf.write(f"{t:.9f},{seq},{kind},{payload}\n")
+    write = buf.write
+    write("time_ms,seq,kind,payload\n")
+    joined: dict[int, str] = {}  # id of an id tuple -> its text
+
+    def ids_text(ids: tuple) -> str:
+        text = joined.get(id(ids))
+        if text is None:
+            text = joined[id(ids)] = ",".join(map(str, ids))
+        return text
+
+    last = text = None
+    for t, seq, kind, fields in result.event_log:
+        if t != last:
+            last, text = t, f"{t:.9f}"
+        if kind == "batch_started":
+            mid, batch_kind, prompts, tokens, iter_ms = fields
+            fields = (mid, batch_kind, ids_text(prompts), ids_text(tokens), iter_ms)
+        write(_EVENT_ROWS[kind].format(text, seq, *fields))
+    joined.clear()  # freed before getvalue copies the rows
     return buf.getvalue()

@@ -1,4 +1,7 @@
+import gc
+import itertools
 import math
+import weakref
 from unittest import mock
 
 import pytest
@@ -13,6 +16,7 @@ from splitsim import (
     Simulator,
     SizeDistribution,
     SloTable,
+    SloViolated,
     SplitsimError,
     Trace,
     ValidationError,
@@ -132,10 +136,9 @@ class TestSloCheck:
     def _report(self, ttft, e2e, gaps):
         rec = engine.RequestRecord(Request(0, 0.0, 1500, len(gaps) + 1))
         rec.first_token_time = ttft
-        rec.completion = e2e
-        rec.emissions = [ttft]
-        for g in gaps:
-            rec.emissions.append(rec.emissions[-1] + g)
+        # the token phase as its machine's iteration ends, one segment of them
+        rec.ends = list(itertools.accumulate(gaps, initial=ttft))[1:]
+        rec.segments = [0, len(gaps)] if gaps else ()
         rec.completion = rec.emissions[-1]
         return engine.MetricsReport([rec], 1.0, {})
 
@@ -237,6 +240,49 @@ class TestEngineBehavior:
         res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
                         single_request_trace(), record_log=False).run()
         assert res.event_log == []
+
+
+class TestRefcountRelease:
+    """A finished simulator, with its cluster and heap, is freed by
+    reference counting alone: nothing it leaves behind points back at it.
+    The cyclic GC is off while each test runs, so only refcounts can free
+    it."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_completed_run(self):
+        # a 1-s repurpose window leaves its next maintenance event in the heap
+        p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
+        trace = generate_trace(p, o, 2.0, 5.0, seed=3)
+        sim = Simulator(ClusterConfig("Splitwise-HH", 1, 1, repurpose_window_s=1.0),
+                        h100_models(), trace)
+        result = sim.run()
+        assert len(result.report.records) == len(trace.requests)
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+
+    def test_probe_that_fails_its_slo(self):
+        p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
+        trace = generate_trace(p, o, 9.0, 8.0, seed=1)
+        reference = get_calibration("llama2-70b", "A100")
+        sim = Simulator(ClusterConfig("Baseline-A100", 1, 0), {"A100": reference}, trace,
+                        reference_model=reference, record_log=False, stop_on_slo_fail=True)
+        try:
+            sim.run()
+        except SloViolated:
+            pass
+        else:
+            pytest.fail("the probe passed")
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
 
 
 def stranding_trace():

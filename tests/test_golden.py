@@ -119,6 +119,10 @@ GOLDEN_SUMMARY = {
 
 
 def run_case(name, record_log=True):
+    return simulator(name, record_log).run()
+
+
+def simulator(name, record_log=True):
     cluster_kwargs, workload, rate, duration, seed = CASES[name]
     config = ClusterConfig(**cluster_kwargs)
     models = {mt: get_calibration(config.llm, mt)
@@ -130,7 +134,7 @@ def run_case(name, record_log=True):
     trace = generate_trace(prompt_dist, output_dist, rate, duration, seed)
     return Simulator(config, models, trace,
                      reference_model=get_calibration(config.llm, "A100"),
-                     record_log=record_log).run()
+                     record_log=record_log)
 
 
 def sha256(text):
@@ -170,3 +174,21 @@ def test_decode_case_preempts_to_the_default_cap():
 def test_repurpose_case_logs_pool_changes():
     kinds = {kind for _, _, kind, _ in run_case("splitwise-hh-repurpose").event_log}
     assert {"pool_transition", "pool_maintenance"} <= kinds
+
+
+def test_decode_records_hold_segments_not_copies():
+    """A finished record holds its token machine's ``ends`` list itself and
+    O(segments) of its own: nothing it keeps grows with its output tokens."""
+    sim = simulator("baseline-h100-decode")
+    records = sim.run().report.records
+    machines = sim.cluster.machines
+    assert max(r.request.output_tokens for r in records) > 100
+    for rec in records:
+        if rec.request.output_tokens > 1:
+            assert rec.ends is machines[rec.token_machine].ends
+            # one segment, and one more per preemption
+            assert len(rec.segments) == 2 * (rec.preempt_count + 1)
+            assert len(rec.emissions) == rec.request.output_tokens
+        for name, value in vars(rec).items():
+            if isinstance(value, (list, tuple, dict, set)) and value is not rec.ends:
+                assert len(value) <= 2 * (rec.preempt_count + 1), name

@@ -10,6 +10,7 @@ give the same text.
 
 import io
 import math
+from itertools import accumulate
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -92,22 +93,41 @@ times = st.sampled_from([1.0, 8.5, 52.0, 52.000001, 104.3]) | st.floats(0.001, 5
 refs = st.sampled_from([52.0, 185.0]) | st.floats(0.5, 2e3)
 
 
+def record(rid, arrival, first, ends=None, segments=(), prompt_machine=0, token_machine=0):
+    """A finished record whose token phase is ``segments`` of a machine's
+    ``ends``, the list itself, as the engine leaves it."""
+    count = sum(b - a for a, b in zip(segments[::2], segments[1::2]))
+    rec = RequestRecord(Request(rid, arrival, 100, count + 1), prompt_machine, token_machine,
+                        first_token_time=first, ends=ends, segments=segments)
+    rec.completion = rec.emissions[-1]
+    return rec
+
+
 @st.composite
 def reports(draw):
+    """Records on up to three token machines that share each machine's
+    ``ends``: overlapping segments, preempted records with several segments,
+    first tokens from another machine, and records with one output token."""
+    machines = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.floats(0.0, 6e5))
+        gaps = draw(st.lists(times, min_size=1, max_size=24))
+        machines.append(list(accumulate(gaps, initial=base))[1:])
     n = draw(st.sampled_from([1, 2, 10]) | st.integers(1, 16))
     one_token = draw(st.booleans())  # every output 1 token: no TBT gap at all
     records, references = [], {}
     for rid in range(n):
-        arrival = draw(st.floats(0.0, 600.0))
-        first = arrival * 1000.0 + draw(times)
-        gaps = [] if one_token else draw(st.lists(times, max_size=8))
-        rec = RequestRecord(Request(rid, arrival, 100, len(gaps) + 1))
-        rec.first_token_time = first
-        rec.emissions = [first]
-        for gap in gaps:
-            rec.emissions.append(rec.emissions[-1] + gap)
-        rec.completion = rec.emissions[-1]
-        records.append(rec)
+        token_machine = draw(st.integers(0, len(machines) - 1))
+        ends = machines[token_machine]
+        most = 0 if one_token else min(3, (len(ends) + 1) // 2)
+        bounds = sorted(draw(st.lists(st.integers(0, len(ends)), unique=True,
+                                      min_size=0, max_size=2 * most)))
+        segments = bounds[:len(bounds) // 2 * 2]  # [a0, b0, a1, b1, ...], each a < b
+        # the first token comes before the token phase, often from another machine
+        first = (ends[segments[0]] if segments else draw(st.floats(0.0, 6e5))) - draw(times)
+        arrival = max(0.0, first - draw(times)) / 1000.0
+        records.append(record(rid, arrival, first, ends if segments else None, segments,
+                              draw(st.integers(0, len(machines))), token_machine))
         # references differ per request, so each gap must meet its own
         references[rid] = {"ttft_ms": draw(refs), "tbt_ms": draw(refs), "e2e_ms": draw(refs)}
     return MetricsReport(records, 1.0, {}), references
@@ -118,14 +138,26 @@ percentiles = st.sampled_from([(0.5, 0.9, 0.99), (0.25, 0.5, 1.0), (0.1, 0.2, 0.
 
 
 def sized_report(n_records, gaps_each):
-    """Records with the given number of gaps each, all of them distinct."""
+    """Records with the given number of gaps each, taken from two token
+    machines' ``ends``, whose gaps are nearly all distinct.  Every third
+    record is preempted once, and each first token is the other machine's."""
+    span = (n_records // 2 + 1) * (gaps_each + 1) + 1
+    machines = [[1000.0 * m + 40.0 + 10.0 * i + (i * i) % 97 * 0.01 for i in range(span)]
+                for m in range(2)]
     records, references = [], {}
     for rid in range(n_records):
-        rec = RequestRecord(Request(rid, rid * 0.5, 100, gaps_each + 1))
-        rec.emissions = [rid * 500.0 + 40.0 + (rid % 7) + 10.0 * g + (g * rid) % 3
-                         for g in range(gaps_each + 1)]
-        rec.first_token_time, rec.completion = rec.emissions[0], rec.emissions[-1]
-        records.append(rec)
+        ends = machines[rid % 2]
+        a = rid // 2 * (gaps_each + 1)
+        if not gaps_each:
+            segments = ()
+        elif rid % 3 == 0 and gaps_each > 1:
+            half = gaps_each // 2
+            segments = [a, a + half, a + half + 1, a + gaps_each + 1]
+        else:
+            segments = [a, a + gaps_each]
+        first = ends[a] - 30.0 - rid % 5
+        records.append(record(rid, rid * 0.0005, first, ends if segments else None, segments,
+                              (rid + 1) % 2, rid % 2))
         references[rid] = {"ttft_ms": 30.0 + rid % 5, "tbt_ms": 7.0, "e2e_ms": 500.0}
     return MetricsReport(records, 1.0, {}), references
 
