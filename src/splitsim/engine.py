@@ -110,6 +110,7 @@ import heapq
 import io
 import math
 import operator
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
@@ -732,7 +733,8 @@ def requests_csv(result: SimResult) -> str:
 
 
 class _Texts(dict):
-    """value -> its text, formatted once: a run has few distinct gaps."""
+    """value -> its text, formatted once: a run has few distinct gaps and
+    request ids."""
 
     def __init__(self, fmt):
         super().__init__()
@@ -792,34 +794,39 @@ def summary_csv(result: SimResult) -> str:
     return buf.getvalue()
 
 
-# event kind -> its whole row's format: time, sequence number, kind, payload
-_EVENT_ROWS = {kind: f"{{}},{{}},{kind},{fmt}\n" for kind, fmt in EVENT_FORMATS.items()}
+# event kind -> its whole row as one %-format: time, sequence number, kind
+# and EVENT_FORMATS' payload, with "{}" as "%s" and "{:.6f}" as "%.6f"
+_EVENT_ROWS = {kind: "%%s,%%s,%s,%s\n" % (kind, re.sub(r"\{(?::([^}]*))?\}",
+                                                     lambda m: "%" + (m[1] or "s"),
+                                                     fmt.replace("%", "%%")))
+               for kind, fmt in EVENT_FORMATS.items()}
 
 
 def event_log_csv(result: SimResult) -> str:
     # One format call per row.  The log is in time order, so each distinct
     # time is formatted once.  Only batch_started has tuple fields, and each
-    # tuple is joined once: an unchanged batch logs the same
-    # Batch.request_ids tuples on every iteration, and the log keeps every
-    # tuple alive, so an id names one.
+    # tuple is joined once, from each request id's text, made once: an
+    # unchanged batch logs the same Batch.request_ids tuples on every
+    # iteration, and the log keeps every tuple alive, so an id names one.
     buf = io.StringIO()
     write = buf.write
     write("time_ms,seq,kind,payload\n")
+    names = _Texts(str)
     joined: dict[int, str] = {}  # id of an id tuple -> its text
 
     def ids_text(ids: tuple) -> str:
         text = joined.get(id(ids))
         if text is None:
-            text = joined[id(ids)] = ",".join(map(str, ids))
+            text = joined[id(ids)] = ",".join(map(names.__getitem__, ids))
         return text
 
     last = text = None
     for t, seq, kind, fields in result.event_log:
         if t != last:
-            last, text = t, f"{t:.9f}"
+            last, text = t, "%.9f" % t
         if kind == "batch_started":
             mid, batch_kind, prompts, tokens, iter_ms = fields
             fields = (mid, batch_kind, ids_text(prompts), ids_text(tokens), iter_ms)
-        write(_EVENT_ROWS[kind].format(text, seq, *fields))
+        write(_EVENT_ROWS[kind] % (text, seq, *fields))
     joined.clear()  # freed before getvalue copies the rows
     return buf.getvalue()
