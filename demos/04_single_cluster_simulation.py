@@ -16,7 +16,7 @@ from splitsim import (
     generate_trace,
     get_calibration,
 )
-from splitsim.engine import report_percentiles
+from splitsim.report import report_percentiles
 
 
 def main():

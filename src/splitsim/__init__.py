@@ -52,16 +52,16 @@ from .transfer import (
 )
 from .machine import MIXED, PROMPT, TOKEN, Batch, Machine, SchedulerConfig, Task
 from .cluster import DESIGNS, Cluster, ClusterConfig, normalize_design
-from .engine import (
+from .report import (
     MetricsReport,
     RequestRecord,
     SimResult,
-    Simulator,
     SloTable,
     check_slo,
     percentile,
     reference_latencies,
 )
+from .engine import Simulator
 from .provision import (
     DesignPoint,
     SearchResult,

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import config as cfgmod
-from . import engine, provision
+from . import engine, provision, report
 from .cluster import ClusterConfig
 from .errors import ConfigurationError, SplitsimError
 from .machine import SchedulerConfig
@@ -132,15 +132,15 @@ def cmd_simulate(args) -> int:
               f"token_machines={cluster_config.token_machines} llm={llm}\n")
     with open(os.path.join(outdir, "requests.csv"), "w") as fh:
         fh.write(header)
-        fh.write(engine.requests_csv(result))
+        fh.write(report.requests_csv(result))
     with open(os.path.join(outdir, "tbt.csv"), "w") as fh:
-        fh.write(engine.tbt_csv(result))
+        fh.write(report.tbt_csv(result))
     with open(os.path.join(outdir, "summary.csv"), "w") as fh:
         fh.write(header)
-        fh.write(engine.summary_csv(result))
+        fh.write(report.summary_csv(result))
     if args.event_log:
         with open(os.path.join(outdir, "events.csv"), "w") as fh:
-            fh.write(engine.event_log_csv(result))
+            fh.write(report.event_log_csv(result))
 
     slo = result.report.slo
     for c in slo["constraints"]:
@@ -202,26 +202,26 @@ def cmd_provision(args) -> int:
 
 def cmd_fit_model(args) -> int:
     samples = parse_profile_csv(args.profile)
-    model, report = fit_piecewise_linear(samples, knot_budget=args.knot_budget,
-                                         holdout_fraction=args.holdout, seed=args.seed)
+    model, fit = fit_piecewise_linear(samples, knot_budget=args.knot_budget,
+                                      holdout_fraction=args.holdout, seed=args.seed)
     with open(args.output, "w") as fh:
         fh.write(export_profile_csv(model))
     print(f"fitted {model.machine_type}/{model.llm}: "
           f"{len(model.prompt_knots[0])} prompt knots, "
           f"{len(model.token_knots[0])} token knots")
-    print(f"train MAPE: prompt {report.train_mape_prompt:.2f}% "
-          f"token {report.train_mape_token:.2f}%")
-    if report.holdout_mape is not None:
-        print(f"holdout MAPE: {report.holdout_mape:.2f}%")
+    print(f"train MAPE: prompt {fit.train_mape_prompt:.2f}% "
+          f"token {fit.train_mape_token:.2f}%")
+    if fit.holdout_mape is not None:
+        print(f"holdout MAPE: {fit.holdout_mape:.2f}%")
     return 0
 
 
 def cmd_report(args) -> int:
-    rows = [row for _, row in read_csv(args.requests, engine.REQUEST_CSV_HEADER,
-                                       (int, float, float, float, int, int, float, int))]
+    rows = [row for _, row in read_csv(args.requests, report.REQUEST_CSV_HEADER,
+                                       report.REQUEST_CSV_TYPES)]
     ttft, e2e = [row[2] for row in rows], [row[3] for row in rows]
-    gaps = [row[2] for _, row in read_csv(args.tbt, engine.TBT_CSV_HEADER,
-                                          (int, int, float))] if args.tbt else []
+    gaps = [row[2] for _, row in read_csv(args.tbt, report.TBT_CSV_HEADER,
+                                          report.TBT_CSV_TYPES)] if args.tbt else []
     if not ttft:
         print("no requests in input")
         return 0
@@ -229,7 +229,7 @@ def cmd_report(args) -> int:
     for name, vals in (("TTFT", ttft), ("E2E", e2e), ("TBT", gaps)):
         if vals:
             print(f"{name:>4} ms: " + " ".join(
-                f"{label}={value:.1f}" for label, value in engine.report_percentiles(vals)))
+                f"{label}={value:.1f}" for label, value in report.report_percentiles(vals)))
     return 0
 
 

@@ -31,10 +31,11 @@ import os
 from dataclasses import dataclass, field
 
 from .cluster import DESIGNS, ClusterConfig, normalize_design
-from .engine import SloTable, Simulator
+from .engine import Simulator
 from .errors import ConfigurationError, HorizonExceeded, SloViolated
 from .machine import SchedulerConfig
 from .perf import MACHINE_SPECS, PerfModel, get_calibration
+from .report import SloTable
 from .trace import SizeDistribution, generate_trace
 
 RESOLUTION = 0.02  # max_throughput's bisection bracket, relative to the passing rate

@@ -1,0 +1,481 @@
+"""The report layer: a run's metrics, its nine-way SLO verdict and its CSVs.
+
+A provisioning probe needs only the verdict, and it runs with
+``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
+``n - ceil(p*n)`` of the ``n`` ratios exceed ``m``, and ``n`` is known
+before the run, so an ``SloLedger`` of nine exceedance counts gives
+``check_slo``'s verdict exactly.  Each count moves when its latency becomes
+final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
+gap at its emission (``_emit_tokens``), E2E in ``_finish``.  The tasks of an
+iteration that ran the previous one share its first gap, so the gap is
+counted once, weighted by their number; a task whose last emission differs
+is counted on its own.  On every later iteration of the same batch, reused
+or in a window, all its tasks share each gap, so each is counted once,
+weighted by the batch size.  The
+first count over its allowance raises ``SloViolated``: the run simulates no
+event after it, and invariants are checked up to that point.
+``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
+needs the observed ratios, and counting every gap as well would slow a
+log-on replay, where no window shares its gaps.  The ledger's agreement with
+``check_slo`` is pinned by ``tests/test_slo_ledger.py``, not checked at run
+time.
+
+The report layer works on columns and cached text, reads each record's
+token phase from its machine's ``ends``, and gives the same bytes as a
+per-request loop.  ``check_slo`` gathers every record's emission times
+after the first token from one float64 copy of each machine's ``ends``,
+takes the gaps with one subtraction and replaces each record's first gap by
+its first segment start minus its first token's time; it divides by each
+gap's reference.  A float64 subtraction or division rounds exactly as the
+same Python float expression does, so every ratio is the float the
+per-request loop computes.  ``np.partition(ratios, k)`` puts at index ``k``
+the element that ``sorted`` puts there, so each nearest-rank percentile,
+and with it ``observed_ratio``, is bit-identical; ``report_percentiles``
+takes P50/P90/P99 the same way.  ``tbt_csv`` formats each gap between a
+machine's consecutive ends once per machine, and each gap index once; a
+record's rows are list slices of those texts, and only the gap into each
+segment, from the first token or across a preemption, is subtracted on its
+own.  ``b"%.6f" % gap`` and ``f"{gap:.6f}"`` format a float the same way.
+``event_log_csv`` makes one format call per row, formats each distinct time
+once and joins each id tuple of ``batch_started`` once.
+``tests/test_report_layer.py`` compares all three with per-request, per-row
+references on random records that share their machines' ``ends``.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+import operator
+import re
+from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
+
+from .errors import SloViolated, ValidationError
+from .perf import PerfModel
+from .trace import Request
+
+# event kind -> payload format of its fields; only event_log_csv reads it.
+# A tuple field (the request ids of a batch) prints comma-joined.
+EVENT_FORMATS = {
+    "request_arrival": "request={} prompt_tokens={} output_tokens={} "
+                       "prompt_machine={} token_machine={}",
+    "task_enqueued": "machine={} request={} kind={} tokens={}",
+    "pool_transition": "machine={} from={} to={}",
+    "batch_started": "machine={} kind={} prompts=[{}] tokens=[{}] iter_ms={:.6f}",
+    "iteration_complete": "machine={}",
+    "prompt_finished": "request={} machine={} tokens={}",
+    "transfer_complete": "request={} visible_ms={:.6f}",
+    "request_finished": "request={} machine={} kind={}",
+    "pool_maintenance": "machine={} repurposed {}->{}",
+}
+
+
+def _rank(n: int, p: float) -> int:
+    """Index of the nearest-rank ``P_p`` among ``n`` sorted samples."""
+    if n == 0:
+        raise ValidationError("percentile of empty sample set")
+    if not 0.0 < p <= 1.0:
+        raise ValidationError("p must be in (0, 1]")
+    return max(0, math.ceil(p * n) - 1)
+
+
+def percentile(samples, p: float):
+    """Nearest-rank percentile: sorted value at index ceil(p*n) - 1."""
+    return sorted(samples)[_rank(len(samples), p)]
+
+
+def _percentiles(values: np.ndarray, ps) -> list[float]:
+    """``percentile(values, p)`` for each ``p``, from one partition of a
+    float64 column: ``np.partition(values, k)`` puts at index ``k`` the
+    element that ``sorted`` puts there."""
+    ranks = [_rank(len(values), p) for p in ps]
+    ordered = np.partition(values, ranks)
+    return [float(ordered[k]) for k in ranks]
+
+
+def report_percentiles(values) -> list[tuple[str, float]]:
+    """The percentiles a run reports, ``[("P50", P50), ("P90", P90), ("P99", P99)]``."""
+    ps = (0.5, 0.9, 0.99)
+    return [(f"P{int(p * 100)}", value) for p, value in zip(ps, _percentiles(values, ps))]
+
+
+def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's token gaps, in record order, as one float64 column,
+    and each record's gap count.
+
+    The emission times after each first token are gathered from one float64
+    column of every token machine's ``ends``: the index steps by one inside
+    a segment (which is never empty) and jumps at the next one's start.
+    Differencing them gives every gap but each record's first, which is its
+    first segment's start minus its first token's time; a gap across a
+    preemption is the difference of its two segments' adjacent ends."""
+    bases: dict[int, int] = {}  # id of a machine's ends -> where they start in the column
+    machines: list[list[float]] = []
+    total = 0
+    flat, sizes, record_bases, firsts = [], [], [], []
+    for rec in records:
+        segments = rec.segments
+        sizes.append(len(segments))
+        if segments:
+            ends = rec.ends
+            base = bases.get(id(ends))
+            if base is None:
+                base = bases[id(ends)] = total
+                total += len(ends)
+                machines.append(ends)
+            flat += segments
+            record_bases.append(base)
+            firsts.append(rec.first_token_time)
+    pairs = np.array(sizes, dtype=np.intp) // 2  # segments per record
+    bounds = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    starts = bounds[:, 0] + np.repeat(np.array(record_bases, dtype=np.intp), pairs[pairs > 0])
+    through = np.concatenate(([0], np.cumsum(lengths)))  # times before each segment
+    counts = np.diff(through[np.cumsum(pairs)], prepend=0)
+    if not len(lengths):
+        return np.empty(0), counts
+    index = np.ones(int(through[-1]), dtype=np.intp)
+    index[0] = starts[0]
+    index[through[1:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    times = np.fromiter(chain.from_iterable(machines), dtype=float, count=total)[
+        np.cumsum(index, out=index)]
+    del index
+    gaps = np.empty_like(times)
+    np.subtract(times[1:], times[:-1], out=gaps[1:])
+    heads = (np.cumsum(counts) - counts)[counts > 0]  # each record's first time
+    gaps[heads] = times[heads] - np.array(firsts, dtype=float)
+    return gaps, counts
+
+
+@dataclass
+class SloTable:
+    """Slowdown multipliers vs. an uncontended reference, per percentile."""
+
+    ttft: tuple = (2.0, 3.0, 6.0)
+    tbt: tuple = (1.25, 1.5, 5.0)
+    e2e: tuple = (1.25, 1.5, 5.0)
+    percentiles: tuple = (0.5, 0.9, 0.99)
+
+    def __post_init__(self):
+        for multis in (self.ttft, self.tbt, self.e2e):
+            if any(m < 1.0 for m in multis):
+                raise ValidationError("SLO multipliers must be >= 1")
+
+
+def reference_latencies(request: Request, reference_model: PerfModel) -> dict:
+    """Closed-form latencies for this request on an unbatched reference."""
+    ttft = reference_model.prompt_time(request.prompt_tokens)
+    tbt = reference_model.token_iter_time(1)
+    return {
+        "ttft_ms": ttft,
+        "tbt_ms": tbt,
+        "e2e_ms": ttft + (request.output_tokens - 1) * tbt,
+    }
+
+
+@dataclass
+class RequestRecord:
+    """One request's outcome.  Its token phase, set when it finishes, is its
+    token machine's ``ends`` (shared, not copied) and the ``segments`` of
+    them during which its token task was in the batch (see ``Task``)."""
+
+    request: Request
+    prompt_machine: int = -1
+    token_machine: int = -1
+    first_token_time: float | None = None
+    completion: float | None = None
+    transfer_visible_ms: float = 0.0
+    preempt_count: int = 0
+    ends: list[float] | None = field(default=None, repr=False, compare=False)
+    segments: list[int] | tuple = ()
+
+    @property
+    def ttft_ms(self) -> float:
+        return self.first_token_time - self.request.arrival * 1000.0
+
+    @property
+    def e2e_ms(self) -> float:
+        return self.completion - self.request.arrival * 1000.0
+
+    @property
+    def emissions(self) -> list[float]:
+        """The first token's time, then the token phase's; derived."""
+        if self.first_token_time is None:
+            return []
+        out, ends, segments = [self.first_token_time], self.ends, self.segments
+        for a, b in zip(segments[::2], segments[1::2]):
+            out += ends[a:b]
+        return out
+
+    def tbt_ms(self) -> list[float]:
+        emissions = self.emissions
+        return [b - a for a, b in zip(emissions, emissions[1:])]
+
+
+@dataclass
+class MetricsReport:
+    records: list[RequestRecord]
+    throughput_rps: float
+    utilization: dict[int, float]
+    slo: dict | None = None
+
+    def summary(self) -> dict:
+        records = self.records
+        out = {"requests": len(records), "throughput_rps": self.throughput_rps}
+        if records:
+            columns = [(name, np.fromiter(map(attr, records), dtype=float, count=len(records)))
+                       for name, attr in (("ttft_ms", operator.attrgetter("ttft_ms")),
+                                          ("e2e_ms", operator.attrgetter("e2e_ms")))]
+            gaps = _gap_column(records)[0]
+            if len(gaps):
+                columns.append(("tbt_ms", gaps))
+            for name, values in columns:
+                for label, value in report_percentiles(values):
+                    out[f"{name}_{label.lower()}"] = value
+        return out
+
+
+def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
+    """Evaluate the nine slowdown constraints.
+
+    ``references`` maps request id -> reference_latencies() output.  Ratios
+    are computed per request (per token gap for TBT, pooled over all
+    requests) and then percentiled.  Returns per-constraint verdicts plus
+    overall pass.  The ratios are built column-wise (see the module
+    docstring for why they are the per-request floats, bit for bit).
+    """
+    records = report.records
+    n = len(records)
+    refs = [references[rec.request.id] for rec in records]
+
+    def column(values):
+        return np.fromiter(values, dtype=float, count=n)
+
+    arrival_ms = column(rec.request.arrival for rec in records) * 1000.0
+    ttft_ratios = ((column(rec.first_token_time for rec in records) - arrival_ms)
+                   / column(ref["ttft_ms"] for ref in refs))
+    e2e_ratios = ((column(rec.completion for rec in records) - arrival_ms)
+                  / column(ref["e2e_ms"] for ref in refs))
+    tbt_ratios, counts = _gap_column(records)
+    tbt_ratios /= np.repeat(column(ref["tbt_ms"] for ref in refs), counts)
+
+    result = {"constraints": [], "pass": True}
+    for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
+                                        ("TBT", tbt_ratios, slo.tbt),
+                                        ("E2E", e2e_ratios, slo.e2e)):
+        if len(ratios):
+            observed = _percentiles(ratios, slo.percentiles)
+        else:
+            observed = [0.0] * len(slo.percentiles)
+        for p, mult, ratio in zip(slo.percentiles, multipliers, observed):
+            ok = ratio <= mult
+            result["constraints"].append({
+                "metric": metric, "percentile": p,
+                "observed_ratio": ratio, "multiplier": mult, "pass": ok,
+            })
+            result["pass"] = result["pass"] and ok
+    return result
+
+
+class SloLedger:
+    """Exceedance counts of the nine constraints, kept as latencies become
+    final.
+
+    Nearest-rank ``P_p <= m`` holds iff at most ``n - ceil(p*n)`` of the
+    ``n`` ratios exceed ``m``, and ``n`` is known from the trace: the request
+    count for TTFT and E2E, ``sum(output_tokens - 1)`` for TBT.  The ratios
+    and the comparison are ``check_slo``'s own float expressions on the
+    ``reference_latencies``, so the verdict is the same.  A count over its
+    allowance never comes back, and ``violated`` raises ``SloViolated`` at once.
+    """
+
+    def __init__(self, slo: SloTable, requests, reference: PerfModel):
+        self.reference = reference
+        self.tbt_ref = reference.token_iter_time(1)
+        sizes = {"TTFT": len(requests), "TBT": sum(r.output_tokens - 1 for r in requests),
+                 "E2E": len(requests)}
+        # (metric, percentile, multiplier, allowed exceedances)
+        self.constraints = [(metric, p, mult, sizes[metric] - math.ceil(p * sizes[metric]))
+                            for metric, multipliers in (("TTFT", slo.ttft), ("TBT", slo.tbt),
+                                                        ("E2E", slo.e2e))
+                            for p, mult in zip(slo.percentiles, multipliers)]
+        self.exceeded = [0] * len(self.constraints)
+        self._ttft, self._tbt, self._e2e = (
+            [(i, mult, allowed) for i, (m, _, mult, allowed) in enumerate(self.constraints)
+             if m == metric] for metric in ("TTFT", "TBT", "E2E"))
+        self._tbt_floor = min(slo.tbt)
+
+    def ttft(self, request: Request, time: float):
+        ref = reference_latencies(request, self.reference)["ttft_ms"]
+        self._count(self._ttft, (time - request.arrival * 1000.0) / ref, 1, time)
+
+    def tbt(self, gap: float, time: float, weight: int = 1):
+        """A gap emitted by ``weight`` requests at ``time``."""
+        ratio = gap / self.tbt_ref
+        if ratio > self._tbt_floor:
+            self._count(self._tbt, ratio, weight, time)
+
+    def shared_tbt(self, times: list[float], weight: int):
+        """The gaps between consecutive ``times``, each emitted by ``weight``
+        requests of one batch."""
+        ref, floor = self.tbt_ref, self._tbt_floor
+        for a, b in zip(times, times[1:]):
+            ratio = (b - a) / ref
+            if ratio > floor:
+                self._count(self._tbt, ratio, weight, b)
+
+    def e2e(self, request: Request, time: float):
+        ref = reference_latencies(request, self.reference)["e2e_ms"]
+        self._count(self._e2e, (time - request.arrival * 1000.0) / ref, 1, time)
+
+    def _count(self, checks, ratio: float, weight: int, time: float):
+        exceeded = self.exceeded
+        for i, mult, allowed in checks:
+            if ratio > mult:
+                exceeded[i] += weight
+                if exceeded[i] > allowed:
+                    self.violated(i, time)
+
+    def violated(self, i: int, time: float):
+        metric, p, _, allowed = self.constraints[i]
+        raise SloViolated(metric, p, self.exceeded[i], allowed, time)
+
+    def verdict(self) -> dict:
+        """``check_slo``'s verdict layout, with counts instead of ratios."""
+        constraints = [{"metric": metric, "percentile": p, "multiplier": mult,
+                        "exceeded": exceeded, "allowed": allowed, "pass": exceeded <= allowed}
+                       for (metric, p, mult, allowed), exceeded
+                       in zip(self.constraints, self.exceeded)]
+        return {"constraints": constraints, "pass": all(c["pass"] for c in constraints)}
+
+
+@dataclass
+class SimResult:
+    report: MetricsReport
+    event_log: list[tuple]
+
+
+# -- CSV emission ----------------------------------------------------------
+
+# each file's header and its column types, as ``splitsim report`` reads them back
+REQUEST_CSV_HEADER = ("request_id,arrival_s,ttft_ms,e2e_ms,prompt_machine,"
+                      "token_machine,transfer_visible_ms,preempt_count")
+REQUEST_CSV_TYPES = (int, float, float, float, int, int, float, int)
+TBT_CSV_HEADER = "request_id,gap_index,tbt_ms"
+TBT_CSV_TYPES = (int, int, float)
+
+
+def requests_csv(result: SimResult) -> str:
+    buf = io.StringIO()
+    buf.write(REQUEST_CSV_HEADER + "\n")
+    for rec in result.report.records:
+        buf.write(f"{rec.request.id},{rec.request.arrival:.6f},{rec.ttft_ms:.6f},"
+                  f"{rec.e2e_ms:.6f},{rec.prompt_machine},{rec.token_machine},"
+                  f"{rec.transfer_visible_ms:.6f},{rec.preempt_count}\n")
+    return buf.getvalue()
+
+
+class _Texts(dict):
+    """value -> its text, formatted once: a run has few distinct gaps and
+    request ids."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, value):
+        text = self[value] = self.fmt(value)
+        return text
+
+
+def tbt_csv(result: SimResult) -> str:
+    # A record's rows go out as one ASCII chunk.  The chunks are appended to
+    # a bytearray, not written to a StringIO: a StringIO keeps every chunk
+    # it is given until getvalue, and under glibc malloc chunks of this size
+    # left the heap fragmented (about 10 MB more peak RSS on a 600k-row run).
+    out = bytearray(f"{TBT_CSV_HEADER}\n".encode())
+    texts = _Texts(b"%.6f\n".__mod__)
+    # id of a machine's ends -> the text of each gap between consecutive ends
+    machine_gaps: dict[int, list[bytes]] = {}
+    index: list[bytes] = []  # b",{i}," for every gap index seen so far
+    for rec in result.report.records:
+        segments = rec.segments
+        if not segments:
+            continue
+        ends = rec.ends
+        gaps = machine_gaps.get(id(ends))
+        if gaps is None:
+            gaps = machine_gaps[id(ends)] = list(map(texts.__getitem__,
+                                                     map(operator.sub, ends[1:], ends)))
+        # the gap into each segment, from the first token or across a
+        # preemption, then the segment's own gaps
+        tails, last = [], rec.first_token_time
+        for a, b in zip(segments[::2], segments[1::2]):
+            tails.append(texts[ends[a] - last])
+            tails += gaps[a:b - 1]
+            last = ends[b - 1]
+        n = len(tails)
+        if n > len(index):
+            index.extend(b",%d," % i for i in range(len(index), n))
+        # rows "{rid},{i},{gap}\n", joined from their three parts
+        parts = [str(rec.request.id).encode()] * (3 * n)
+        parts[1::3] = index[:n]
+        parts[2::3] = tails
+        out += b"".join(parts)
+    del texts, machine_gaps, index  # freed before decode copies the rows
+    return out.decode("ascii")
+
+
+def summary_csv(result: SimResult) -> str:
+    buf = io.StringIO()
+    buf.write("metric,percentile,observed_ratio,multiplier,verdict\n")
+    if result.report.slo is not None:
+        for c in result.report.slo["constraints"]:
+            if "observed_ratio" not in c:
+                raise ValidationError("a stop_on_slo_fail verdict holds exceedance counts")
+            buf.write(f"{c['metric']},P{int(c['percentile'] * 100)},"
+                      f"{c['observed_ratio']:.6f},{c['multiplier']},"
+                      f"{'pass' if c['pass'] else 'fail'}\n")
+    return buf.getvalue()
+
+
+# event kind -> its whole row as one %-format: time, sequence number, kind
+# and EVENT_FORMATS' payload, with "{}" as "%s" and "{:.6f}" as "%.6f"
+_EVENT_ROWS = {kind: "%%s,%%s,%s,%s\n" % (kind, re.sub(r"\{(?::([^}]*))?\}",
+                                                     lambda m: "%" + (m[1] or "s"),
+                                                     fmt.replace("%", "%%")))
+               for kind, fmt in EVENT_FORMATS.items()}
+
+
+def event_log_csv(result: SimResult) -> str:
+    # One format call per row.  The log is in time order, so each distinct
+    # time is formatted once.  Only batch_started has tuple fields, and each
+    # tuple is joined once, from each request id's text, made once: an
+    # unchanged batch logs the same Batch.request_ids tuples on every
+    # iteration, and the log keeps every tuple alive, so an id names one.
+    buf = io.StringIO()
+    write = buf.write
+    write("time_ms,seq,kind,payload\n")
+    names = _Texts(str)
+    joined: dict[int, str] = {}  # id of an id tuple -> its text
+
+    def ids_text(ids: tuple) -> str:
+        text = joined.get(id(ids))
+        if text is None:
+            text = joined[id(ids)] = ",".join(map(names.__getitem__, ids))
+        return text
+
+    last = text = None
+    for t, seq, kind, fields in result.event_log:
+        if t != last:
+            last, text = t, "%.9f" % t
+        if kind == "batch_started":
+            mid, batch_kind, prompts, tokens, iter_ms = fields
+            fields = (mid, batch_kind, ids_text(prompts), ids_text(tokens), iter_ms)
+        write(_EVENT_ROWS[kind] % (text, seq, *fields))
+    joined.clear()  # freed before getvalue copies the rows
+    return buf.getvalue()
+

@@ -17,7 +17,7 @@ from splitsim import (
 )
 from splitsim.cli import _cluster_config, _parse_counts, _sched_config, build_parser, main
 from splitsim.config import load_config
-from splitsim.engine import REQUEST_CSV_HEADER, TBT_CSV_HEADER
+from splitsim.report import REQUEST_CSV_HEADER, TBT_CSV_HEADER
 from splitsim.perf import PROFILE_HEADER
 from splitsim.trace import TRACE_HEADER
 

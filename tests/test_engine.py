@@ -27,7 +27,8 @@ from splitsim import (
     reference_latencies,
     PRESETS,
 )
-from splitsim import engine
+from splitsim.report import (REQUEST_CSV_HEADER, MetricsReport, RequestRecord, SloLedger,
+                             event_log_csv, requests_csv, summary_csv, tbt_csv)
 
 
 def h100_models():
@@ -127,20 +128,20 @@ class TestDeterminism:
             res = Simulator(ClusterConfig("Splitwise-HH", 2, 1), h100_models(),
                             trace,
                             reference_model=get_calibration("llama2-70b", "A100")).run()
-            outs.append((engine.event_log_csv(res), engine.requests_csv(res),
-                         engine.tbt_csv(res), engine.summary_csv(res)))
+            outs.append((event_log_csv(res), requests_csv(res),
+                         tbt_csv(res), summary_csv(res)))
         assert outs[0] == outs[1]
 
 
 class TestSloCheck:
     def _report(self, ttft, e2e, gaps):
-        rec = engine.RequestRecord(Request(0, 0.0, 1500, len(gaps) + 1))
+        rec = RequestRecord(Request(0, 0.0, 1500, len(gaps) + 1))
         rec.first_token_time = ttft
         # the token phase as its machine's iteration ends, one segment of them
         rec.ends = list(itertools.accumulate(gaps, initial=ttft))[1:]
         rec.segments = [0, len(gaps)] if gaps else ()
         rec.completion = rec.emissions[-1]
-        return engine.MetricsReport([rec], 1.0, {})
+        return MetricsReport([rec], 1.0, {})
 
     def test_nine_constraints(self):
         report = self._report(185.0, 809.0, [52.0] * 12)
@@ -309,8 +310,8 @@ class TestParkedResidents:
         for result in (logged, fast):
             assert len(result.report.records) == 53
             assert all(r.completion is not None for r in result.report.records)
-        assert engine.requests_csv(fast) == engine.requests_csv(logged)
-        assert engine.tbt_csv(fast) == engine.tbt_csv(logged)
+        assert requests_csv(fast) == requests_csv(logged)
+        assert tbt_csv(fast) == tbt_csv(logged)
         # the decode really was parked behind the burst
         assert logged.report.records[0].preempt_count > 0
 
@@ -335,7 +336,7 @@ class TestLedgerWithPreemption:
         assert sum(r.preempt_count for r in report.records) > 0
         tbt_ref = reference.token_iter_time(1)
         ratios = [gap / tbt_ref for rec in report.records for gap in rec.tbt_ms()]
-        with mock.patch.object(engine.SloLedger, "violated", lambda self, i, time: None):
+        with mock.patch.object(SloLedger, "violated", lambda self, i, time: None):
             counted = run(stop_on_slo_fail=True).slo["constraints"]
         assert [c["exceeded"] for c in counted if c["metric"] == "TBT"] == \
             [sum(r > c["multiplier"] for r in ratios) for c in counted if c["metric"] == "TBT"]
@@ -348,25 +349,25 @@ class TestCsvEmission:
                          reference_model=get_calibration("llama2-70b", "A100")).run()
 
     def test_requests_csv(self):
-        text = engine.requests_csv(self._result())
+        text = requests_csv(self._result())
         lines = text.strip().splitlines()
-        assert lines[0] == engine.REQUEST_CSV_HEADER
+        assert lines[0] == REQUEST_CSV_HEADER
         fields = lines[1].split(",")
         assert fields[0] == "0"
         assert float(fields[2]) == 95.0
 
     def test_tbt_csv(self):
-        lines = engine.tbt_csv(self._result()).strip().splitlines()
+        lines = tbt_csv(self._result()).strip().splitlines()
         assert lines[0] == "request_id,gap_index,tbt_ms"
         assert len(lines) == 1 + 12
 
     def test_summary_csv_nine_rows(self):
-        lines = engine.summary_csv(self._result()).strip().splitlines()
+        lines = summary_csv(self._result()).strip().splitlines()
         assert len(lines) == 1 + 9
         assert lines[0] == "metric,percentile,observed_ratio,multiplier,verdict"
 
     def test_event_log_csv(self):
-        lines = engine.event_log_csv(self._result()).strip().splitlines()
+        lines = event_log_csv(self._result()).strip().splitlines()
         assert lines[0] == "time_ms,seq,kind,payload"
         kinds = {line.split(",")[2] for line in lines[1:]}
         assert {"request_arrival", "batch_started", "iteration_complete",

@@ -13,11 +13,16 @@ import math
 from itertools import accumulate
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
-from splitsim import Request, SloTable, check_slo, percentile
-from splitsim import engine
-from splitsim.engine import EVENT_FORMATS, MetricsReport, RequestRecord, SimResult
+import splitsim.engine
+import splitsim.report
+import splitsim.transfer
+from splitsim import (PRESETS, ClusterConfig, Request, Simulator, SloTable, ValidationError,
+                      check_slo, generate_trace, get_calibration, percentile)
+from splitsim.report import (EVENT_FORMATS, MetricsReport, RequestRecord, SimResult,
+                             event_log_csv, summary_csv, tbt_csv)
 
 
 def reference_check_slo(report, slo, references):
@@ -215,7 +220,7 @@ def test_no_gaps_reads_zero():
 def test_tbt_csv_matches_per_row_text(case):
     report, _ = case
     result = SimResult(report, [])
-    assert engine.tbt_csv(result) == reference_tbt_csv(result)
+    assert tbt_csv(result) == reference_tbt_csv(result)
 
 
 # batch memberships drawn from a few tuples, so most come back
@@ -243,4 +248,30 @@ def batch_logs(draw):
 @given(batch_logs())
 def test_event_log_csv_matches_per_row_text(log):
     result = SimResult(MetricsReport([], 0.0, {}), log)
-    assert engine.event_log_csv(result) == reference_event_log_csv(result)
+    assert event_log_csv(result) == reference_event_log_csv(result)
+
+
+def test_summary_csv_rejects_a_probe_verdict():
+    """A ``stop_on_slo_fail`` run that passes holds exceedance counts, not
+    the observed ratios ``summary.csv`` prints."""
+    conversation = PRESETS["conversation"]
+    trace = generate_trace(conversation["prompt"], conversation["output"], 1.0, 12.0, seed=1)
+    config = ClusterConfig("Splitwise-AA", 2, 2)
+    model = get_calibration(config.llm, "A100")
+    result = Simulator(config, {"A100": model}, trace, reference_model=model,
+                       slo=SloTable(ttft=(6, 6, 6)), stop_on_slo_fail=True).run()
+    assert result.report.slo["pass"]
+    with pytest.raises(ValidationError, match="exceedance counts"):
+        summary_csv(result)
+
+
+@pytest.mark.parametrize("owner, name", [
+    *((splitsim.report, name) for name in ("check_slo", "reference_latencies", "requests_csv",
+                                           "tbt_csv", "summary_csv", "event_log_csv")),
+    (splitsim.transfer, "plan_transfer"),
+])
+def test_engine_binds_the_objects_the_bench_reads(owner, name):
+    """``bench/workloads.py`` and ``bench/tracing.py`` read these names on
+    ``engine``; a second copy there would pass the tracer's own tests while
+    the run calls the other one."""
+    assert getattr(splitsim.engine, name) is getattr(owner, name)
