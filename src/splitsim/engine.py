@@ -48,19 +48,21 @@ remaining output and emissions follow from the segments of its machine's
 log on every iteration runs in full, which is the oracle the tests compare
 against.
 
-A token iteration's bookkeeping lives in ``_emit_tokens(machine, batch,
-k)``, for the batch's iterations that end at the machine's last ``k``
-``ends``: it counts the ledger's TBT gaps and finishes each task with no
-output left.  ``_on_iteration`` passes ``k = 1``; ``_close_window`` passes
-the number of boundaries it applies, none of which finishes a task.  With
+A token iteration touches no task unless one finishes: ``_on_iteration``
+finishes exactly the tasks that ``Machine.complete_iteration`` returns.
+With the ledger on, ``_count_gaps(machine, batch, k)`` counts the TBT gaps
+of the batch's iterations that end at the machine's last ``k`` ``ends``;
+``_on_iteration`` passes ``k = 1`` and ``_close_window`` the number of
+boundaries it applies.  On a batch's first iteration, each task that joined
+it (``Batch.joined``) counts its gap from its own last emission, its first
+token or the end of its previous segment, and the tasks that ran the
+previous iteration share one gap, so it loops over the joiners alone.  With
 the log on, an unchanged batch is the same ``Batch`` object on every
 iteration, so its ``batch_started`` rows share one id tuple
-(``Batch.request_ids``).  It loops over
-the batch only when a task finishes, or when the ledger is on and the batch
-runs its first iteration; otherwise it touches no task.  A finished task's
-record keeps a reference to its machine's ``ends`` and the task's
-``segments``, not a copy of its emission times; ``RequestRecord.emissions``
-and ``tbt_ms()`` derive them, as ``Task.tokens`` does its count.
+(``Batch.request_ids``).  A finished task's record keeps a reference to its
+machine's ``ends`` and the task's ``segments``, not a copy of its emission
+times; ``RequestRecord.emissions`` and ``tbt_ms()`` derive them, as
+``Task.tokens`` does its count.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 
 from .cluster import Cluster, ClusterConfig
-from .errors import ConfigurationError, HorizonExceeded, InvariantError
+from .errors import ConfigurationError, HorizonExceeded, InvariantError, ValidationError
 from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .report import (MetricsReport, RequestRecord, SimResult, SloLedger, SloTable, check_slo,
@@ -106,6 +108,7 @@ class Simulator:
         self._dirty: set[int] = set()
         self.records: dict[int, RequestRecord] = {}
         self._completed = 0
+        self._ran = False
         # machine id -> boundaries of its fast-forwarded batch: the ends of
         # all its iterations but the last
         self._windows: dict[int, list[float]] = {}
@@ -138,6 +141,10 @@ class Simulator:
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> SimResult:
+        """Simulate the trace.  A simulator runs once."""
+        if self._ran:
+            raise ValidationError("a Simulator runs once; build a new one for another run")
+        self._ran = True
         for req in self.trace.requests:
             self.records[req.id] = RequestRecord(req)
             self._push(req.arrival * 1000.0, self._on_arrival, req.id)
@@ -190,7 +197,7 @@ class Simulator:
         if mid in self._windows:
             self._close_window(machine, time)
         batch = machine.running
-        machine.complete_iteration()
+        finished = machine.complete_iteration()
         record_log = self.record_log
         if record_log:
             self._emit(time, "iteration_complete", mid)
@@ -206,53 +213,30 @@ class Simulator:
                 self._start_token_phase(time, rec, batch.prompt_ms)
             else:
                 self._finish(time, rec, task, mid)
-        if batch.token_tasks:
-            self._emit_tokens(machine, batch, 1)
+        for task in finished:
+            self._finish(time, records[task.request_id], task, mid)
+        if ledger is not None and batch.token_tasks:
+            self._count_gaps(machine, batch, 1)
         self._dirty.add(mid)
 
-    def _emit_tokens(self, machine: Machine, batch, k: int):
-        """Each task of ``batch`` emitted a token at each of the machine's
-        last ``k`` iteration ends.  Counts the ledger's TBT gaps and
-        finishes the tasks with no output left; when no task finishes and
-        the ledger is off, it touches no task."""
-        ends, tasks, ledger, records = machine.ends, batch.token_tasks, self._ledger, self.records
-        n = len(ends)
-        i = n - k  # the first of the k iterations
-        if ledger is not None and i == batch.first:
-            # a task's first gap starts at its own last emission; the tasks
-            # that ran the previous iteration share it
-            first = ends[i]
-            lead = self._last_emission(tasks[0], i, ends)
-            shared = 0
-            for task in tasks:
-                last = self._last_emission(task, i, ends)
-                if last == lead:
-                    shared += 1
-                else:
-                    ledger.tbt(first - last, first)
-                if task.finish == n:
-                    self._finish(ends[-1], records[task.request_id], task, machine.id)
-        else:
-            if n == batch.finish:
-                for task in [t for t in tasks if t.finish == n]:
-                    self._finish(ends[-1], records[task.request_id], task, machine.id)
-            if ledger is None:
-                return
-            # every task ran the batch's previous iteration
-            lead, shared = ends[i - 1], len(tasks)
-        if shared:
-            ledger.tbt(ends[i] - lead, ends[i], shared)
-        ledger.shared_tbt(ends[i:], len(tasks))  # every task shares the later gaps
-
-    def _last_emission(self, task: Task, i: int, ends: list[float]) -> float:
-        """The emission before the one ``task`` made at ``ends[i]``."""
-        segments = task.segments
-        j = len(segments) - 2 + len(segments) % 2  # where the segment holding i starts
-        if segments[j] < i:
-            return ends[i - 1]
-        if j:
-            return ends[segments[j - 1] - 1]  # the end of its previous segment
-        return self.records[task.request_id].first_token_time
+    def _count_gaps(self, machine: Machine, batch, k: int):
+        """Count the ledger's TBT gaps of ``batch``'s iterations that ended at
+        the machine's last ``k`` ``ends`` (see the module docstring)."""
+        ends, ledger = machine.ends, self._ledger
+        i = len(ends) - k  # the first of the k iterations
+        shared = len(batch.token_tasks)
+        if i == batch.first:
+            for task in batch.joined:  # from its first token or its previous segment's end
+                segments = task.segments
+                # where its segment at i starts; complete_iteration closed it if it finished
+                j = len(segments) - 2 + len(segments) % 2
+                last = ends[segments[j - 1] - 1] if j else \
+                    self.records[task.request_id].first_token_time
+                ledger.tbt(ends[i] - last, ends[i])
+            shared -= len(batch.joined)
+        if shared:  # the tasks that ran the previous iteration
+            ledger.tbt(ends[i] - ends[i - 1], ends[i], shared)
+        ledger.shared_tbt(ends[i:], len(batch.token_tasks))
 
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
         rec.completion = time
@@ -348,7 +332,8 @@ class Simulator:
         for _ in range(k):  # one addition per iteration, so the floats match
             busy += duration
         machine.busy_time = busy
-        self._emit_tokens(machine, batch, k)
+        if self._ledger is not None:
+            self._count_gaps(machine, batch, k)
         machine.check_memory()  # memory only grew inside the window
 
     # -- reporting ---------------------------------------------------------

@@ -22,10 +22,12 @@ the batch: it entered at index ``a`` and left (finished or parked) at index
 ``remaining_output`` follow from its segments, and while it is in the batch
 ``finish`` is the length ``ends`` will have once its last token is out.  A
 batch keeps the earliest ``finish`` of its tasks, so an iteration in which
-no task finishes touches none of them.  ``form_batch`` returns the batch
-that ran last, the same object, when nothing joined, left or finished.  It
-keeps the capped residents in a list, rebuilt only when a parked task
-reaches the cap, in place of a scan of every resident on each call.
+no task finishes touches none of them; ``complete_iteration`` returns those
+that finish.  A batch lists the tasks that resumed or were admitted into it
+as ``joined``.  ``form_batch`` returns the batch that ran last, the same
+object, when nothing joined, left or finished.  It keeps the capped
+residents in a list, rebuilt only when a parked task reaches the cap, in
+place of a scan of every resident on each call.
 
 Batching reads queue and memory state only, never the clock; only the
 mixed-pool residency that drives re-purposing is timed.
@@ -114,6 +116,7 @@ class Batch:
     prompt_ms: float = 0.0  # prompt compute, which a layer-wise transfer overlaps
     first: int = 0   # index in its machine's ends of its first token iteration
     finish: int = 0  # the earliest finish of its token tasks
+    joined: list[Task] = field(default_factory=list)  # token tasks resumed or admitted
     _ids: tuple[tuple[int, ...], tuple[int, ...]] | None = field(default=None, repr=False)
 
     @property
@@ -256,6 +259,7 @@ class Machine:
                 self._queued_ids.discard((task.request_id, PROMPT))
 
         token_batch: list[Task] = []
+        joined: list[Task] = []
         if pool != PROMPT:
             slots = perf.max_token_batch - len(prompt_batch)
             # queued tasks come after every resident (FCFS) and have never
@@ -295,11 +299,13 @@ class Machine:
                 if task.parked:  # it resumes
                     task.parked = False
                     task.join(ends)
+                    joined.append(task)
             for task in queue[:admitted]:
                 self._queued_ids.discard((task.request_id, TOKEN))
                 task.join(ends)
                 resident.append(task)
                 token_batch.append(task)
+                joined.append(task)
             del queue[:admitted]
 
         if not prompt_batch and not token_batch:
@@ -312,13 +318,14 @@ class Machine:
             iteration_ms = prompt_ms + token_ms
         finish = min([t.finish for t in token_batch]) if token_batch else 0
         return Batch(prompt_batch, token_batch, iteration_ms, prompt_tokens, prompt_ms,
-                     len(self.ends), finish)
+                     len(self.ends), finish, joined)
 
     # -- iteration completion ---------------------------------------------
 
-    def complete_iteration(self) -> None:
+    def complete_iteration(self) -> list[Task]:
         """Apply the running batch's finished iteration, which ended at
-        ``due``, to the machine.
+        ``due``, to the machine, and return the token tasks it finished, in
+        batch order.
 
         Each prompt task has emitted its first token; each token task has
         emitted one more at the end appended to ``ends``, and one with no
@@ -333,6 +340,7 @@ class Machine:
             self.pending_token_count -= task.context
         tasks = batch.token_tasks
         previous = None
+        finished = []
         if tasks:
             ends = self.ends
             ends.append(self.due)
@@ -340,7 +348,8 @@ class Machine:
             n = len(ends)
             if n == batch.finish:
                 cap = self.sched.max_preemptions
-                for task in [t for t in tasks if t.finish == n]:
+                finished = [t for t in tasks if t.finish == n]
+                for task in finished:
                     task.leave()
                     self.resident.remove(task)
                     final = task.context + task.outputs
@@ -354,6 +363,7 @@ class Machine:
         self._previous = previous
         self.running = None
         self.due = None
+        return finished
 
     def unchanged_repeats(self) -> int:
         """How many more iterations the running batch repeats unchanged: a

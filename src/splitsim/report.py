@@ -6,14 +6,14 @@ A provisioning probe needs only the verdict, and it runs with
 before the run, so an ``SloLedger`` of nine exceedance counts gives
 ``check_slo``'s verdict exactly.  Each count moves when its latency becomes
 final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
-gap at its emission (``_emit_tokens``), E2E in ``_finish``.  The tasks of an
-iteration that ran the previous one share its first gap, so the gap is
-counted once, weighted by their number; a task whose last emission differs
-is counted on its own.  On every later iteration of the same batch, reused
-or in a window, all its tasks share each gap, so each is counted once,
-weighted by the batch size.  The
-first count over its allowance raises ``SloViolated``: the run simulates no
-event after it, and invariants are checked up to that point.
+gap at its emission (``Simulator._count_gaps``), E2E in ``_finish``.  On a
+batch's first iteration, each task that joined it is counted on its own, and
+the tasks that ran the previous iteration share its first gap, so that gap
+is counted once, weighted by their number.  On every later iteration of the
+same batch, reused or in a window, all its tasks share each gap, so each is
+counted once, weighted by the batch size.  The first count over its
+allowance raises ``SloViolated``: the run simulates no event after it, and
+invariants are checked up to that point.
 ``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
 needs the observed ratios, and counting every gap as well would slow a
 log-on replay, where no window shares its gaps.  The ledger's agreement with

@@ -237,6 +237,15 @@ class TestEngineBehavior:
         assert "transfer_complete" not in kinds
         assert all(r.transfer_visible_ms == 0.0 for r in res.report.records)
 
+    def test_second_run_is_rejected(self):
+        p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
+        reference = get_calibration("llama2-70b", "A100")
+        sim = Simulator(ClusterConfig("Splitwise-AA", 1, 1), {"A100": reference},
+                        generate_trace(p, o, 1.0, 10.0, seed=1), reference_model=reference)
+        assert sim.run().report.slo is not None
+        with pytest.raises(ValidationError, match="runs once"):
+            sim.run()
+
     def test_record_log_off(self):
         res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
                         single_request_trace(), record_log=False).run()

@@ -115,7 +115,7 @@ class TestTokenBatching:
         m.enqueue(token_task(0, 100, out=3))
         batch = m.form_batch()
         m.running = batch
-        assert m.complete_iteration() is None
+        assert m.complete_iteration() == []
         assert batch.token_tasks[0].tokens == 101
         assert batch.token_tasks[0].remaining_output == 1
         assert m.resident == batch.token_tasks
@@ -126,7 +126,7 @@ class TestTokenBatching:
         before = m.memory_used()
         batch = m.form_batch()
         m.running = batch
-        m.complete_iteration()
+        assert m.complete_iteration() == batch.token_tasks
         assert batch.token_tasks[0].remaining_output == 0
         assert m.resident == [] and m.pending_token_count == 0
         assert m.memory_used() == pytest.approx(m.perf.weight_memory)
@@ -212,6 +212,31 @@ class TestMixedBatching:
             m.enqueue(prompt_task(rid, 30))
         b2 = m.form_batch()
         assert any(tt.request_id == 0 for tt in b2.token_tasks)
+
+    def test_joined_lists_resumed_and_admitted_tasks(self):
+        m = make_machine(home=MIXED)
+        slots = m.perf.max_token_batch
+        m.enqueue(token_task(0, 100, out=3))  # finishes at its second iteration
+        for rid in range(1, slots):
+            m.enqueue(token_task(rid, 100, out=50))
+
+        def run():
+            batch = m.form_batch()
+            m.running = batch
+            return batch, [t.request_id for t in m.complete_iteration()]
+
+        first, finished = run()
+        assert first.joined == first.token_tasks and finished == []
+        # the prompt takes the newest task's slot, and task 0 finishes
+        m.enqueue(prompt_task(999, 500))
+        second, finished = run()
+        assert [t.request_id for t in m.resident if t.parked] == [slots - 1]
+        assert second.joined == [] and finished == [0]
+        # in one form_batch, the parked task resumes and a queued one is admitted
+        m.enqueue(token_task(100, 100, out=50, t=1.0))
+        third, finished = run()
+        assert [t.request_id for t in third.joined] == [slots - 1, 100]
+        assert third.token_tasks[-2:] == third.joined and finished == []
 
     def test_mixing_rule_sum_vs_max(self):
         for rule, combine in (("sum", lambda p, t: p + t), ("max", max)):

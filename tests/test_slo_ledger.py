@@ -9,6 +9,7 @@ verdict must be the one ``check_slo`` gives on the full run.
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -28,9 +29,11 @@ from splitsim import (
     generate_trace,
     get_calibration,
     percentile,
+    reference_latencies,
     slo_pass_at_rate,
 )
 from splitsim.engine import SloLedger
+from splitsim.report import _gap_column
 
 REFERENCE = get_calibration("llama2-70b", "A100")
 
@@ -65,7 +68,8 @@ def probes(draw):
 @given(probes())
 def test_probe_verdict_matches_check_slo(probe):
     config, trace = probe
-    expected = simulate(config, trace, record_log=False).report.slo
+    report = simulate(config, trace, record_log=False).report
+    expected = report.slo
     if expected is None:  # empty trace: no verdict either way
         return
     if expected["pass"]:
@@ -86,6 +90,21 @@ def test_probe_verdict_matches_check_slo(probe):
     assert logged == fast
     assert [c["pass"] for c in fast["constraints"]] == \
         [c["pass"] for c in expected["constraints"]]
+    # and each count is the number of the full run's ratios over its
+    # multiplier, with the ratios taken from check_slo's own columns
+    ratios = ratio_columns(report)
+    assert [c["exceeded"] for c in fast["constraints"]] == \
+        [int((ratios[c["metric"]] > c["multiplier"]).sum()) for c in fast["constraints"]]
+
+
+def ratio_columns(report):
+    """Each metric's ratios, as ``check_slo`` computes them."""
+    records = report.records
+    refs = [reference_latencies(rec.request, REFERENCE) for rec in records]
+    gaps, counts = _gap_column(records)
+    return {"TTFT": np.array([rec.ttft_ms / ref["ttft_ms"] for rec, ref in zip(records, refs)]),
+            "TBT": gaps / np.repeat([ref["tbt_ms"] for ref in refs], counts),
+            "E2E": np.array([rec.e2e_ms / ref["e2e_ms"] for rec, ref in zip(records, refs)])}
 
 
 @settings(max_examples=200, deadline=None)
