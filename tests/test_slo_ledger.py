@@ -11,7 +11,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from splitsim import (
     DESIGNS,
@@ -66,6 +66,10 @@ def probes(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(probes())
+# tasks that finish at the iteration they join, so complete_iteration has
+# already closed the segment whose start the ledger looks up
+@example((ClusterConfig("Splitwise-AA", 1, 1),
+          generate_trace(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"], 1.0, 8.0, 7)))
 def test_probe_verdict_matches_check_slo(probe):
     config, trace = probe
     report = simulate(config, trace, record_log=False).report
