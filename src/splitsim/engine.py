@@ -1,13 +1,15 @@
 """Deterministic event-driven simulation core.
 
 Events are processed in ``(time, key)`` order, so identical inputs replay
-to byte-identical event logs.  The tie rule is fixed: arrivals, transfers
-and maintenance take increasing sequence numbers as keys and tie by
-insertion; the end of an iteration on machine ``m`` takes
-``ITER_BASE + m``, so at an equal time it comes after every other event,
-and after the ends of machines with lower ids.  An iteration end's key does
-not depend on when it was pushed.  The simulation clock runs in
-milliseconds.  Trace arrivals stay in seconds: each use that needs one in
+to byte-identical event logs.  The tie rule is fixed.  Arrivals never enter
+the heap: ``run`` takes them from the trace in order and handles the next
+one before any heap entry whose time is not earlier, so at an equal time an
+arrival comes first.  Transfers and maintenance take increasing sequence
+numbers as keys and tie by insertion; the end of an iteration on machine
+``m`` takes ``ITER_BASE + m``, so at an equal time it comes after every
+other event, and after the ends of machines with lower ids.  An iteration
+end's key does not depend on when it was pushed.  The simulation clock runs
+in milliseconds.  Trace arrivals stay in seconds: each use that needs one in
 ms (its event, TTFT, E2E and the SLO checks) computes ``arrival * 1000.0``.
 
 The engine wires the request lifecycle: arrival -> JSQ routing -> prompt
@@ -68,8 +70,11 @@ times; ``RequestRecord.emissions`` and ``tbt_ms()`` derive them, as
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from itertools import accumulate, repeat
+
+import numpy as np
 
 from .cluster import Cluster, ClusterConfig
 from .errors import ConfigurationError, HorizonExceeded, InvariantError, ValidationError
@@ -106,7 +111,7 @@ class Simulator:
         self._seq = 0
         self._log: list[tuple] = []
         self._dirty: set[int] = set()
-        self.records: dict[int, RequestRecord] = {}
+        self.records: dict[int, RequestRecord] = {}  # made at arrival
         self._completed = 0
         self._ran = False
         # machine id -> boundaries of its fast-forwarded batch: the ends of
@@ -145,17 +150,25 @@ class Simulator:
         if self._ran:
             raise ValidationError("a Simulator runs once; build a new one for another run")
         self._ran = True
-        for req in self.trace.requests:
-            self.records[req.id] = RequestRecord(req)
-            self._push(req.arrival * 1000.0, self._on_arrival, req.id)
         if self.config.repurpose_window_s is not None:
             self._push(self.config.repurpose_window_s * 1000.0, self._on_maintenance)
 
         heap, pop = self._heap, heapq.heappop
-        n = len(self.trace.requests)
+        requests = self.trace.requests
+        n = len(requests)
+        # the next arrival, from the trace: it comes before any heap entry
+        # whose time is not earlier (see the tie rule above)
+        i, arrival = 0, requests[0].arrival * 1000.0 if requests else math.inf
         try:
-            while heap and self._completed < n:
-                time, _, handler, arg = pop(heap)
+            while self._completed < n:
+                if heap and heap[0][0] < arrival:
+                    time, _, handler, arg = pop(heap)
+                elif i < n:
+                    time, handler, arg = arrival, self._on_arrival, requests[i]
+                    i += 1
+                    arrival = requests[i].arrival * 1000.0 if i < n else math.inf
+                else:
+                    break
                 if time > self._horizon_ms:
                     raise HorizonExceeded(
                         f"simulation exceeded horizon {self.horizon:.1f}s with "
@@ -172,9 +185,9 @@ class Simulator:
             raise InvariantError("event queue drained with unfinished requests")
         return SimResult(self._build_report(), self._log)
 
-    def _on_arrival(self, time, rid):
-        rec = self.records[rid]
-        req = rec.request
+    def _on_arrival(self, time, req):
+        rid = req.id
+        rec = self.records[rid] = RequestRecord(req)
         rec.prompt_machine, rec.token_machine = self.cluster.route()
         if self.record_log:
             self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
@@ -339,7 +352,7 @@ class Simulator:
     # -- reporting ---------------------------------------------------------
 
     def _build_report(self) -> MetricsReport:
-        records = [self.records[r.id] for r in self.trace.requests]
+        records = list(self.records.values())  # in arrival order, the trace's
         makespan = max((r.completion for r in records), default=0.0)  # ms
         throughput = len(records) / (makespan / 1000.0) if makespan > 0 else 0.0
         utilization = {m.id: (m.busy_time / makespan if makespan > 0 else 0.0)
@@ -348,7 +361,10 @@ class Simulator:
         if self._ledger is not None and records:
             report.slo = self._ledger.verdict()
         elif self.reference_model is not None and records:
-            refs = {r.request.id: reference_latencies(r.request, self.reference_model)
-                    for r in records}
-            report.slo = check_slo(report, self.slo, refs)
+            n = len(records)
+            ttft, tbt, e2e = np.empty(n), np.empty(n), np.empty(n)
+            for i, rec in enumerate(records):
+                ref = reference_latencies(rec.request, self.reference_model)
+                ttft[i], tbt[i], e2e[i] = ref["ttft_ms"], ref["tbt_ms"], ref["e2e_ms"]
+            report.slo = check_slo(report, self.slo, ttft, tbt, e2e)
         return report

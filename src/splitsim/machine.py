@@ -27,7 +27,9 @@ that finish.  A batch lists the tasks that resumed or were admitted into it
 as ``joined``.  ``form_batch`` returns the batch that ran last, the same
 object, when nothing joined, left or finished.  It keeps the capped
 residents in a list, rebuilt only when a parked task reaches the cap, in
-place of a scan of every resident on each call.
+place of a scan of every resident on each call, and counts its parked
+residents, so that it looks for the ones that resume only when there are
+some.
 
 Batching reads queue and memory state only, never the clock; only the
 mixed-pool residency that drives re-purposing is timed.
@@ -154,6 +156,7 @@ class Machine:
         self._previous: Batch | None = None
         # residents preempted max_preemptions times, in resident order
         self._capped: list[Task] = []
+        self._parked = 0  # residents parked, out of the batch
         self.busy_time = 0.0
         self.pending_token_count = 0        # JSQ queue length
         self._resident_context = 0          # sum of resident token contexts
@@ -292,14 +295,17 @@ class Machine:
                     task.leave()
                     task.preempt_count += 1
                     capping |= task.preempt_count == cap
+                    self._parked += 1
             if capping:
                 self._capped = [t for t in resident if t.preempt_count >= cap]
             ends = self.ends
-            for task in token_batch:
-                if task.parked:  # it resumes
-                    task.parked = False
-                    task.join(ends)
-                    joined.append(task)
+            if self._parked:
+                for task in token_batch:
+                    if task.parked:  # it resumes
+                        task.parked = False
+                        task.join(ends)
+                        joined.append(task)
+                        self._parked -= 1
             for task in queue[:admitted]:
                 self._queued_ids.discard((task.request_id, TOKEN))
                 task.join(ends)

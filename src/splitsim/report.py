@@ -176,7 +176,7 @@ def reference_latencies(request: Request, reference_model: PerfModel) -> dict:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """One request's outcome.  Its token phase, set when it finishes, is its
     token machine's ``ends`` (shared, not copied) and the ``segments`` of
@@ -238,29 +238,28 @@ class MetricsReport:
         return out
 
 
-def check_slo(report: MetricsReport, slo: SloTable, references: dict) -> dict:
+def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
+              tbt_ref: np.ndarray, e2e_ref: np.ndarray) -> dict:
     """Evaluate the nine slowdown constraints.
 
-    ``references`` maps request id -> reference_latencies() output.  Ratios
-    are computed per request (per token gap for TBT, pooled over all
-    requests) and then percentiled.  Returns per-constraint verdicts plus
-    overall pass.  The ratios are built column-wise (see the module
-    docstring for why they are the per-request floats, bit for bit).
+    ``ttft_ref``, ``tbt_ref`` and ``e2e_ref`` are float64 columns of each
+    record's ``reference_latencies``, in record order.  Ratios are computed
+    per request (per token gap for TBT, pooled over all requests) and then
+    percentiled.  Returns per-constraint verdicts plus overall pass.  The
+    ratios are built column-wise (see the module docstring for why they are
+    the per-request floats, bit for bit).
     """
     records = report.records
     n = len(records)
-    refs = [references[rec.request.id] for rec in records]
 
     def column(values):
         return np.fromiter(values, dtype=float, count=n)
 
     arrival_ms = column(rec.request.arrival for rec in records) * 1000.0
-    ttft_ratios = ((column(rec.first_token_time for rec in records) - arrival_ms)
-                   / column(ref["ttft_ms"] for ref in refs))
-    e2e_ratios = ((column(rec.completion for rec in records) - arrival_ms)
-                  / column(ref["e2e_ms"] for ref in refs))
+    ttft_ratios = (column(rec.first_token_time for rec in records) - arrival_ms) / ttft_ref
+    e2e_ratios = (column(rec.completion for rec in records) - arrival_ms) / e2e_ref
     tbt_ratios, counts = _gap_column(records)
-    tbt_ratios /= np.repeat(column(ref["tbt_ms"] for ref in refs), counts)
+    tbt_ratios /= np.repeat(tbt_ref, counts)
 
     result = {"constraints": [], "pass": True}
     for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),

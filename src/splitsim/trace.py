@@ -26,7 +26,7 @@ from .errors import ParseError, ValidationError
 TRACE_HEADER = "arrival_s,prompt_tokens,output_tokens"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """A single inference request."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -27,6 +28,7 @@ from splitsim import (
     reference_latencies,
     PRESETS,
 )
+from splitsim.machine import PROMPT, Task
 from splitsim.report import (REQUEST_CSV_HEADER, MetricsReport, RequestRecord, SloLedger,
                              event_log_csv, requests_csv, summary_csv, tbt_csv)
 
@@ -145,8 +147,8 @@ class TestSloCheck:
 
     def test_nine_constraints(self):
         report = self._report(185.0, 809.0, [52.0] * 12)
-        refs = {0: {"ttft_ms": 185.0, "tbt_ms": 52.0, "e2e_ms": 809.0}}
-        verdict = check_slo(report, SloTable(), refs)
+        refs = [185.0], [52.0], [809.0]  # the TTFT, TBT and E2E reference columns
+        verdict = check_slo(report, SloTable(), *refs)
         assert len(verdict["constraints"]) == 9
         assert verdict["pass"]
         assert all(c["observed_ratio"] == pytest.approx(1.0)
@@ -154,8 +156,8 @@ class TestSloCheck:
 
     def test_violation_detected(self):
         report = self._report(800.0, 2000.0, [52.0] * 12)
-        refs = {0: {"ttft_ms": 185.0, "tbt_ms": 52.0, "e2e_ms": 809.0}}
-        verdict = check_slo(report, SloTable(), refs)
+        refs = [185.0], [52.0], [809.0]
+        verdict = check_slo(report, SloTable(), *refs)
         ttft = [c for c in verdict["constraints"] if c["metric"] == "TTFT"]
         assert not ttft[0]["pass"]  # ratio 4.32 > 2.0 at P50
         assert not verdict["pass"]
@@ -163,8 +165,8 @@ class TestSloCheck:
     def test_tbt_modes(self):
         # TBT ratios pool every token gap, so one slow gap sets the P99
         report = self._report(185.0, 0.0, [10.0] * 11 + [500.0])
-        refs = {0: {"ttft_ms": 185.0, "tbt_ms": 52.0, "e2e_ms": 809.0}}
-        pooled = check_slo(report, SloTable(), refs)
+        refs = [185.0], [52.0], [809.0]
+        pooled = check_slo(report, SloTable(), *refs)
         pooled_p99 = [c for c in pooled["constraints"]
                       if c["metric"] == "TBT" and c["percentile"] == 0.99][0]
         assert pooled_p99["observed_ratio"] == pytest.approx(500.0 / 52.0)
@@ -250,6 +252,43 @@ class TestEngineBehavior:
         res = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
                         single_request_trace(), record_log=False).run()
         assert res.event_log == []
+
+
+class TestStreamedArrivals:
+    """Arrivals come from the trace in order, not through the event heap;
+    these pin the order that their heap keys used to give them."""
+
+    def test_arrival_comes_before_an_iteration_end_at_the_same_ms(self):
+        model = dataclasses.replace(get_calibration("llama2-70b", "H100"),
+                                    prompt_knots=((1.0, 8192.0), (100.0, 100.0)))
+        assert 0.1 * 1000.0 == 100.0  # request 1 arrives as request 0's prompt ends
+        trace = Trace([Request(0, 0.0, 100, 2), Request(1, 0.1, 100, 2)], duration=1.0)
+        log = Simulator(ClusterConfig("Baseline-H100", 1, 0), {"H100": model}, trace).run() \
+            .event_log
+        rows = [(t, kind, fields[0]) for t, _, kind, fields in log]
+        arrival = rows.index((100.0, "request_arrival", 1))
+        prompt_end = rows.index((100.0, "iteration_complete", 0))
+        assert arrival < prompt_end
+
+    def test_horizon_stops_at_the_first_arrival_past_it(self):
+        trace = Trace([Request(0, 0.0, 100, 2), Request(1, 5.0, 100, 2),
+                       Request(2, 6.0, 100, 2)], duration=6.0)
+        sim = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(), trace,
+                        horizon=1.0)
+        routed = []
+        route = sim.cluster.route
+        sim.cluster.route = lambda: routed.append(1) or route()
+        with pytest.raises(HorizonExceeded, match="with 2 requests unfinished"):
+            sim.run()
+        assert len(routed) == 1  # request 1's arrival raised before it was handled
+        assert sim.records[0].completion is not None
+
+    def test_per_request_objects_hold_no_dict(self):
+        rec = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
+                        single_request_trace()).run().report.records[0]
+        task = Task(0, PROMPT, 1500, 0.0, 13, 13)
+        for obj in (rec.request, rec, task):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 class TestRefcountRelease:

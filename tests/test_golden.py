@@ -5,6 +5,7 @@ These pin simulated behaviour byte for byte across refactors.  A change
 that alters any hash changes what the simulator does and must say why.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -189,6 +190,7 @@ def test_decode_records_hold_segments_not_copies():
             # one segment, and one more per preemption
             assert len(rec.segments) == 2 * (rec.preempt_count + 1)
             assert len(rec.emissions) == rec.request.output_tokens
-        for name, value in vars(rec).items():
+        for f in dataclasses.fields(rec):
+            value = getattr(rec, f.name)
             if isinstance(value, (list, tuple, dict, set)) and value is not rec.ends:
-                assert len(value) <= 2 * (rec.preempt_count + 1), name
+                assert len(value) <= 2 * (rec.preempt_count + 1), f.name

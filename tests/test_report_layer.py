@@ -25,16 +25,15 @@ from splitsim.report import (EVENT_FORMATS, MetricsReport, RequestRecord, SimRes
                              event_log_csv, summary_csv, tbt_csv)
 
 
-def reference_check_slo(report, slo, references):
+def reference_check_slo(report, slo, ttft_ref, tbt_ref, e2e_ref):
     def nearest_rank(samples, p):
         return sorted(samples)[max(0, math.ceil(p * len(samples)) - 1)]
 
     ttft_ratios, e2e_ratios, tbt_ratios = [], [], []
-    for rec in report.records:
-        ref = references[rec.request.id]
-        ttft_ratios.append(rec.ttft_ms / ref["ttft_ms"])
-        e2e_ratios.append(rec.e2e_ms / ref["e2e_ms"])
-        tbt_ratios.extend(g / ref["tbt_ms"] for g in rec.tbt_ms())
+    for rec, ttft, tbt, e2e in zip(report.records, ttft_ref, tbt_ref, e2e_ref):
+        ttft_ratios.append(rec.ttft_ms / ttft)
+        e2e_ratios.append(rec.e2e_ms / e2e)
+        tbt_ratios.extend(g / tbt for g in rec.tbt_ms())
     result = {"constraints": [], "pass": True}
     for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
                                         ("TBT", tbt_ratios, slo.tbt),
@@ -120,7 +119,7 @@ def reports(draw):
         machines.append(list(accumulate(gaps, initial=base))[1:])
     n = draw(st.sampled_from([1, 2, 10]) | st.integers(1, 16))
     one_token = draw(st.booleans())  # every output 1 token: no TBT gap at all
-    records, references = [], {}
+    records, references = [], ([], [], [])  # the TTFT, TBT and E2E reference columns
     for rid in range(n):
         token_machine = draw(st.integers(0, len(machines) - 1))
         ends = machines[token_machine]
@@ -134,7 +133,8 @@ def reports(draw):
         records.append(record(rid, arrival, first, ends if segments else None, segments,
                               draw(st.integers(0, len(machines))), token_machine))
         # references differ per request, so each gap must meet its own
-        references[rid] = {"ttft_ms": draw(refs), "tbt_ms": draw(refs), "e2e_ms": draw(refs)}
+        for column in references:
+            column.append(draw(refs))
     return MetricsReport(records, 1.0, {}), references
 
 
@@ -149,7 +149,7 @@ def sized_report(n_records, gaps_each):
     span = (n_records // 2 + 1) * (gaps_each + 1) + 1
     machines = [[1000.0 * m + 40.0 + 10.0 * i + (i * i) % 97 * 0.01 for i in range(span)]
                 for m in range(2)]
-    records, references = [], {}
+    records, references = [], ([], [], [])
     for rid in range(n_records):
         ends = machines[rid % 2]
         a = rid // 2 * (gaps_each + 1)
@@ -163,7 +163,8 @@ def sized_report(n_records, gaps_each):
         first = ends[a] - 30.0 - rid % 5
         records.append(record(rid, rid * 0.0005, first, ends if segments else None, segments,
                               (rid + 1) % 2, rid % 2))
-        references[rid] = {"ttft_ms": 30.0 + rid % 5, "tbt_ms": 7.0, "e2e_ms": 500.0}
+        for column, ref in zip(references, (30.0 + rid % 5, 7.0, 500.0)):
+            column.append(ref)
     return MetricsReport(records, 1.0, {}), references
 
 
@@ -180,8 +181,8 @@ def sized_report(n_records, gaps_each):
 def test_columnar_check_slo_is_bit_identical(case, ps):
     report, references = case
     slo = SloTable(percentiles=ps)
-    assert bits(check_slo(report, slo, references)) == \
-        bits(reference_check_slo(report, slo, references))
+    assert bits(check_slo(report, slo, *references)) == \
+        bits(reference_check_slo(report, slo, *references))
 
 
 def summary_bits(summary):
@@ -207,7 +208,7 @@ def test_summary_of_no_records():
 
 def test_no_gaps_reads_zero():
     report, references = sized_report(4, 0)
-    tbt = [c for c in check_slo(report, SloTable(), references)["constraints"]
+    tbt = [c for c in check_slo(report, SloTable(), *references)["constraints"]
            if c["metric"] == "TBT"]
     assert [c["observed_ratio"] for c in tbt] == [0.0] * 3
     assert all(c["pass"] for c in tbt)
