@@ -106,9 +106,6 @@ class Cluster:
     def pool(self, name: str) -> list[Machine]:
         return [m for m in self.machines.values() if m.current_pool == name]
 
-    def pool_partition_ok(self) -> bool:
-        return all(m.current_pool in (PROMPT, TOKEN, MIXED) for m in self.machines.values())
-
     # -- routing -----------------------------------------------------------
 
     def _pool_minima(self) -> dict[str, Machine]:

@@ -52,14 +52,7 @@ against.
 
 A token iteration touches no task unless one finishes: ``_on_iteration``
 finishes exactly the tasks that ``Machine.complete_iteration`` returns.
-With the ledger on, ``_count_gaps(machine, batch, k)`` counts the TBT gaps
-of the batch's iterations that end at the machine's last ``k`` ``ends``;
-``_on_iteration`` passes ``k = 1`` and ``_close_window`` the number of
-boundaries it applies.  On a batch's first iteration, each task that joined
-it (``Batch.joined``) counts its gap from its own last emission, its first
-token or the end of its previous segment, and the tasks that ran the
-previous iteration share one gap, so it loops over the joiners alone.  With
-the log on, an unchanged batch is the same ``Batch`` object on every
+With the log on, an unchanged batch is the same ``Batch`` object on every
 iteration, so its ``batch_started`` rows share one id tuple
 (``Batch.request_ids``).  A finished task's record keeps a reference to its
 machine's ``ends`` and the task's ``segments``, not a copy of its emission
@@ -192,8 +185,8 @@ class Simulator:
         if self.record_log:
             self._emit(time, "request_arrival", rid, req.prompt_tokens, req.output_tokens,
                        rec.prompt_machine, rec.token_machine)
-        self._enqueue(time, rec.prompt_machine, Task(rid, PROMPT, req.prompt_tokens, time,
-                                                     req.output_tokens, req.output_tokens))
+        self._enqueue(time, rec.prompt_machine,
+                      Task(rid, PROMPT, req.prompt_tokens, time, req.output_tokens))
 
     def _enqueue(self, time, mid, task: Task):
         machine = self.cluster.machines[mid]
@@ -222,34 +215,15 @@ class Simulator:
                 ledger.ttft(rec.request, time)
             if record_log:
                 self._emit(time, "prompt_finished", task.request_id, mid, task.context)
-            if task.output_tokens > 1:
+            if task.outputs > 1:
                 self._start_token_phase(time, rec, batch.prompt_ms)
             else:
                 self._finish(time, rec, task, mid)
         for task in finished:
             self._finish(time, records[task.request_id], task, mid)
         if ledger is not None and batch.token_tasks:
-            self._count_gaps(machine, batch, 1)
+            ledger.iteration_gaps(machine.ends, batch, 1, records)
         self._dirty.add(mid)
-
-    def _count_gaps(self, machine: Machine, batch, k: int):
-        """Count the ledger's TBT gaps of ``batch``'s iterations that ended at
-        the machine's last ``k`` ``ends`` (see the module docstring)."""
-        ends, ledger = machine.ends, self._ledger
-        i = len(ends) - k  # the first of the k iterations
-        shared = len(batch.token_tasks)
-        if i == batch.first:
-            for task in batch.joined:  # from its first token or its previous segment's end
-                segments = task.segments
-                # where its segment at i starts; complete_iteration closed it if it finished
-                j = len(segments) - 2 + len(segments) % 2
-                last = ends[segments[j - 1] - 1] if j else \
-                    self.records[task.request_id].first_token_time
-                ledger.tbt(ends[i] - last, ends[i])
-            shared -= len(batch.joined)
-        if shared:  # the tasks that ran the previous iteration
-            ledger.tbt(ends[i] - ends[i - 1], ends[i], shared)
-        ledger.shared_tbt(ends[i:], len(batch.token_tasks))
 
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
         rec.completion = time
@@ -280,8 +254,8 @@ class Simulator:
 
     def _enqueue_token_task(self, time, rec: RequestRecord):
         req = rec.request
-        self._enqueue(time, rec.token_machine, Task(req.id, TOKEN, req.prompt_tokens + 1, time,
-                                                    req.output_tokens, req.output_tokens - 1))
+        self._enqueue(time, rec.token_machine,
+                      Task(req.id, TOKEN, req.prompt_tokens + 1, time, req.output_tokens - 1))
 
     def _on_maintenance(self, time, _):
         window_ms = self.config.repurpose_window_s * 1000.0
@@ -346,7 +320,7 @@ class Simulator:
             busy += duration
         machine.busy_time = busy
         if self._ledger is not None:
-            self._count_gaps(machine, batch, k)
+            self._ledger.iteration_gaps(machine.ends, batch, k, self.records)
         machine.check_memory()  # memory only grew inside the window
 
     # -- reporting ---------------------------------------------------------
@@ -362,9 +336,10 @@ class Simulator:
             report.slo = self._ledger.verdict()
         elif self.reference_model is not None and records:
             n = len(records)
-            ttft, tbt, e2e = np.empty(n), np.empty(n), np.empty(n)
+            ttft, e2e = np.empty(n), np.empty(n)
             for i, rec in enumerate(records):
                 ref = reference_latencies(rec.request, self.reference_model)
-                ttft[i], tbt[i], e2e[i] = ref["ttft_ms"], ref["tbt_ms"], ref["e2e_ms"]
-            report.slo = check_slo(report, self.slo, ttft, tbt, e2e)
+                ttft[i], e2e[i] = ref["ttft_ms"], ref["e2e_ms"]
+            # the TBT reference is the same for every request
+            report.slo = check_slo(report, self.slo, ttft, ref["tbt_ms"], e2e)
         return report

@@ -77,7 +77,6 @@ class Task:
     kind: str                  # PROMPT or TOKEN
     context: int               # prompt size, or context length when enqueued
     enqueue_time: float
-    output_tokens: int         # total outputs for the request
     outputs: int               # outputs left when enqueued
     preempt_count: int = 0
     parked: bool = False

@@ -6,7 +6,7 @@ A provisioning probe needs only the verdict, and it runs with
 before the run, so an ``SloLedger`` of nine exceedance counts gives
 ``check_slo``'s verdict exactly.  Each count moves when its latency becomes
 final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
-gap at its emission (``Simulator._count_gaps``), E2E in ``_finish``.  On a
+gap at its emission (``SloLedger.iteration_gaps``), E2E in ``_finish``.  On a
 batch's first iteration, each task that joined it is counted on its own, and
 the tasks that ran the previous iteration share its first gap, so that gap
 is counted once, weighted by their number.  On every later iteration of the
@@ -25,10 +25,10 @@ token phase from its machine's ``ends``, and gives the same bytes as a
 per-request loop.  ``check_slo`` gathers every record's emission times
 after the first token from one float64 copy of each machine's ``ends``,
 takes the gaps with one subtraction and replaces each record's first gap by
-its first segment start minus its first token's time; it divides by each
-gap's reference.  A float64 subtraction or division rounds exactly as the
-same Python float expression does, so every ratio is the float the
-per-request loop computes.  ``np.partition(ratios, k)`` puts at index ``k``
+its first segment start minus its first token's time; it divides every gap
+by the run's one TBT reference.  A float64 subtraction or division rounds
+exactly as the same Python float expression does, so every ratio is the
+float the per-request loop computes.  ``np.partition(ratios, k)`` puts at index ``k``
 the element that ``sorted`` puts there, so each nearest-rank percentile,
 and with it ``observed_ratio``, is bit-identical; ``report_percentiles``
 takes P50/P90/P99 the same way.  ``tbt_csv`` formats each gap between a
@@ -47,7 +47,6 @@ from __future__ import annotations
 import io
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -55,31 +54,22 @@ import numpy as np
 
 from .errors import SloViolated, ValidationError
 from .perf import PerfModel
-from .trace import Request
+from .trace import Request, _rank
 
-# event kind -> payload format of its fields; only event_log_csv reads it.
+# event kind -> %-format of its fields' payload; only event_log_csv reads it.
 # A tuple field (the request ids of a batch) prints comma-joined.
 EVENT_FORMATS = {
-    "request_arrival": "request={} prompt_tokens={} output_tokens={} "
-                       "prompt_machine={} token_machine={}",
-    "task_enqueued": "machine={} request={} kind={} tokens={}",
-    "pool_transition": "machine={} from={} to={}",
-    "batch_started": "machine={} kind={} prompts=[{}] tokens=[{}] iter_ms={:.6f}",
-    "iteration_complete": "machine={}",
-    "prompt_finished": "request={} machine={} tokens={}",
-    "transfer_complete": "request={} visible_ms={:.6f}",
-    "request_finished": "request={} machine={} kind={}",
-    "pool_maintenance": "machine={} repurposed {}->{}",
+    "request_arrival": "request=%s prompt_tokens=%s output_tokens=%s "
+                       "prompt_machine=%s token_machine=%s",
+    "task_enqueued": "machine=%s request=%s kind=%s tokens=%s",
+    "pool_transition": "machine=%s from=%s to=%s",
+    "batch_started": "machine=%s kind=%s prompts=[%s] tokens=[%s] iter_ms=%.6f",
+    "iteration_complete": "machine=%s",
+    "prompt_finished": "request=%s machine=%s tokens=%s",
+    "transfer_complete": "request=%s visible_ms=%.6f",
+    "request_finished": "request=%s machine=%s kind=%s",
+    "pool_maintenance": "machine=%s repurposed %s->%s",
 }
-
-
-def _rank(n: int, p: float) -> int:
-    """Index of the nearest-rank ``P_p`` among ``n`` sorted samples."""
-    if n == 0:
-        raise ValidationError("percentile of empty sample set")
-    if not 0.0 < p <= 1.0:
-        raise ValidationError("p must be in (0, 1]")
-    return max(0, math.ceil(p * n) - 1)
 
 
 def percentile(samples, p: float):
@@ -164,11 +154,26 @@ class SloTable:
             if any(m < 1.0 for m in multis):
                 raise ValidationError("SLO multipliers must be >= 1")
 
+    @property
+    def constraints(self) -> tuple[tuple[str, float, float], ...]:
+        """The nine ``(metric, percentile, multiplier)``, in verdict order;
+        ``check_slo`` and ``SloLedger`` read no other list of them."""
+        return tuple((metric, p, mult)
+                     for metric, multipliers in (("TTFT", self.ttft), ("TBT", self.tbt),
+                                                 ("E2E", self.e2e))
+                     for p, mult in zip(self.percentiles, multipliers))
+
+
+def reference_tbt(reference_model: PerfModel) -> float:
+    """The unbatched reference's gap between tokens, the same for every
+    request: both SLO judges divide every TBT gap by it."""
+    return reference_model.token_iter_time(1)
+
 
 def reference_latencies(request: Request, reference_model: PerfModel) -> dict:
     """Closed-form latencies for this request on an unbatched reference."""
     ttft = reference_model.prompt_time(request.prompt_tokens)
-    tbt = reference_model.token_iter_time(1)
+    tbt = reference_tbt(reference_model)
     return {
         "ttft_ms": ttft,
         "tbt_ms": tbt,
@@ -239,15 +244,15 @@ class MetricsReport:
 
 
 def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
-              tbt_ref: np.ndarray, e2e_ref: np.ndarray) -> dict:
+              tbt_ref: float, e2e_ref: np.ndarray) -> dict:
     """Evaluate the nine slowdown constraints.
 
-    ``ttft_ref``, ``tbt_ref`` and ``e2e_ref`` are float64 columns of each
-    record's ``reference_latencies``, in record order.  Ratios are computed
-    per request (per token gap for TBT, pooled over all requests) and then
-    percentiled.  Returns per-constraint verdicts plus overall pass.  The
-    ratios are built column-wise (see the module docstring for why they are
-    the per-request floats, bit for bit).
+    ``ttft_ref`` and ``e2e_ref`` are float64 columns of each record's
+    ``reference_latencies``, in record order; ``tbt_ref`` is the run's one
+    TBT reference.  Ratios are computed per request (per token gap for TBT,
+    pooled over all requests) and then percentiled.  Returns per-constraint
+    verdicts plus overall pass.  The ratios are built column-wise (see the
+    module docstring for why they are the per-request floats, bit for bit).
     """
     records = report.records
     n = len(records)
@@ -258,25 +263,18 @@ def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
     arrival_ms = column(rec.request.arrival for rec in records) * 1000.0
     ttft_ratios = (column(rec.first_token_time for rec in records) - arrival_ms) / ttft_ref
     e2e_ratios = (column(rec.completion for rec in records) - arrival_ms) / e2e_ref
-    tbt_ratios, counts = _gap_column(records)
-    tbt_ratios /= np.repeat(tbt_ref, counts)
+    tbt_ratios = _gap_column(records)[0]
+    tbt_ratios /= tbt_ref
 
-    result = {"constraints": [], "pass": True}
-    for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
-                                        ("TBT", tbt_ratios, slo.tbt),
-                                        ("E2E", e2e_ratios, slo.e2e)):
-        if len(ratios):
-            observed = _percentiles(ratios, slo.percentiles)
-        else:
-            observed = [0.0] * len(slo.percentiles)
-        for p, mult, ratio in zip(slo.percentiles, multipliers, observed):
-            ok = ratio <= mult
-            result["constraints"].append({
-                "metric": metric, "percentile": p,
-                "observed_ratio": ratio, "multiplier": mult, "pass": ok,
-            })
-            result["pass"] = result["pass"] and ok
-    return result
+    observed = {}  # metric -> percentile -> observed ratio
+    for metric, ratios in (("TTFT", ttft_ratios), ("TBT", tbt_ratios), ("E2E", e2e_ratios)):
+        values = (_percentiles(ratios, slo.percentiles) if len(ratios)
+                  else [0.0] * len(slo.percentiles))
+        observed[metric] = dict(zip(slo.percentiles, values))
+    constraints = [{"metric": metric, "percentile": p, "observed_ratio": observed[metric][p],
+                    "multiplier": mult, "pass": observed[metric][p] <= mult}
+                   for metric, p, mult in slo.constraints]
+    return {"constraints": constraints, "pass": all(c["pass"] for c in constraints)}
 
 
 class SloLedger:
@@ -293,14 +291,12 @@ class SloLedger:
 
     def __init__(self, slo: SloTable, requests, reference: PerfModel):
         self.reference = reference
-        self.tbt_ref = reference.token_iter_time(1)
+        self.tbt_ref = reference_tbt(reference)
         sizes = {"TTFT": len(requests), "TBT": sum(r.output_tokens - 1 for r in requests),
                  "E2E": len(requests)}
         # (metric, percentile, multiplier, allowed exceedances)
         self.constraints = [(metric, p, mult, sizes[metric] - math.ceil(p * sizes[metric]))
-                            for metric, multipliers in (("TTFT", slo.ttft), ("TBT", slo.tbt),
-                                                        ("E2E", slo.e2e))
-                            for p, mult in zip(slo.percentiles, multipliers)]
+                            for metric, p, mult in slo.constraints]
         self.exceeded = [0] * len(self.constraints)
         self._ttft, self._tbt, self._e2e = (
             [(i, mult, allowed) for i, (m, _, mult, allowed) in enumerate(self.constraints)
@@ -317,10 +313,31 @@ class SloLedger:
         if ratio > self._tbt_floor:
             self._count(self._tbt, ratio, weight, time)
 
-    def shared_tbt(self, times: list[float], weight: int):
-        """The gaps between consecutive ``times``, each emitted by ``weight``
-        requests of one batch."""
-        ref, floor = self.tbt_ref, self._tbt_floor
+    def iteration_gaps(self, ends: list[float], batch, k: int, records: dict):
+        """The TBT gaps of ``batch``'s iterations that ended at the last
+        ``k`` of its machine's ``ends``.
+
+        On the batch's first iteration, each task that joined it
+        (``Batch.joined``) counts its gap from its own last emission: its
+        first token (its record in ``records``, by request id) or the end of
+        its previous segment.  The tasks that ran the previous iteration
+        share its first gap, so it is counted once, weighted by their
+        number; every later gap is shared by the whole batch."""
+        i = len(ends) - k  # the first of the k iterations
+        shared = len(batch.token_tasks)
+        if i == batch.first:
+            for task in batch.joined:
+                segments = task.segments
+                # where its segment at i starts; complete_iteration closed it if it finished
+                j = len(segments) - 2 + len(segments) % 2
+                last = ends[segments[j - 1] - 1] if j else \
+                    records[task.request_id].first_token_time
+                self.tbt(ends[i] - last, ends[i])
+            shared -= len(batch.joined)
+        if shared:  # the tasks that ran the previous iteration
+            self.tbt(ends[i] - ends[i - 1], ends[i], shared)
+        ref, floor, weight = self.tbt_ref, self._tbt_floor, len(batch.token_tasks)
+        times = ends[i:]
         for a, b in zip(times, times[1:]):
             ratio = (b - a) / ref
             if ratio > floor:
@@ -442,11 +459,8 @@ def summary_csv(result: SimResult) -> str:
 
 
 # event kind -> its whole row as one %-format: time, sequence number, kind
-# and EVENT_FORMATS' payload, with "{}" as "%s" and "{:.6f}" as "%.6f"
-_EVENT_ROWS = {kind: "%%s,%%s,%s,%s\n" % (kind, re.sub(r"\{(?::([^}]*))?\}",
-                                                     lambda m: "%" + (m[1] or "s"),
-                                                     fmt.replace("%", "%%")))
-               for kind, fmt in EVENT_FORMATS.items()}
+# and EVENT_FORMATS' payload
+_EVENT_ROWS = {kind: "%%s,%%s,%s,%s\n" % (kind, fmt) for kind, fmt in EVENT_FORMATS.items()}
 
 
 def event_log_csv(result: SimResult) -> str:

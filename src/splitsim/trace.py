@@ -266,8 +266,13 @@ def generate_trace(prompt_dist: SizeDistribution, output_dist: SizeDistribution,
     return Trace(requests, duration=float(duration), clamped_samples=c1 + c2)
 
 
-def _nearest_rank(sorted_vals, p):
-    return sorted_vals[max(0, math.ceil(p * len(sorted_vals)) - 1)]
+def _rank(n: int, p: float) -> int:
+    """Index of the nearest-rank ``P_p`` among ``n`` sorted samples."""
+    if n == 0:
+        raise ValidationError("percentile of empty sample set")
+    if not 0.0 < p <= 1.0:
+        raise ValidationError("p must be in (0, 1]")
+    return max(0, math.ceil(p * n) - 1)
 
 
 def trace_stats(trace: Trace) -> dict:
@@ -278,11 +283,12 @@ def trace_stats(trace: Trace) -> dict:
     prompts = sorted(r.prompt_tokens for r in trace.requests)
     outputs = sorted(r.output_tokens for r in trace.requests)
     duration = trace.duration if trace.duration > 0 else trace.requests[-1].arrival
+    n = len(trace.requests)
     return {
-        "count": len(trace.requests),
-        "median_prompt_tokens": _nearest_rank(prompts, 0.5),
-        "p90_prompt_tokens": _nearest_rank(prompts, 0.9),
-        "median_output_tokens": _nearest_rank(outputs, 0.5),
-        "p90_output_tokens": _nearest_rank(outputs, 0.9),
-        "mean_rate": len(trace.requests) / duration if duration > 0 else 0.0,
+        "count": n,
+        "median_prompt_tokens": prompts[_rank(n, 0.5)],
+        "p90_prompt_tokens": prompts[_rank(n, 0.9)],
+        "median_output_tokens": outputs[_rank(n, 0.5)],
+        "p90_output_tokens": outputs[_rank(n, 0.9)],
+        "mean_rate": n / duration if duration > 0 else 0.0,
     }

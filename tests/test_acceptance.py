@@ -213,7 +213,7 @@ class _CheckedSimulator(Simulator):
         super()._dispatch(time)
         for m in self.cluster.machines.values():
             assert m.memory_used() <= m.perf.memory_capacity + 1e-6
-        assert self.cluster.pool_partition_ok()
+        assert {m.current_pool for m in self.cluster.machines.values()} <= {PROMPT, TOKEN, MIXED}
 
 
 def test_08_scheduler_invariants():

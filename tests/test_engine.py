@@ -147,7 +147,7 @@ class TestSloCheck:
 
     def test_nine_constraints(self):
         report = self._report(185.0, 809.0, [52.0] * 12)
-        refs = [185.0], [52.0], [809.0]  # the TTFT, TBT and E2E reference columns
+        refs = [185.0], 52.0, [809.0]  # TTFT and E2E reference columns, the TBT reference
         verdict = check_slo(report, SloTable(), *refs)
         assert len(verdict["constraints"]) == 9
         assert verdict["pass"]
@@ -156,7 +156,7 @@ class TestSloCheck:
 
     def test_violation_detected(self):
         report = self._report(800.0, 2000.0, [52.0] * 12)
-        refs = [185.0], [52.0], [809.0]
+        refs = [185.0], 52.0, [809.0]
         verdict = check_slo(report, SloTable(), *refs)
         ttft = [c for c in verdict["constraints"] if c["metric"] == "TTFT"]
         assert not ttft[0]["pass"]  # ratio 4.32 > 2.0 at P50
@@ -165,7 +165,7 @@ class TestSloCheck:
     def test_tbt_modes(self):
         # TBT ratios pool every token gap, so one slow gap sets the P99
         report = self._report(185.0, 0.0, [10.0] * 11 + [500.0])
-        refs = [185.0], [52.0], [809.0]
+        refs = [185.0], 52.0, [809.0]
         pooled = check_slo(report, SloTable(), *refs)
         pooled_p99 = [c for c in pooled["constraints"]
                       if c["metric"] == "TBT" and c["percentile"] == 0.99][0]
@@ -286,7 +286,7 @@ class TestStreamedArrivals:
     def test_per_request_objects_hold_no_dict(self):
         rec = Simulator(ClusterConfig("Baseline-H100", 1, 0), h100_models(),
                         single_request_trace()).run().report.records[0]
-        task = Task(0, PROMPT, 1500, 0.0, 13, 13)
+        task = Task(0, PROMPT, 1500, 0.0, 13)
         for obj in (rec.request, rec, task):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 

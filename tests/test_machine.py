@@ -17,11 +17,11 @@ def make_machine(home=PROMPT, sched=None, machine_type="H100"):
 
 
 def prompt_task(rid, tokens, out=4, t=0.0):
-    return Task(rid, PROMPT, tokens, t, out, out)
+    return Task(rid, PROMPT, tokens, t, out)
 
 
 def token_task(rid, tokens, out=4, t=0.0):
-    return Task(rid, TOKEN, tokens, t, out, out - 1)
+    return Task(rid, TOKEN, tokens, t, out - 1)
 
 
 class TestQueueing:

@@ -11,10 +11,12 @@ give the same text.
 import io
 import math
 from itertools import accumulate
+from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 import splitsim.engine
 import splitsim.report
@@ -30,10 +32,10 @@ def reference_check_slo(report, slo, ttft_ref, tbt_ref, e2e_ref):
         return sorted(samples)[max(0, math.ceil(p * len(samples)) - 1)]
 
     ttft_ratios, e2e_ratios, tbt_ratios = [], [], []
-    for rec, ttft, tbt, e2e in zip(report.records, ttft_ref, tbt_ref, e2e_ref):
+    for rec, ttft, e2e in zip(report.records, ttft_ref, e2e_ref):
         ttft_ratios.append(rec.ttft_ms / ttft)
         e2e_ratios.append(rec.e2e_ms / e2e)
-        tbt_ratios.extend(g / tbt for g in rec.tbt_ms())
+        tbt_ratios.extend(g / tbt_ref for g in rec.tbt_ms())
     result = {"constraints": [], "pass": True}
     for metric, ratios, multipliers in (("TTFT", ttft_ratios, slo.ttft),
                                         ("TBT", tbt_ratios, slo.tbt),
@@ -78,8 +80,8 @@ def reference_event_log_csv(result):
     buf = io.StringIO()
     buf.write("time_ms,seq,kind,payload\n")
     for (t, seq, kind, fields) in result.event_log:
-        payload = EVENT_FORMATS[kind].format(
-            *(",".join(map(str, f)) if type(f) is tuple else f for f in fields))
+        payload = EVENT_FORMATS[kind] % tuple(
+            ",".join(map(str, f)) if type(f) is tuple else f for f in fields)
         buf.write(f"{t:.9f},{seq},{kind},{payload}\n")
     return buf.getvalue()
 
@@ -119,7 +121,8 @@ def reports(draw):
         machines.append(list(accumulate(gaps, initial=base))[1:])
     n = draw(st.sampled_from([1, 2, 10]) | st.integers(1, 16))
     one_token = draw(st.booleans())  # every output 1 token: no TBT gap at all
-    records, references = [], ([], [], [])  # the TTFT, TBT and E2E reference columns
+    ttft_refs, tbt_ref, e2e_refs = [], draw(refs), []  # one TBT reference per run
+    records = []
     for rid in range(n):
         token_machine = draw(st.integers(0, len(machines) - 1))
         ends = machines[token_machine]
@@ -132,10 +135,10 @@ def reports(draw):
         arrival = max(0.0, first - draw(times)) / 1000.0
         records.append(record(rid, arrival, first, ends if segments else None, segments,
                               draw(st.integers(0, len(machines))), token_machine))
-        # references differ per request, so each gap must meet its own
-        for column in references:
-            column.append(draw(refs))
-    return MetricsReport(records, 1.0, {}), references
+        # TTFT and E2E references differ per request, so each ratio must meet its own
+        ttft_refs.append(draw(refs))
+        e2e_refs.append(draw(refs))
+    return MetricsReport(records, 1.0, {}), (ttft_refs, tbt_ref, e2e_refs)
 
 
 percentiles = st.sampled_from([(0.5, 0.9, 0.99), (0.25, 0.5, 1.0), (0.1, 0.2, 0.3)]) | \
@@ -149,7 +152,7 @@ def sized_report(n_records, gaps_each):
     span = (n_records // 2 + 1) * (gaps_each + 1) + 1
     machines = [[1000.0 * m + 40.0 + 10.0 * i + (i * i) % 97 * 0.01 for i in range(span)]
                 for m in range(2)]
-    records, references = [], ([], [], [])
+    records, ttft_refs, e2e_refs = [], [], []
     for rid in range(n_records):
         ends = machines[rid % 2]
         a = rid // 2 * (gaps_each + 1)
@@ -163,9 +166,9 @@ def sized_report(n_records, gaps_each):
         first = ends[a] - 30.0 - rid % 5
         records.append(record(rid, rid * 0.0005, first, ends if segments else None, segments,
                               (rid + 1) % 2, rid % 2))
-        for column, ref in zip(references, (30.0 + rid % 5, 7.0, 500.0)):
-            column.append(ref)
-    return MetricsReport(records, 1.0, {}), references
+        ttft_refs.append(30.0 + rid % 5)
+        e2e_refs.append(500.0)
+    return MetricsReport(records, 1.0, {}), (ttft_refs, 7.0, e2e_refs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,6 +186,28 @@ def test_columnar_check_slo_is_bit_identical(case, ps):
     slo = SloTable(percentiles=ps)
     assert bits(check_slo(report, slo, *references)) == \
         bits(reference_check_slo(report, slo, *references))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports())
+@example(sized_report(20, 5))
+def test_tbt_ratios_are_gaps_over_the_one_reference(case):
+    """``check_slo`` divides every gap, in record order, by the run's one
+    TBT reference, with the float division ``gap / tbt_ref``."""
+    report, references = case
+    gaps = [gap for rec in report.records for gap in rec.tbt_ms()]
+    assume(gaps)
+    percentiles, columns = splitsim.report._percentiles, []
+
+    def spy(values, ps):
+        columns.append(values.copy())
+        return percentiles(values, ps)
+
+    with mock.patch.object(splitsim.report, "_percentiles", spy):
+        check_slo(report, SloTable(), *references)
+    tbt_ref = references[1]
+    assert len(columns) == 3  # TTFT, TBT, E2E
+    assert columns[1].tobytes() == np.array([gap / tbt_ref for gap in gaps]).tobytes()
 
 
 def summary_bits(summary):

@@ -111,6 +111,31 @@ def ratio_columns(report):
             "E2E": np.array([rec.e2e_ms / ref["e2e_ms"] for rec, ref in zip(records, refs)])}
 
 
+def test_both_judges_read_one_constraint_table():
+    """The replay verdict and the probe verdict list the table's (metric,
+    percentile, multiplier) in its order, under a table whose multipliers
+    and percentiles are all distinct."""
+    slo = SloTable(ttft=(2.5, 3.5, 6.5), tbt=(1.1, 1.7, 4.5), e2e=(1.3, 2.2, 5.5),
+                   percentiles=(0.6, 0.8, 0.95))
+    assert slo.constraints == (
+        ("TTFT", 0.6, 2.5), ("TTFT", 0.8, 3.5), ("TTFT", 0.95, 6.5),
+        ("TBT", 0.6, 1.1), ("TBT", 0.8, 1.7), ("TBT", 0.95, 4.5),
+        ("E2E", 0.6, 1.3), ("E2E", 0.8, 2.2), ("E2E", 0.95, 5.5))
+    config = ClusterConfig("Splitwise-AA", 1, 1)
+    coding = PRESETS["coding"]
+    trace = generate_trace(coding["prompt"], coding["output"], 1.0, 8.0, 7)
+
+    def listed(verdict):
+        return tuple((c["metric"], c["percentile"], c["multiplier"])
+                     for c in verdict["constraints"])
+
+    replay = simulate(config, trace, record_log=False, slo=slo).report.slo
+    with mock.patch.object(SloLedger, "violated", lambda self, i, time: None):
+        probe = simulate(config, trace, record_log=False, slo=slo,
+                         stop_on_slo_fail=True).report.slo
+    assert listed(replay) == listed(probe) == slo.constraints
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0, 5.0, 7.0]), min_size=1, max_size=30),
        st.sampled_from([0.5, 0.9, 0.99, 1.0]), st.sampled_from([1.0, 1.25, 1.5, 5.0]))
