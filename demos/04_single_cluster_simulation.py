@@ -16,7 +16,7 @@ from splitsim import (
     generate_trace,
     get_calibration,
 )
-from splitsim.report import report_percentiles
+from splitsim.report import percentile_label, report_percentiles
 
 
 def main():
@@ -57,7 +57,7 @@ def main():
     print(f"\nSLO check ({'pass' if slo['pass'] else 'FAIL'}):")
     for c in slo["constraints"]:
         flag = "ok  " if c["pass"] else "FAIL"
-        print(f"  {flag} {c['metric']:<4} P{int(c['percentile'] * 100):<3} "
+        print(f"  {flag} {c['metric']:<4} {percentile_label(c['percentile']):<4} "
               f"ratio {c['observed_ratio']:6.2f} (limit {c['multiplier']})")
 
 

@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
 
     slo = result.report.slo
     for c in slo["constraints"]:
-        print(f"{c['metric']:>4} P{int(c['percentile'] * 100):<3} "
+        print(f"{c['metric']:>4} {report.percentile_label(c['percentile']):<4} "
               f"ratio={c['observed_ratio']:.3f} limit={c['multiplier']} "
               f"{'pass' if c['pass'] else 'fail'}")
     print(f"overall: {'pass' if slo['pass'] else 'fail'} "

@@ -1,4 +1,9 @@
-"""Exception types shared across splitsim."""
+"""Exception types shared across splitsim, and the percentile label."""
+
+
+def percentile_label(p: float) -> str:
+    """``P50`` for 0.5, ``P29`` for 0.29, ``P99.9`` for 0.999."""
+    return f"P{p * 100:g}"
 
 
 class SplitsimError(Exception):
@@ -46,7 +51,7 @@ class SloViolated(SplitsimError):
 
     def __init__(self, metric: str, percentile: float, exceeded: int, allowed: int,
                  time_ms: float):
-        super().__init__(f"{metric} P{int(percentile * 100)}: {exceeded} ratios exceed the "
+        super().__init__(f"{metric} {percentile_label(percentile)}: {exceeded} ratios exceed the "
                          f"multiplier, {allowed} allowed, at {time_ms:.3f} ms")
         self.metric = metric
         self.percentile = percentile

@@ -60,6 +60,8 @@ def design_cost_power(design: str, prompt_count: int, token_count: int) -> tuple
 
 def budget_max_count(design: str, budget: float, kind: str = "power") -> int:
     """Largest single-pool machine count fitting a power or cost budget."""
+    if kind not in ("power", "cost"):
+        raise ConfigurationError(f"unknown budget kind {kind!r}")
     cost, power = machine_cost_power(design, "prompt")
     rate = power if kind == "power" else cost
     return int(math.floor(budget / rate + 1e-9))

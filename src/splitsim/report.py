@@ -1,24 +1,25 @@
 """The report layer: a run's metrics, its nine-way SLO verdict and its CSVs.
 
-A provisioning probe needs only the verdict, and it runs with
-``stop_on_slo_fail``.  Nearest-rank ``P_p <= m`` holds iff at most
-``n - ceil(p*n)`` of the ``n`` ratios exceed ``m``, and ``n`` is known
-before the run, so an ``SloLedger`` of nine exceedance counts gives
-``check_slo``'s verdict exactly.  Each count moves when its latency becomes
-final: TTFT at the first token (``_on_iteration``'s prompt loop), each TBT
-gap at its emission (``SloLedger.iteration_gaps``), E2E in ``_finish``.  On a
-batch's first iteration, each task that joined it is counted on its own, and
-the tasks that ran the previous iteration share its first gap, so that gap
-is counted once, weighted by their number.  On every later iteration of the
+Both SLO judges apply one rule: nearest-rank ``P_p <= m`` holds iff at
+most ``allowance(n, p)`` of the ``n`` ratios exceed ``m``, so each counts
+the ratios over each multiplier, and ``_verdict`` builds both verdicts from
+the counts.  ``check_slo`` counts a replay's ratio columns.  A probe runs
+with ``stop_on_slo_fail``: ``n`` is known before the run, so its
+``SloLedger`` counts as latencies become final: TTFT at the first token
+(``_on_iteration``'s prompt loop), each TBT gap at its emission
+(``SloLedger.iteration_gaps``), E2E in ``_finish``.  On a batch's first
+iteration, each task that joined it is counted on its own, and the tasks
+that ran the previous iteration share its first gap, so that gap is
+counted once, weighted by their number.  On every later iteration of the
 same batch, reused or in a window, all its tasks share each gap, so each is
 counted once, weighted by the batch size.  The first count over its
 allowance raises ``SloViolated``: the run simulates no event after it, and
-invariants are checked up to that point.
-``simulate`` and the replays keep ``check_slo``, because ``summary.csv``
-needs the observed ratios, and counting every gap as well would slow a
-log-on replay, where no window shares its gaps.  The ledger's agreement with
-``check_slo`` is pinned by ``tests/test_slo_ledger.py``, not checked at run
-time.
+invariants are checked up to that point.  ``simulate`` and the replays keep
+``check_slo``, because ``summary.csv`` needs the nearest-rank ratios
+(``observed_ratio``, for display only), and counting every gap as well
+would slow a log-on replay, where no window shares its gaps.  The ledger's
+agreement with ``check_slo`` is pinned by ``tests/test_slo_ledger.py``, not
+checked at run time.
 
 The report layer works on columns and cached text, reads each record's
 token phase from its machine's ``ends``, and gives the same bytes as a
@@ -52,7 +53,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SloViolated, ValidationError
+from .errors import SloViolated, ValidationError, percentile_label
 from .perf import PerfModel
 from .trace import Request, _rank
 
@@ -89,7 +90,7 @@ def _percentiles(values: np.ndarray, ps) -> list[float]:
 def report_percentiles(values) -> list[tuple[str, float]]:
     """The percentiles a run reports, ``[("P50", P50), ("P90", P90), ("P99", P99)]``."""
     ps = (0.5, 0.9, 0.99)
-    return [(f"P{int(p * 100)}", value) for p, value in zip(ps, _percentiles(values, ps))]
+    return [(percentile_label(p), value) for p, value in zip(ps, _percentiles(values, ps))]
 
 
 def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +151,11 @@ class SloTable:
     percentiles: tuple = (0.5, 0.9, 0.99)
 
     def __post_init__(self):
+        if not all(0.0 < p <= 1.0 for p in self.percentiles):
+            raise ValidationError("SLO percentiles must be in (0, 1]")
         for multis in (self.ttft, self.tbt, self.e2e):
-            if any(m < 1.0 for m in multis):
-                raise ValidationError("SLO multipliers must be >= 1")
+            if len(multis) != len(self.percentiles) or not all(1 <= m < math.inf for m in multis):
+                raise ValidationError("SLO multipliers must be finite, >= 1, one per percentile")
 
     @property
     def constraints(self) -> tuple[tuple[str, float, float], ...]:
@@ -162,6 +165,22 @@ class SloTable:
                      for metric, multipliers in (("TTFT", self.ttft), ("TBT", self.tbt),
                                                  ("E2E", self.e2e))
                      for p, mult in zip(self.percentiles, multipliers))
+
+
+def allowance(n: int, p: float) -> int:
+    """How many of ``n`` ratios may exceed ``m`` while nearest-rank ``P_p <= m``."""
+    return n - math.ceil(p * n)
+
+
+def _verdict(constraints, exceeded, observed=()) -> dict:
+    """Both judges' verdict: each ``(metric, percentile, multiplier,
+    allowed)`` passes while its count is within its allowance."""
+    out = [{"metric": metric, "percentile": p, "multiplier": mult, "exceeded": count,
+            "allowed": allowed, "pass": count <= allowed}
+           for (metric, p, mult, allowed), count in zip(constraints, exceeded)]
+    for c, ratio in zip(out, observed):
+        c["observed_ratio"] = ratio
+    return {"constraints": out, "pass": all(c["pass"] for c in out)}
 
 
 def reference_tbt(reference_model: PerfModel) -> float:
@@ -250,8 +269,8 @@ def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
     ``ttft_ref`` and ``e2e_ref`` are float64 columns of each record's
     ``reference_latencies``, in record order; ``tbt_ref`` is the run's one
     TBT reference.  Ratios are computed per request (per token gap for TBT,
-    pooled over all requests) and then percentiled.  Returns per-constraint
-    verdicts plus overall pass.  The ratios are built column-wise (see the
+    pooled over all requests), counted over each multiplier and percentiled
+    for ``observed_ratio``.  The ratios are built column-wise (see the
     module docstring for why they are the per-request floats, bit for bit).
     """
     records = report.records
@@ -265,26 +284,24 @@ def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
     e2e_ratios = (column(rec.completion for rec in records) - arrival_ms) / e2e_ref
     tbt_ratios = _gap_column(records)[0]
     tbt_ratios /= tbt_ref
+    columns = {"TTFT": ttft_ratios, "TBT": tbt_ratios, "E2E": e2e_ratios}
 
-    observed = {}  # metric -> percentile -> observed ratio
-    for metric, ratios in (("TTFT", ttft_ratios), ("TBT", tbt_ratios), ("E2E", e2e_ratios)):
-        values = (_percentiles(ratios, slo.percentiles) if len(ratios)
-                  else [0.0] * len(slo.percentiles))
-        observed[metric] = dict(zip(slo.percentiles, values))
-    constraints = [{"metric": metric, "percentile": p, "observed_ratio": observed[metric][p],
-                    "multiplier": mult, "pass": observed[metric][p] <= mult}
-                   for metric, p, mult in slo.constraints]
-    return {"constraints": constraints, "pass": all(c["pass"] for c in constraints)}
+    ps = slo.percentiles
+    observed = {m: dict(zip(ps, _percentiles(ratios, ps) if len(ratios) else [0.0] * len(ps)))
+                for m, ratios in columns.items()}  # m -> p -> observed ratio, for display only
+    constraints = [(m, p, mult, allowance(len(columns[m]), p)) for m, p, mult in slo.constraints]
+    exceeded = [int(np.count_nonzero(columns[m] > mult)) for m, _, mult in slo.constraints]
+    return _verdict(constraints, exceeded, [observed[m][p] for m, p, _ in slo.constraints])
 
 
 class SloLedger:
     """Exceedance counts of the nine constraints, kept as latencies become
     final.
 
-    Nearest-rank ``P_p <= m`` holds iff at most ``n - ceil(p*n)`` of the
-    ``n`` ratios exceed ``m``, and ``n`` is known from the trace: the request
-    count for TTFT and E2E, ``sum(output_tokens - 1)`` for TBT.  The ratios
-    and the comparison are ``check_slo``'s own float expressions on the
+    Its rule, ``allowance``, and its verdict builder, ``_verdict``, are
+    ``check_slo``'s.  ``n`` is known from the trace: the request count for
+    TTFT and E2E, ``sum(output_tokens - 1)`` for TBT.  The ratios and the
+    comparison are ``check_slo``'s own float expressions on the
     ``reference_latencies``, so the verdict is the same.  A count over its
     allowance never comes back, and ``violated`` raises ``SloViolated`` at once.
     """
@@ -295,7 +312,7 @@ class SloLedger:
         sizes = {"TTFT": len(requests), "TBT": sum(r.output_tokens - 1 for r in requests),
                  "E2E": len(requests)}
         # (metric, percentile, multiplier, allowed exceedances)
-        self.constraints = [(metric, p, mult, sizes[metric] - math.ceil(p * sizes[metric]))
+        self.constraints = [(metric, p, mult, allowance(sizes[metric], p))
                             for metric, p, mult in slo.constraints]
         self.exceeded = [0] * len(self.constraints)
         self._ttft, self._tbt, self._e2e = (
@@ -360,12 +377,8 @@ class SloLedger:
         raise SloViolated(metric, p, self.exceeded[i], allowed, time)
 
     def verdict(self) -> dict:
-        """``check_slo``'s verdict layout, with counts instead of ratios."""
-        constraints = [{"metric": metric, "percentile": p, "multiplier": mult,
-                        "exceeded": exceeded, "allowed": allowed, "pass": exceeded <= allowed}
-                       for (metric, p, mult, allowed), exceeded
-                       in zip(self.constraints, self.exceeded)]
-        return {"constraints": constraints, "pass": all(c["pass"] for c in constraints)}
+        """``check_slo``'s verdict, without the observed ratios."""
+        return _verdict(self.constraints, self.exceeded)
 
 
 @dataclass
@@ -452,7 +465,7 @@ def summary_csv(result: SimResult) -> str:
         for c in result.report.slo["constraints"]:
             if "observed_ratio" not in c:
                 raise ValidationError("a stop_on_slo_fail verdict holds exceedance counts")
-            buf.write(f"{c['metric']},P{int(c['percentile'] * 100)},"
+            buf.write(f"{c['metric']},{percentile_label(c['percentile'])},"
                       f"{c['observed_ratio']:.6f},{c['multiplier']},"
                       f"{'pass' if c['pass'] else 'fail'}\n")
     return buf.getvalue()

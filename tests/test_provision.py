@@ -77,6 +77,11 @@ class TestBudgetCount:
         assert budget_max_count("Baseline-H100", 1.75, "power") == 1
         assert budget_max_count("Baseline-H100", 1.74, "power") == 0
 
+    def test_unknown_kind(self):
+        # not read as a cost budget: that would fit 2 machines, power fits 4
+        with pytest.raises(ConfigurationError):
+            budget_max_count("Baseline-H100", 7, "Power")
+
 
 class TestSearchSpec:
     def _spec(self, **kw):

@@ -1,8 +1,10 @@
 """The report layer against the per-request loops it replaced.
 
 ``reference_check_slo`` is the old ``check_slo``: Python lists of ratios,
-percentiled with ``sorted()``.  Every verdict, ``observed_ratio`` included,
-must be the same float, bit for bit, and so must every percentile of
+percentiled with ``sorted()``, and a constraint passes when its percentile
+is within the multiplier; it counts each constraint's exceedances and
+allowance in the same loop.  Every verdict, ``observed_ratio`` included,
+must be the same, every float bit for bit, and so must every percentile of
 ``MetricsReport.summary`` against ``reference_summary``.  ``reference_tbt_csv`` and
 ``reference_event_log_csv`` format one row at a time, and the emitters must
 give the same text.
@@ -21,10 +23,10 @@ from hypothesis import assume, example, given, settings
 import splitsim.engine
 import splitsim.report
 import splitsim.transfer
-from splitsim import (PRESETS, ClusterConfig, Request, Simulator, SloTable, ValidationError,
-                      check_slo, generate_trace, get_calibration, percentile)
+from splitsim import (PRESETS, ClusterConfig, Request, Simulator, SloTable, SloViolated,
+                      ValidationError, check_slo, generate_trace, get_calibration, percentile)
 from splitsim.report import (EVENT_FORMATS, MetricsReport, RequestRecord, SimResult,
-                             event_log_csv, summary_csv, tbt_csv)
+                             event_log_csv, report_percentiles, summary_csv, tbt_csv)
 
 
 def reference_check_slo(report, slo, ttft_ref, tbt_ref, e2e_ref):
@@ -46,6 +48,8 @@ def reference_check_slo(report, slo, ttft_ref, tbt_ref, e2e_ref):
             result["constraints"].append({
                 "metric": metric, "percentile": p,
                 "observed_ratio": observed, "multiplier": mult, "pass": ok,
+                "exceeded": sum(r > mult for r in ratios),
+                "allowed": len(ratios) - math.ceil(p * len(ratios)),
             })
             result["pass"] = result["pass"] and ok
     return result
@@ -90,6 +94,7 @@ def bits(verdict):
     """The verdict with every float as its exact hex text and every type kept."""
     return (type(verdict["pass"]), verdict["pass"],
             [(c["metric"], c["percentile"], c["multiplier"], type(c["pass"]), c["pass"],
+              type(c["exceeded"]), c["exceeded"], type(c["allowed"]), c["allowed"],
               type(c["observed_ratio"]), c["observed_ratio"].hex())
              for c in verdict["constraints"]])
 
@@ -275,6 +280,17 @@ def batch_logs(draw):
 def test_event_log_csv_matches_per_row_text(log):
     result = SimResult(MetricsReport([], 0.0, {}), log)
     assert event_log_csv(result) == reference_event_log_csv(result)
+
+
+def test_percentile_labels_name_each_percentile():
+    """``P29``, not ``P28``, for 0.29, and 0.999 apart from 0.99."""
+    report, references = sized_report(20, 5)
+    slo = SloTable(percentiles=(0.29, 0.57, 0.999))
+    report.slo = check_slo(report, slo, *references)
+    rows = summary_csv(SimResult(report, [])).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["P29", "P57", "P99.9"] * 3
+    assert str(SloViolated("TBT", 0.999, 1, 0, 5.0)).startswith("TBT P99.9: ")
+    assert [label for label, _ in report_percentiles(np.arange(5.0))] == ["P50", "P90", "P99"]
 
 
 def test_summary_csv_rejects_a_probe_verdict():

@@ -2,14 +2,14 @@
 
 A probe-mode run (``Simulator(stop_on_slo_fail=True)``) counts, per
 constraint, the ratios that exceed the multiplier as each latency becomes
-final, and stops at the first count that goes over ``n - ceil(p*n)``.  Its
-verdict must be the one ``check_slo`` gives on the full run.
+final, and stops at the first count that goes over ``allowance(n, p)``.
+Its verdict must be the one ``check_slo`` gives on the full run.
 """
 
+import math
 from unittest import mock
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -25,15 +25,15 @@ from splitsim import (
     SloViolated,
     SplitsimError,
     Trace,
+    ValidationError,
     Workload,
     generate_trace,
     get_calibration,
     percentile,
-    reference_latencies,
     slo_pass_at_rate,
 )
 from splitsim.engine import SloLedger
-from splitsim.report import _gap_column
+from splitsim.report import allowance
 
 REFERENCE = get_calibration("llama2-70b", "A100")
 
@@ -44,10 +44,11 @@ def simulate(config, trace, **kwargs):
     return Simulator(config, models, trace, reference_model=REFERENCE, **kwargs).run()
 
 
-def ledger_counts(config, trace, record_log):
+def ledger_counts(config, trace, record_log, slo=None):
     """The ledger's verdict of a full run, with the abort off."""
     with mock.patch.object(SloLedger, "violated", lambda self, i, time: None):
-        return simulate(config, trace, record_log=record_log, stop_on_slo_fail=True).report.slo
+        return simulate(config, trace, record_log=record_log, slo=slo,
+                        stop_on_slo_fail=True).report.slo
 
 
 @st.composite
@@ -61,7 +62,19 @@ def probes(draw):
     seed = draw(st.integers(0, 10_000))
     dists = PRESETS[preset]
     trace = generate_trace(dists["prompt"], dists["output"], rate, 8.0, seed)
-    return ClusterConfig(design, prompt_machines, token_machines), trace
+    # any valid table, percentiles in (0, 1] and multipliers in [1, 10]
+    multipliers = st.tuples(*[st.floats(1.0, 10.0)] * 3)
+    slo = draw(st.just(SloTable()) | st.builds(
+        SloTable, multipliers, multipliers, multipliers,
+        st.tuples(*[st.floats(0.0, 1.0, exclude_min=True)] * 3)))
+    return ClusterConfig(design, prompt_machines, token_machines), trace, slo
+
+
+def judged(verdict):
+    """Each constraint's fields that both judges give."""
+    return [tuple(c[key] for key in ("metric", "percentile", "multiplier", "exceeded",
+                                     "allowed", "pass"))
+            for c in verdict["constraints"]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,46 +82,32 @@ def probes(draw):
 # tasks that finish at the iteration they join, so complete_iteration has
 # already closed the segment whose start the ledger looks up
 @example((ClusterConfig("Splitwise-AA", 1, 1),
-          generate_trace(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"], 1.0, 8.0, 7)))
+          generate_trace(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"], 1.0, 8.0, 7),
+          SloTable()))
 def test_probe_verdict_matches_check_slo(probe):
-    config, trace = probe
-    report = simulate(config, trace, record_log=False).report
-    expected = report.slo
+    config, trace, slo = probe
+    expected = simulate(config, trace, record_log=False, slo=slo).report.slo
     if expected is None:  # empty trace: no verdict either way
         return
     if expected["pass"]:
-        verdict = simulate(config, trace, record_log=False, stop_on_slo_fail=True).report.slo
+        verdict = simulate(config, trace, record_log=False, slo=slo,
+                           stop_on_slo_fail=True).report.slo
         assert verdict["pass"]
         assert len(verdict["constraints"]) == 9
         assert all(c["pass"] for c in verdict["constraints"])
     else:
         with pytest.raises(SloViolated) as info:
-            simulate(config, trace, record_log=False, stop_on_slo_fail=True)
+            simulate(config, trace, record_log=False, slo=slo, stop_on_slo_fail=True)
         failed = {(c["metric"], c["percentile"])
                   for c in expected["constraints"] if not c["pass"]}
         assert (info.value.metric, info.value.percentile) in failed
     # without the abort, every count is the same whether windows share
     # their gaps (log off) or every gap is counted on its own (log on)
-    logged = ledger_counts(config, trace, record_log=True)
-    fast = ledger_counts(config, trace, record_log=False)
+    logged = ledger_counts(config, trace, record_log=True, slo=slo)
+    fast = ledger_counts(config, trace, record_log=False, slo=slo)
     assert logged == fast
-    assert [c["pass"] for c in fast["constraints"]] == \
-        [c["pass"] for c in expected["constraints"]]
-    # and each count is the number of the full run's ratios over its
-    # multiplier, with the ratios taken from check_slo's own columns
-    ratios = ratio_columns(report)
-    assert [c["exceeded"] for c in fast["constraints"]] == \
-        [int((ratios[c["metric"]] > c["multiplier"]).sum()) for c in fast["constraints"]]
-
-
-def ratio_columns(report):
-    """Each metric's ratios, as ``check_slo`` computes them."""
-    records = report.records
-    refs = [reference_latencies(rec.request, REFERENCE) for rec in records]
-    gaps, counts = _gap_column(records)
-    return {"TTFT": np.array([rec.ttft_ms / ref["ttft_ms"] for rec, ref in zip(records, refs)]),
-            "TBT": gaps / np.repeat([ref["tbt_ms"] for ref in refs], counts),
-            "E2E": np.array([rec.e2e_ms / ref["e2e_ms"] for rec, ref in zip(records, refs)])}
+    # and each constraint's count, allowance and verdict are the replay's
+    assert judged(fast) == judged(expected)
 
 
 def test_both_judges_read_one_constraint_table():
@@ -140,10 +139,20 @@ def test_both_judges_read_one_constraint_table():
 @given(st.lists(st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.0, 5.0, 7.0]), min_size=1, max_size=30),
        st.sampled_from([0.5, 0.9, 0.99, 1.0]), st.sampled_from([1.0, 1.25, 1.5, 5.0]))
 def test_percentile_identity(ratios, p, mult):
-    ledger = SloLedger(SloTable(percentiles=(p, p, p)),
-                       [Request(i, 0.0, 1, 1) for i in range(len(ratios))], REFERENCE)
-    allowed = ledger.constraints[0][3]
+    allowed = allowance(len(ratios), p)
     assert (percentile(ratios, p) <= mult) == (sum(r > mult for r in ratios) <= allowed)
+
+
+@pytest.mark.parametrize("table", [
+    dict(ttft=(math.nan, 100, 100), tbt=(100,) * 3, e2e=(100,) * 3),  # P50 <= nan never holds
+    dict(ttft=(math.inf, 3, 6)),
+    dict(percentiles=(0.0, 0.5, 0.9)),
+    dict(percentiles=(0.5, 1.5, 0.99)),  # an allowance of n - ceil(1.5 n) < 0
+    dict(ttft=(2.0, 3.0)),  # a constraint that zip would drop
+])
+def test_invalid_tables_are_rejected_when_built(table):
+    with pytest.raises(ValidationError):
+        SloTable(**table)
 
 
 def one_request(prompt=1500, out=13):
@@ -156,11 +165,12 @@ UNIT = SloTable(ttft=(1.0, 1.0, 1.0), tbt=(1.0, 1.0, 1.0), e2e=(1.0, 1.0, 1.0))
 class TestLedger:
     def test_ratio_equal_to_multiplier_passes(self):
         # an A100 machine serving one request is its own reference: every
-        # ratio is exactly 1.0, which meets multipliers of 1.0
-        res = simulate(ClusterConfig("Baseline-A100", 1, 0), one_request(),
-                       slo=UNIT, stop_on_slo_fail=True)
-        assert res.report.slo["pass"]
-        assert [c["exceeded"] for c in res.report.slo["constraints"]] == [0] * 9
+        # ratio is exactly 1.0, which meets multipliers of 1.0 in both judges
+        for probe in (True, False):
+            res = simulate(ClusterConfig("Baseline-A100", 1, 0), one_request(),
+                           slo=UNIT, stop_on_slo_fail=probe)
+            assert res.report.slo["pass"]
+            assert [c["exceeded"] for c in res.report.slo["constraints"]] == [0] * 9
 
     def test_ratio_above_multiplier_aborts(self):
         # the transfer makes the first token gap longer than the reference

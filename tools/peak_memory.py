@@ -15,10 +15,13 @@ check and, inside them, ``Simulator.run``, ``Simulator._build_report``,
 It prints one JSON object.  For each phase, in the order the phases first
 start, it gives ``calls`` and, for the call with the highest peak,
 ``start_mb`` (traced memory when that call started) and ``peak_mb`` (the
-highest traced memory while it ran), both in MiB.  Phases nest: the peak of
-an outer phase covers the phases inside it.  ``tracemalloc`` counts the
-Python allocations made after it starts, not the process's resident memory,
-and it slows the run several times over.
+highest traced memory while it ran), both in MiB, rounded to 0.01 MiB:
+repeated runs of the same code differ by about 3 KB, even with
+``PYTHONHASHSEED=0``, so finer digits are noise (``measure`` returns them
+unrounded).  Phases nest: the peak of an outer phase covers the phases
+inside it.  ``tracemalloc`` counts the Python allocations made after it
+starts, not the process's resident memory, and it slows the run several
+times over.
 """
 
 from __future__ import annotations
@@ -102,7 +105,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    print(json.dumps(measure(args.workload, args.seed), indent=1))
+    out = measure(args.workload, args.seed)
+    for stat in out["phases"].values():
+        stat["start_mb"], stat["peak_mb"] = round(stat["start_mb"], 2), round(stat["peak_mb"], 2)
+    print(json.dumps(out, indent=1))
     return 0
 
 
