@@ -141,9 +141,10 @@ def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
     return gaps, counts
 
 
-@dataclass
+@dataclass(frozen=True)
 class SloTable:
-    """Slowdown multipliers vs. an uncontended reference, per percentile."""
+    """Slowdown multipliers vs. an uncontended reference, per percentile;
+    frozen, so the checks made when it is built hold for its lifetime."""
 
     ttft: tuple = (2.0, 3.0, 6.0)
     tbt: tuple = (1.25, 1.5, 5.0)

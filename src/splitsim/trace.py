@@ -11,13 +11,25 @@ prompt 1500 / median output 13 for coding, 1020 / 129 for conversation).
 All randomness goes through numpy's Philox generator (counter-based,
 documented, portable), so a fixed seed reproduces the same trace on any
 platform.
+
+``generate_trace`` and ``parse_trace`` build their requests in bulk from
+three columns (arrival, prompt size, output size): the columns are checked
+as whole arrays against the rules of ``Request.__post_init__``, and a bad
+value raises the message ``Request(...)`` gives for the first offending id;
+then every request is made by ``object.__new__`` and its slots are filled
+column by column, with no Python-level call per request.  ``parse_trace``
+first checks each row, naming its line.  A ``Request(...)`` built directly
+runs its own checks, and ``Trace(...)`` checks order, horizon and ids.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +56,30 @@ class Request:
             raise ValidationError(f"request {self.id}: output_tokens must be >= 1")
 
 
+_SLOT_SETTERS = tuple(getattr(Request, name).__set__ for name in Request.__slots__)
+
+
+def _build_requests(arrivals, prompts, outputs) -> list[Request]:
+    """Requests ``0..n-1`` from three equal-length columns, in column order.
+
+    The columns are checked in bulk against ``Request.__post_init__``'s
+    rules; the first offending row is rebuilt through ``Request(...)``,
+    which raises its message.  The rest is done in C: one ``object.__new__``
+    per request, then one slot ``__set__`` per value, as the frozen
+    dataclass's own ``__init__`` sets them.
+    """
+    arrivals, prompts, outputs = map(np.asarray, (arrivals, prompts, outputs))
+    bad = np.flatnonzero((arrivals < 0) | (prompts < 1) | (outputs < 1))
+    n = len(arrivals)
+    columns = (range(n), arrivals.tolist(), prompts.tolist(), outputs.tolist())
+    if len(bad):
+        Request(*(column[bad[0]] for column in columns))  # raises that row's error
+    requests = list(map(object.__new__, repeat(Request, n)))
+    for set_slot, column in zip(_SLOT_SETTERS, columns):
+        deque(map(set_slot, requests, column), maxlen=0)
+    return requests
+
+
 @dataclass
 class Trace:
     """Requests sorted by arrival, plus the covered duration in seconds."""
@@ -53,12 +89,12 @@ class Trace:
     clamped_samples: int = 0  # size draws that hit a distribution clamp
 
     def __post_init__(self):
-        arrivals = [r.arrival for r in self.requests]
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
+        arrivals = list(map(operator.attrgetter("arrival"), self.requests))
+        if any(map(operator.lt, arrivals[1:], arrivals)):
             raise ValidationError("trace arrivals are not sorted")
         if arrivals and arrivals[-1] > self.duration:
             raise ValidationError("arrival beyond trace duration")
-        ids = [r.id for r in self.requests]
+        ids = list(map(operator.attrgetter("id"), self.requests))
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate request ids in trace")
 
@@ -81,12 +117,20 @@ class SizeDistribution:
     """
 
     KINDS = ("lognormal", "bimodal-lognormal", "empirical")
+    # the parameter names of each lognormal kind, in ``params`` order
+    PARAMS = {"lognormal": ("mu", "sigma"),
+              "bimodal-lognormal": ("w2", "mu1", "sigma1", "mu2", "sigma2")}
 
     def __init__(self, kind, params, min_tokens=1, max_tokens=1 << 20):
         if kind not in self.KINDS:
             raise ValidationError(f"unknown distribution kind {kind!r}")
         if min_tokens < 1 or max_tokens < min_tokens:
             raise ValidationError("invalid clamp range")
+        for name, value in zip(self.PARAMS.get(kind, ()), params):
+            if name.startswith("mu") and not math.isfinite(value):
+                raise ValidationError(f"{kind} {name} must be finite, got {value}")
+            if name.startswith("sigma") and not 0 <= value < math.inf:
+                raise ValidationError(f"{kind} {name} must be finite and >= 0, got {value}")
         if kind == "empirical":
             q, v = params
             q = np.asarray(q, dtype=float)
@@ -221,8 +265,8 @@ def parse_trace(source) -> Trace:
         rows.append((arrival, prompt, output))
     if not rows:
         raise ValidationError("empty trace")
-    order = sorted(range(len(rows)), key=lambda k: rows[k][0])  # stable
-    requests = [Request(rid, *rows[k]) for rid, k in enumerate(order)]
+    rows.sort(key=operator.itemgetter(0))  # stable
+    requests = _build_requests(*zip(*rows))
     return Trace(requests, duration=requests[-1].arrival)
 
 
@@ -248,21 +292,21 @@ def generate_trace(prompt_dist: SizeDistribution, output_dist: SizeDistribution,
     if not 0 < duration < math.inf:
         raise ValidationError("duration must be finite and > 0")
     rng = _rng(seed)
-    arrivals: list[float] = []
+    chunks = []
     if rate > 0:
         t = 0.0
         while True:
             chunk = rng.exponential(1.0 / rate, size=max(256, int(rate * duration * 0.2) + 1))
             cum = t + np.cumsum(chunk)
             inside = cum[cum <= duration]
-            arrivals.extend(inside.tolist())
+            chunks.append(inside)
             if len(inside) < len(cum):
                 break
             t = cum[-1]
-    n = len(arrivals)
-    prompts, c1 = prompt_dist.sample(rng, n)
-    outputs, c2 = output_dist.sample(rng, n)
-    requests = [Request(i, arrivals[i], int(prompts[i]), int(outputs[i])) for i in range(n)]
+    arrivals = np.concatenate(chunks) if chunks else np.zeros(0)
+    prompts, c1 = prompt_dist.sample(rng, len(arrivals))
+    outputs, c2 = output_dist.sample(rng, len(arrivals))
+    requests = _build_requests(arrivals, prompts, outputs)
     return Trace(requests, duration=float(duration), clamped_samples=c1 + c2)
 
 

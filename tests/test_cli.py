@@ -92,6 +92,23 @@ class TestGenTrace:
         assert run_cli("--config", "run.cfg", *command) == 2
         assert "unknown key 'prompt_dist.weight2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, named", [
+        ("prompt_dist.sigma = -0.5\n", "lognormal sigma"),
+        ("output_dist.kind = bimodal-lognormal\noutput_dist.weight2 = 0.5\n"
+         "output_dist.sigma2 = -1\n", "bimodal-lognormal sigma2"),
+    ])
+    def test_negative_sigma_is_a_usage_error(self, tmp_path, monkeypatch, capsys, config,
+                                             named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "neg.cfg").write_text(config)
+        capsys.readouterr()
+        assert run_cli("--config", "neg.cfg", "gen-trace", "--rate", "2", "--duration", "5",
+                       "--seed", "1", "--output", "t.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{named} must be finite and >= 0" in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_env_seed(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("SPLITSIM_SEED", "11")

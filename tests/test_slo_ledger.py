@@ -6,6 +6,7 @@ final, and stops at the first count that goes over ``allowance(n, p)``.
 Its verdict must be the one ``check_slo`` gives on the full run.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -153,6 +154,13 @@ def test_percentile_identity(ratios, p, mult):
 def test_invalid_tables_are_rejected_when_built(table):
     with pytest.raises(ValidationError):
         SloTable(**table)
+
+
+def test_a_built_table_cannot_be_changed():
+    table = SloTable()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.percentiles = (0.5, 1.5, 0.99)
+    assert table == SloTable()
 
 
 def one_request(prompt=1500, out=13):

@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitsim import (
     PRESETS,
@@ -16,7 +18,7 @@ from splitsim import (
     serialize_trace,
     trace_stats,
 )
-from splitsim.trace import read_csv
+from splitsim.trace import TRACE_HEADER, _build_requests, read_csv
 
 
 class TestParse:
@@ -147,6 +149,102 @@ class TestRequestInvariants:
             Trace([Request(0, 1.0, 1, 1), Request(0, 2.0, 1, 1)], duration=3.0)
 
 
+# Columns as the builder receives them: arrival 0.0, repeated arrivals and
+# sizes of 1 are drawn often.
+_arrivals = st.lists(st.sampled_from([0.0, 0.5, 1e-9]) | st.floats(0.0, 1e6), max_size=40)
+_sizes = st.integers(1, 3) | st.integers(1, 10**7)
+
+
+@st.composite
+def columns(draw):
+    arrivals = draw(_arrivals)
+    n = len(arrivals)
+    prompts = draw(st.lists(_sizes, min_size=n, max_size=n))
+    outputs = draw(st.lists(_sizes, min_size=n, max_size=n))
+    return arrivals, prompts, outputs
+
+
+def per_row(arrivals, prompts, outputs):
+    return [Request(i, *row) for i, row in enumerate(zip(arrivals, prompts, outputs))]
+
+
+class TestBulkBuild:
+    @given(cols=columns(), as_arrays=st.booleans())
+    @example(cols=([], [], []), as_arrays=True)  # a rate-0 trace's columns
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_row_requests(self, cols, as_arrays):
+        built = _build_requests(*(map(np.asarray, cols) if as_arrays else cols))
+        expected = per_row(*cols)
+        assert built == expected
+        assert [hash(r) for r in built] == [hash(r) for r in expected]
+        assert [repr(r) for r in built] == [repr(r) for r in expected]
+        assert all(type(r.id) is type(r.prompt_tokens) is type(r.output_tokens) is int
+                   and type(r.arrival) is float for r in built)
+
+    def test_built_requests_are_frozen_and_slotted(self):
+        request = _build_requests([0.0], [5], [1])[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.prompt_tokens = 6
+        assert not hasattr(request, "__dict__")
+
+    @given(cols=columns().filter(lambda c: c[0]), data=st.data(),
+           column=st.sampled_from([0, 1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_bad_value_raises_the_request_message(self, cols, data, column):
+        cols = [list(c) for c in cols]
+        k = data.draw(st.integers(0, len(cols[0]) - 1), label="index")
+        bad = st.floats(-1e6, -1e-9) if column == 0 else st.integers(-5, 0)
+        cols[column][k] = data.draw(bad, label="bad value")
+        with pytest.raises(ValidationError) as direct:
+            Request(k, cols[0][k], cols[1][k], cols[2][k])
+        with pytest.raises(ValidationError) as bulk:
+            _build_requests(*map(np.asarray, cols))
+        assert str(bulk.value) == str(direct.value)
+
+    @given(rows=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 3.0]) | st.floats(0.0, 1e4),
+                                   _sizes, _sizes), min_size=1, max_size=30),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parse_shuffled_csv(self, rows, data):
+        shuffled = data.draw(st.permutations(rows), label="shuffled")
+        text = TRACE_HEADER + "\n" + "".join(f"{a!r},{p},{o}\n" for a, p, o in shuffled)
+        expected = per_row(*zip(*sorted(shuffled, key=lambda row: row[0])))  # stable
+        trace = parse_trace(text)
+        assert trace.requests == expected
+        assert trace.duration == expected[-1].arrival
+
+
+# sha256 of serialize_trace(generate_trace(...)), taken before requests were
+# built in bulk: a trace's bytes are fixed by its seed.
+TRACE_SHA256 = [
+    pytest.param(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"], 20.0, 60.0, 7,
+                 "ecf0f1d5c81e28f6d4d6d24ac7376b1c23234629a84e44fc62773c2c20c9bd79",
+                 id="coding"),
+    pytest.param(PRESETS["conversation"]["prompt"], PRESETS["conversation"]["output"],
+                 20.0, 60.0, 8,
+                 "134b89eb44aed79e9447af28430d72cf6f5e4d746a0778b91d637cfebbd5bbca",
+                 id="conversation"),
+    pytest.param(SizeDistribution.lognormal(math.log(300), 0.6, 16, 2048),
+                 SizeDistribution.lognormal(math.log(600), 0.5, 32, 2048), 4.5, 50.0, 11,
+                 "0a7451d62741a8bbbb711f7aa802f487a1a4fb6f1f2d55e6b456f1c0b1081f46",
+                 id="custom-lognormal"),
+    pytest.param(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"], 0.0, 10.0, 0,
+                 "3958c4bb50bcc5421962ad6ed224d5020a36281941c0dbf1763ac2abb062d1ae",
+                 id="rate-0"),
+    # the benchmark's replay-hh-coding input at seed 5 (variant seed 15): 21,028
+    # requests from several arrival chunks
+    pytest.param(PRESETS["coding"]["prompt"], PRESETS["coding"]["output"], 70.0, 300.0, 15,
+                 "c05856bd9be5b46ae0300b02c312317f39820965f0141c496137115768cace3e",
+                 id="hh-coding"),
+]
+
+
+@pytest.mark.parametrize("prompt, output, rate, duration, seed, sha256", TRACE_SHA256)
+def test_trace_bytes_are_pinned(prompt, output, rate, duration, seed, sha256):
+    text = serialize_trace(generate_trace(prompt, output, rate, duration, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 class TestGenerate:
     def test_deterministic(self):
         p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
@@ -168,7 +266,8 @@ class TestGenerate:
 
     def test_zero_rate(self):
         p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
-        assert len(generate_trace(p, o, 0.0, 10.0, seed=0)) == 0
+        trace = generate_trace(p, o, 0.0, 10.0, seed=0)
+        assert trace.requests == [] and trace.clamped_samples == 0
 
     def test_negative_rate(self):
         p, o = PRESETS["coding"]["prompt"], PRESETS["coding"]["output"]
@@ -254,6 +353,35 @@ class TestSizeDistribution:
         vals, clamped = dist.sample(rng, 1000)
         assert set(np.unique(vals)) <= {10, 100}
         assert clamped == 0
+
+    LOGNORMAL_PARAMS = [
+        pytest.param(lambda bad: SizeDistribution.lognormal(bad, 1.0), "mu", id="mu"),
+        pytest.param(lambda bad: SizeDistribution.lognormal(1.0, bad), "sigma", id="sigma"),
+        pytest.param(lambda bad: SizeDistribution.bimodal_lognormal(0.5, bad, 1.0, 1.0, 1.0),
+                     "mu1", id="mu1"),
+        pytest.param(lambda bad: SizeDistribution.bimodal_lognormal(0.5, 1.0, bad, 1.0, 1.0),
+                     "sigma1", id="sigma1"),
+        pytest.param(lambda bad: SizeDistribution.bimodal_lognormal(0.5, 1.0, 1.0, bad, 1.0),
+                     "mu2", id="mu2"),
+        pytest.param(lambda bad: SizeDistribution.bimodal_lognormal(0.5, 1.0, 1.0, 1.0, bad),
+                     "sigma2", id="sigma2"),
+    ]
+
+    @pytest.mark.parametrize("make, name", LOGNORMAL_PARAMS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter(self, make, name, bad):
+        with pytest.raises(ValidationError, match=f" {name} must be finite"):
+            make(bad)
+
+    @pytest.mark.parametrize("make, name", [p for p in LOGNORMAL_PARAMS if "sigma" in p.id])
+    def test_negative_sigma(self, make, name):
+        with pytest.raises(ValidationError, match=f" {name} must be finite and >= 0"):
+            make(-0.5)
+
+    def test_zero_sigma_is_a_point_mass(self):
+        dist = SizeDistribution.lognormal(math.log(40), 0.0)
+        vals, clamped = dist.sample(np.random.Generator(np.random.Philox(0)), 10)
+        assert vals.tolist() == [40] * 10 and clamped == 0
 
     def test_empirical_bad_quantiles(self):
         with pytest.raises(ValidationError):
