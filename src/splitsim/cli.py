@@ -20,19 +20,11 @@ import sys
 from . import config as cfgmod
 from . import engine, provision, report
 from .cluster import ClusterConfig
-from .errors import ConfigurationError, SplitsimError
+from .errors import ConfigurationError, SplitsimError, ValidationError
 from .machine import SchedulerConfig
 from .perf import KNOT_BUDGET, fit_piecewise_linear, parse_profile_csv, export_profile_csv
 from .trace import (PRESETS, SizeDistribution, generate_trace, parse_trace, read_csv,
                     serialize_trace, trace_stats)
-
-# config key -> (TransferConfig field, scale to its unit)
-_TRANSFER_KEYS = {
-    "transfer.bandwidth_gbps": ("bandwidth", 1e9),
-    "transfer.threshold_tokens": ("mode_threshold_tokens", 1),
-    "transfer.layerwise_constant_ms": ("layerwise_constant_ms", 1),
-}
-
 
 def _default_seed():
     text = os.environ.get("SPLITSIM_SEED", "0")
@@ -42,19 +34,26 @@ def _default_seed():
         raise ConfigurationError(f"SPLITSIM_SEED must be an integer, got {text!r}") from None
 
 
+# distribution kind -> its parameters' config keys, in SizeDistribution.PARAMS order
+_DIST_KEYS = {"lognormal": ("mu", "sigma"),
+              "bimodal-lognormal": ("weight2", "mu", "sigma", "mu2", "sigma2")}
+
+
 def _dists_from_config(cfg, prefix):
     kind = cfg[f"{prefix}.kind"]
-    lo, hi = cfg[f"{prefix}.min"], cfg[f"{prefix}.max"]
-    if kind == "lognormal":
-        return SizeDistribution.lognormal(cfg[f"{prefix}.mu"], cfg[f"{prefix}.sigma"], lo, hi)
-    if kind == "bimodal-lognormal":
-        if f"{prefix}.weight2" not in cfg:
-            raise ConfigurationError(f"{prefix}.kind = bimodal-lognormal is not supported: "
-                                     f"only output_dist takes a mixture")
-        return SizeDistribution.bimodal_lognormal(
-            cfg[f"{prefix}.weight2"], cfg[f"{prefix}.mu"], cfg[f"{prefix}.sigma"],
-            cfg[f"{prefix}.mu2"], cfg[f"{prefix}.sigma2"], lo, hi)
-    raise SplitsimError(f"config cannot express distribution kind {kind!r}")
+    if kind not in _DIST_KEYS:
+        raise SplitsimError(f"config cannot express distribution kind {kind!r}")
+    keys = [f"{prefix}.{key}" for key in _DIST_KEYS[kind]]
+    if not all(key in cfg for key in keys):
+        raise ConfigurationError(f"{prefix}.kind = {kind} is not supported: "
+                                 f"only output_dist takes a mixture")
+    for key, name in zip(keys, SizeDistribution.PARAMS[kind]):
+        try:
+            SizeDistribution.check_param(kind, name, cfg[key])
+        except ValidationError as exc:
+            raise ConfigurationError(f"{key}: {exc}") from None
+    return SizeDistribution(kind, tuple(cfg[key] for key in keys),
+                            cfg[f"{prefix}.min"], cfg[f"{prefix}.max"])
 
 
 def _workload_dists(args, cfg):
@@ -98,7 +97,7 @@ def _cluster_config(args, cfg) -> ClusterConfig:
         sched=_sched_config(cfg),
     )
     # each transfer key overrides one field of the design's default link
-    overrides = {name: cfg[key] * scale for key, (name, scale) in _TRANSFER_KEYS.items()
+    overrides = {name: cfg[key] * scale for key, (name, scale) in cfgmod.TRANSFER_KEYS.items()
                  if cfg[key] is not None}
     if overrides and config.transfer is not None:  # baseline designs transfer nothing
         config.transfer = dataclasses.replace(config.transfer, **overrides)

@@ -18,6 +18,13 @@ from .trace import PRESETS
 SCHED_KEYS = ("mls.prompt_token_cap", "mls.max_preemptions", "mls.mixing_rule",
               "cls.queue_threshold_tokens")
 
+# key -> (the TransferConfig field it overrides, scale to that unit, typed as the key)
+TRANSFER_KEYS = {
+    "transfer.bandwidth_gbps": ("bandwidth", 1e9),
+    "transfer.threshold_tokens": ("mode_threshold_tokens", 1),
+    "transfer.layerwise_constant_ms": ("layerwise_constant_ms", 1.0),
+}
+
 # key -> (type, default).  None default means "unset".
 KNOWN_KEYS = {
     "run.trace": (str, None),
@@ -28,9 +35,7 @@ KNOWN_KEYS = {
     "cluster.token_machines": (int, 0),
     **{key: (type(default), default) for key in SCHED_KEYS
        for default in [getattr(SchedulerConfig, key.partition(".")[2])]},
-    "transfer.bandwidth_gbps": (float, None),
-    "transfer.threshold_tokens": (int, None),
-    "transfer.layerwise_constant_ms": (float, None),
+    **{key: (type(scale), None) for key, (_, scale) in TRANSFER_KEYS.items()},
     # the workload defaults are the ``coding`` preset, whose two
     # distributions are lognormal: params (mu, sigma)
     **{f"{role}_dist.{key}": (type(default), default)

@@ -9,13 +9,17 @@ numbers as keys and tie by insertion; the end of an iteration on machine
 ``m`` takes ``ITER_BASE + m``, so at an equal time it comes after every
 other event, and after the ends of machines with lower ids.  An iteration
 end's key does not depend on when it was pushed.  The simulation clock runs
-in milliseconds.  Trace arrivals stay in seconds: each use that needs one in
-ms (its event, TTFT, E2E and the SLO checks) computes ``arrival * 1000.0``.
+in milliseconds.  Trace arrivals stay in seconds; two places compute
+``arrival * 1000.0``: ``run``, for an arrival's event, and
+``RequestRecord.ttft_ms`` / ``e2e_ms``, for the latencies that both SLO
+judges read.
 
 The engine wires the request lifecycle: arrival -> JSQ routing -> prompt
 iterations -> KV-cache transfer -> token iterations -> completion.  The
 report layer (``report.py``) turns its records into TTFT/TBT/E2E metrics
-and the nine-way SLO verdict against an unbatched reference machine.
+and the nine-way SLO verdict against an unbatched reference machine, whose
+latencies ``reference_latencies`` evaluates once per run, when the
+simulator is built.
 
 Only machines whose state an event changed are *dirty*; after each event
 ``_dispatch`` runs ``Cluster.update_pools`` on those machines alone and, in
@@ -67,8 +71,6 @@ import math
 from bisect import bisect_left
 from itertools import accumulate, repeat
 
-import numpy as np
-
 from .cluster import Cluster, ClusterConfig
 from .errors import ConfigurationError, HorizonExceeded, InvariantError, ValidationError
 from .machine import PROMPT, TOKEN, Machine, Task
@@ -95,7 +97,6 @@ class Simulator:
         self.config = config
         self.cluster = Cluster(config, perf_models)
         self.trace = trace
-        self.reference_model = reference_model
         self.record_log = record_log
         self.slo = slo or SloTable()
         self.horizon = horizon if horizon is not None else trace.duration + 600.0
@@ -110,11 +111,14 @@ class Simulator:
         # machine id -> boundaries of its fast-forwarded batch: the ends of
         # all its iterations but the last
         self._windows: dict[int, list[float]] = {}
+        # the trace's reference_latencies triple, which both SLO judges read
+        self._references = (None if reference_model is None
+                            else reference_latencies(trace.requests, reference_model))
         self._ledger = None
         if stop_on_slo_fail:
-            if reference_model is None:
+            if self._references is None:
                 raise ConfigurationError("stop_on_slo_fail needs a reference model")
-            self._ledger = SloLedger(self.slo, trace.requests, reference_model)
+            self._ledger = SloLedger(self.slo, trace.requests, *self._references)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -212,7 +216,7 @@ class Simulator:
             rec = records[task.request_id]
             rec.first_token_time = time
             if ledger is not None:
-                ledger.ttft(rec.request, time)
+                ledger.ttft(rec)
             if record_log:
                 self._emit(time, "prompt_finished", task.request_id, mid, task.context)
             if task.outputs > 1:
@@ -233,7 +237,7 @@ class Simulator:
         if self.record_log:
             self._emit(time, "request_finished", task.request_id, mid, task.kind)
         if self._ledger is not None:
-            self._ledger.e2e(rec.request, time)
+            self._ledger.e2e(rec)
 
     def _start_token_phase(self, time, rec: RequestRecord, prompt_ms: float):
         req = rec.request
@@ -326,7 +330,7 @@ class Simulator:
     # -- reporting ---------------------------------------------------------
 
     def _build_report(self) -> MetricsReport:
-        records = list(self.records.values())  # in arrival order, the trace's
+        records = list(self.records.values())  # in the trace's order, as the references
         makespan = max((r.completion for r in records), default=0.0)  # ms
         throughput = len(records) / (makespan / 1000.0) if makespan > 0 else 0.0
         utilization = {m.id: (m.busy_time / makespan if makespan > 0 else 0.0)
@@ -334,12 +338,6 @@ class Simulator:
         report = MetricsReport(records, throughput, utilization)
         if self._ledger is not None and records:
             report.slo = self._ledger.verdict()
-        elif self.reference_model is not None and records:
-            n = len(records)
-            ttft, e2e = np.empty(n), np.empty(n)
-            for i, rec in enumerate(records):
-                ref = reference_latencies(rec.request, self.reference_model)
-                ttft[i], e2e[i] = ref["ttft_ms"], ref["e2e_ms"]
-            # the TBT reference is the same for every request
-            report.slo = check_slo(report, self.slo, ttft, ref["tbt_ms"], e2e)
+        elif self._references is not None and records:
+            report.slo = check_slo(report, self.slo, *self._references)
         return report

@@ -3,9 +3,11 @@
 Both SLO judges apply one rule: nearest-rank ``P_p <= m`` holds iff at
 most ``allowance(n, p)`` of the ``n`` ratios exceed ``m``, so each counts
 the ratios over each multiplier, and ``_verdict`` builds both verdicts from
-the counts.  ``check_slo`` counts a replay's ratio columns.  A probe runs
-with ``stop_on_slo_fail``: ``n`` is known before the run, so its
-``SloLedger`` counts as latencies become final: TTFT at the first token
+the counts, of the same inputs: the trace's ``reference_latencies``,
+evaluated once per run, and the records' ``ttft_ms`` and ``e2e_ms``.
+``check_slo`` counts a replay's ratio columns.  A probe runs with
+``stop_on_slo_fail``: ``n`` is known before the run, so its ``SloLedger``
+counts as latencies become final: TTFT at the first token
 (``_on_iteration``'s prompt loop), each TBT gap at its emission
 (``SloLedger.iteration_gaps``), E2E in ``_finish``.  On a batch's first
 iteration, each task that joined it is counted on its own, and the tasks
@@ -23,24 +25,26 @@ checked at run time.
 
 The report layer works on columns and cached text, reads each record's
 token phase from its machine's ``ends``, and gives the same bytes as a
-per-request loop.  ``check_slo`` gathers every record's emission times
-after the first token from one float64 copy of each machine's ``ends``,
-takes the gaps with one subtraction and replaces each record's first gap by
-its first segment start minus its first token's time; it divides every gap
-by the run's one TBT reference.  A float64 subtraction or division rounds
-exactly as the same Python float expression does, so every ratio is the
-float the per-request loop computes.  ``np.partition(ratios, k)`` puts at index ``k``
-the element that ``sorted`` puts there, so each nearest-rank percentile,
-and with it ``observed_ratio``, is bit-identical; ``report_percentiles``
-takes P50/P90/P99 the same way.  ``tbt_csv`` formats each gap between a
-machine's consecutive ends once per machine, and each gap index once; a
-record's rows are list slices of those texts, and only the gap into each
-segment, from the first token or across a preemption, is subtracted on its
-own.  ``b"%.6f" % gap`` and ``f"{gap:.6f}"`` format a float the same way.
-``event_log_csv`` makes one format call per row, formats each distinct time
-once and joins each id tuple of ``batch_started`` once.
-``tests/test_report_layer.py`` compares all three with per-request, per-row
-references on random records that share their machines' ``ends``.
+per-request loop.  ``_latency_columns`` builds the TTFT, E2E and gap
+columns that ``MetricsReport.summary`` and ``check_slo`` share: it gathers
+every emission time after a first token from one float64 copy of each
+machine's ``ends``, takes the gaps with one subtraction and replaces each
+record's first gap by its first segment start minus its first token's time.
+``check_slo`` divides each column in place by its reference.  A float64
+subtraction or division rounds exactly as the same Python float expression
+does, so every ratio is the float the per-request loop computes.
+``np.partition(ratios, k)`` puts at index ``k`` the element that ``sorted``
+puts there, so each nearest-rank percentile, and with it ``observed_ratio``,
+is bit-identical; ``report_percentiles`` takes P50/P90/P99 the same way.
+``tbt_csv`` formats each gap between a machine's consecutive ends once per
+machine, and each gap index once; a record's rows are list slices of those
+texts, and only the gap into each segment, from the first token or across a
+preemption, is subtracted on its own.  ``b"%.6f" % gap`` and
+``f"{gap:.6f}"`` format a float the same way.  ``event_log_csv`` makes one
+format call per row, formats each distinct time once and joins each id
+tuple of ``batch_started`` once.  ``tests/test_report_layer.py`` compares
+all three with per-request, per-row references on random records that
+share their machines' ``ends``.
 """
 
 from __future__ import annotations
@@ -184,21 +188,14 @@ def _verdict(constraints, exceeded, observed=()) -> dict:
     return {"constraints": out, "pass": all(c["pass"] for c in out)}
 
 
-def reference_tbt(reference_model: PerfModel) -> float:
-    """The unbatched reference's gap between tokens, the same for every
-    request: both SLO judges divide every TBT gap by it."""
-    return reference_model.token_iter_time(1)
-
-
-def reference_latencies(request: Request, reference_model: PerfModel) -> dict:
-    """Closed-form latencies for this request on an unbatched reference."""
-    ttft = reference_model.prompt_time(request.prompt_tokens)
-    tbt = reference_tbt(reference_model)
-    return {
-        "ttft_ms": ttft,
-        "tbt_ms": tbt,
-        "e2e_ms": ttft + (request.output_tokens - 1) * tbt,
-    }
+def reference_latencies(requests, reference_model: PerfModel) -> tuple:
+    """The only evaluation of the unbatched reference: the requests' TTFT
+    column, the one TBT and the E2E column ``ttft + (outputs - 1.0) * tbt``,
+    which float64 rounds as each request's Python float expression."""
+    tbt = reference_model.token_iter_time(1)
+    ttft = np.array([reference_model.prompt_time(r.prompt_tokens) for r in requests], dtype=float)
+    outputs = np.array([r.output_tokens for r in requests], dtype=float)
+    return ttft, tbt, ttft + (outputs - 1.0) * tbt
 
 
 @dataclass(slots=True)
@@ -240,6 +237,14 @@ class RequestRecord:
         return [b - a for a, b in zip(emissions, emissions[1:])]
 
 
+def _latency_columns(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records' ``ttft_ms``, token gaps and ``e2e_ms``: float64 columns."""
+    n = len(records)
+    return (np.fromiter(map(operator.attrgetter("ttft_ms"), records), dtype=float, count=n),
+            _gap_column(records)[0],
+            np.fromiter(map(operator.attrgetter("e2e_ms"), records), dtype=float, count=n))
+
+
 @dataclass
 class MetricsReport:
     records: list[RequestRecord]
@@ -251,15 +256,11 @@ class MetricsReport:
         records = self.records
         out = {"requests": len(records), "throughput_rps": self.throughput_rps}
         if records:
-            columns = [(name, np.fromiter(map(attr, records), dtype=float, count=len(records)))
-                       for name, attr in (("ttft_ms", operator.attrgetter("ttft_ms")),
-                                          ("e2e_ms", operator.attrgetter("e2e_ms")))]
-            gaps = _gap_column(records)[0]
-            if len(gaps):
-                columns.append(("tbt_ms", gaps))
-            for name, values in columns:
-                for label, value in report_percentiles(values):
-                    out[f"{name}_{label.lower()}"] = value
+            ttft, gaps, e2e = _latency_columns(records)
+            for name, values in (("ttft_ms", ttft), ("e2e_ms", e2e), ("tbt_ms", gaps)):
+                if len(values):  # no gaps when every output is one token
+                    for label, value in report_percentiles(values):
+                        out[f"{name}_{label.lower()}"] = value
         return out
 
 
@@ -267,25 +268,15 @@ def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
               tbt_ref: float, e2e_ref: np.ndarray) -> dict:
     """Evaluate the nine slowdown constraints.
 
-    ``ttft_ref`` and ``e2e_ref`` are float64 columns of each record's
-    ``reference_latencies``, in record order; ``tbt_ref`` is the run's one
-    TBT reference.  Ratios are computed per request (per token gap for TBT,
-    pooled over all requests), counted over each multiplier and percentiled
-    for ``observed_ratio``.  The ratios are built column-wise (see the
+    The references are the records' ``reference_latencies``.  Each record's
+    ``ttft_ms`` and ``e2e_ms``, and each token gap (pooled over all
+    requests), is divided in place by its reference; the ratios are counted
+    over each multiplier and percentiled for ``observed_ratio`` (see the
     module docstring for why they are the per-request floats, bit for bit).
     """
-    records = report.records
-    n = len(records)
-
-    def column(values):
-        return np.fromiter(values, dtype=float, count=n)
-
-    arrival_ms = column(rec.request.arrival for rec in records) * 1000.0
-    ttft_ratios = (column(rec.first_token_time for rec in records) - arrival_ms) / ttft_ref
-    e2e_ratios = (column(rec.completion for rec in records) - arrival_ms) / e2e_ref
-    tbt_ratios = _gap_column(records)[0]
-    tbt_ratios /= tbt_ref
-    columns = {"TTFT": ttft_ratios, "TBT": tbt_ratios, "E2E": e2e_ratios}
+    columns = dict(zip(("TTFT", "TBT", "E2E"), _latency_columns(report.records)))
+    for m, ref in zip(columns, (ttft_ref, tbt_ref, e2e_ref)):
+        columns[m] /= ref  # in place: the columns become the ratios
 
     ps = slo.percentiles
     observed = {m: dict(zip(ps, _percentiles(ratios, ps) if len(ratios) else [0.0] * len(ps)))
@@ -299,17 +290,18 @@ class SloLedger:
     """Exceedance counts of the nine constraints, kept as latencies become
     final.
 
-    Its rule, ``allowance``, and its verdict builder, ``_verdict``, are
-    ``check_slo``'s.  ``n`` is known from the trace: the request count for
-    TTFT and E2E, ``sum(output_tokens - 1)`` for TBT.  The ratios and the
-    comparison are ``check_slo``'s own float expressions on the
-    ``reference_latencies``, so the verdict is the same.  A count over its
-    allowance never comes back, and ``violated`` raises ``SloViolated`` at once.
+    Its rule, verdict builder and inputs are ``check_slo``'s: the
+    ``reference_latencies`` of ``requests`` (a request's TTFT and E2E pair
+    looked up by its id) and the records' ``ttft_ms`` and ``e2e_ms``.  ``n``
+    is known from the trace: the request count for TTFT and E2E,
+    ``sum(output_tokens - 1)`` for TBT.  The ratios and the comparison are
+    ``check_slo``'s own float expressions, so the verdict is the same.  A
+    count over its allowance never comes back; ``violated`` raises at once.
     """
 
-    def __init__(self, slo: SloTable, requests, reference: PerfModel):
-        self.reference = reference
-        self.tbt_ref = reference_tbt(reference)
+    def __init__(self, slo: SloTable, requests, ttft_ref, tbt_ref: float, e2e_ref):
+        self._ref = dict(zip((r.id for r in requests), zip(ttft_ref.tolist(), e2e_ref.tolist())))
+        self.tbt_ref = tbt_ref
         sizes = {"TTFT": len(requests), "TBT": sum(r.output_tokens - 1 for r in requests),
                  "E2E": len(requests)}
         # (metric, percentile, multiplier, allowed exceedances)
@@ -321,9 +313,8 @@ class SloLedger:
              if m == metric] for metric in ("TTFT", "TBT", "E2E"))
         self._tbt_floor = min(slo.tbt)
 
-    def ttft(self, request: Request, time: float):
-        ref = reference_latencies(request, self.reference)["ttft_ms"]
-        self._count(self._ttft, (time - request.arrival * 1000.0) / ref, 1, time)
+    def ttft(self, rec: RequestRecord):
+        self._count(self._ttft, rec.ttft_ms / self._ref[rec.request.id][0], 1, rec.first_token_time)
 
     def tbt(self, gap: float, time: float, weight: int = 1):
         """A gap emitted by ``weight`` requests at ``time``."""
@@ -361,9 +352,8 @@ class SloLedger:
             if ratio > floor:
                 self._count(self._tbt, ratio, weight, b)
 
-    def e2e(self, request: Request, time: float):
-        ref = reference_latencies(request, self.reference)["e2e_ms"]
-        self._count(self._e2e, (time - request.arrival * 1000.0) / ref, 1, time)
+    def e2e(self, rec: RequestRecord):
+        self._count(self._e2e, rec.e2e_ms / self._ref[rec.request.id][1], 1, rec.completion)
 
     def _count(self, checks, ratio: float, weight: int, time: float):
         exceeded = self.exceeded

@@ -127,23 +127,32 @@ class SizeDistribution:
         if min_tokens < 1 or max_tokens < min_tokens:
             raise ValidationError("invalid clamp range")
         for name, value in zip(self.PARAMS.get(kind, ()), params):
-            if name.startswith("mu") and not math.isfinite(value):
-                raise ValidationError(f"{kind} {name} must be finite, got {value}")
-            if name.startswith("sigma") and not 0 <= value < math.inf:
-                raise ValidationError(f"{kind} {name} must be finite and >= 0, got {value}")
+            self.check_param(kind, name, value)
         if kind == "empirical":
             q, v = params
             q = np.asarray(q, dtype=float)
             v = np.asarray(v, dtype=float)
             if q.ndim != 1 or q.shape != v.shape or len(q) == 0:
                 raise ValidationError("empirical CDF table malformed")
-            if np.any(np.diff(q) <= 0) or q[-1] > 1.0 or q[0] <= 0.0:
+            if not (np.all(np.diff(q) > 0) and 0.0 < q[0] and q[-1] <= 1.0):
                 raise ValidationError("empirical quantiles must be strictly increasing in (0, 1]")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError("empirical values must be finite")
             params = (q, v)
         self.kind = kind
         self.params = params
         self.min_tokens = int(min_tokens)
         self.max_tokens = int(max_tokens)
+
+    @staticmethod
+    def check_param(kind, name, value):
+        """Raise ``ValidationError`` unless ``value`` suits parameter ``name`` of ``kind``."""
+        if name.startswith("mu") and not math.isfinite(value):
+            raise ValidationError(f"{kind} {name} must be finite, got {value}")
+        if name.startswith("sigma") and not 0 <= value < math.inf:
+            raise ValidationError(f"{kind} {name} must be finite and >= 0, got {value}")
+        if name == "w2" and not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{kind} mixture weight {name} must be in [0, 1], got {value}")
 
     @classmethod
     def lognormal(cls, mu, sigma, min_tokens=1, max_tokens=1 << 20):
@@ -151,8 +160,6 @@ class SizeDistribution:
 
     @classmethod
     def bimodal_lognormal(cls, w2, mu1, sigma1, mu2, sigma2, min_tokens=1, max_tokens=1 << 20):
-        if not 0.0 <= w2 <= 1.0:
-            raise ValidationError("mixture weight must be in [0, 1]")
         return cls("bimodal-lognormal", (float(w2), float(mu1), float(sigma1), float(mu2), float(sigma2)),
                    min_tokens, max_tokens)
 
@@ -175,9 +182,9 @@ class SizeDistribution:
             q, v = self.params
             u = rng.random(n)
             raw = v[np.minimum(np.searchsorted(q, u, side="left"), len(v) - 1)]
-        vals = np.rint(raw).astype(np.int64)
+        vals = np.rint(raw)  # clamped as floats: a draw beyond int64 would wrap in a cast
         clamped = int(np.count_nonzero((vals < self.min_tokens) | (vals > self.max_tokens)))
-        return np.clip(vals, self.min_tokens, self.max_tokens), clamped
+        return np.clip(vals, self.min_tokens, self.max_tokens).astype(np.int64), clamped
 
 
 # Workload presets calibrated so medians land on the production values

@@ -4,6 +4,7 @@ file it writes when a bench run fails."""
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,3 +184,35 @@ class TestClaimReport:
             "median gap 0.01 at or below the parent's IQR 0.045"]
         assert capsys.readouterr().out.splitlines()[0].endswith(
             "10/10 pairs: no gain; median gap 0.01 at or below the parent's IQR 0.045")
+
+
+class TestByteCompile:
+    def test_both_checkouts_compiled_before_the_first_run(self, tmp_path, monkeypatch):
+        checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+        for path in checkouts.values():
+            for name in ("src", "bench"):
+                (path / name).mkdir(parents=True)
+                (path / name / "mod.py").write_text("X = 1\n")
+        (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+        # as under PYTHONDONTWRITEBYTECODE=1: no import writes a .pyc
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        compiled_at_run = []
+
+        def fake_run_bench(checkout, workload, seed, seconds, trace):
+            compiled_at_run.append(all(
+                list((path / name / "__pycache__").glob("mod.*.pyc"))
+                for path in checkouts.values() for name in ("src", "bench")))
+            env = {"git_commit": checkout.name, "python": "3", "numpy": "1", "nproc": 2,
+                   "platform": "linux"}
+            return {"environment": env, "fingerprints": {"seed": seed},
+                    "result": {"failed": 0, "attempted": 3,
+                               "metrics": {"wall_s": {"value": 1.0}}}}
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+
+        assert bench_pairs.main(["--parent", str(checkouts["parent"]),
+                                 "--change", str(checkouts["change"]), "--workload", "w",
+                                 "--seeds", "501", "--seconds", "1", "--pr", "99"]) == 0
+        assert compiled_at_run == [True, True]
+        doc = json.loads((checkouts["change"] / "BENCH_99.json").read_text())
+        assert "byte-compiled" in doc["description"]

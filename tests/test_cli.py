@@ -92,21 +92,30 @@ class TestGenTrace:
         assert run_cli("--config", "run.cfg", *command) == 2
         assert "unknown key 'prompt_dist.weight2'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, named", [
-        ("prompt_dist.sigma = -0.5\n", "lognormal sigma"),
+    @pytest.mark.parametrize("config, named, key", [
+        ("prompt_dist.sigma = -0.5\n", "lognormal sigma must be finite and >= 0",
+         "prompt_dist.sigma"),
         ("output_dist.kind = bimodal-lognormal\noutput_dist.weight2 = 0.5\n"
-         "output_dist.sigma2 = -1\n", "bimodal-lognormal sigma2"),
+         "output_dist.sigma2 = -1\n", "bimodal-lognormal sigma2 must be finite and >= 0",
+         "output_dist.sigma2"),
+        # each mixture key is named as written, not by its component
+        ("output_dist.kind = bimodal-lognormal\noutput_dist.weight2 = 0.5\n"
+         "output_dist.sigma = -1\n", " must be finite and >= 0", "output_dist.sigma"),
+        ("output_dist.kind = bimodal-lognormal\noutput_dist.weight2 = 1.5\n",
+         " must be in [0, 1]", "output_dist.weight2"),
+        ("output_dist.kind = bimodal-lognormal\noutput_dist.weight2 = -0.25\n",
+         " must be in [0, 1]", "output_dist.weight2"),
     ])
-    def test_negative_sigma_is_a_usage_error(self, tmp_path, monkeypatch, capsys, config,
-                                             named):
+    def test_negative_sigma_is_a_usage_error(self, tmp_path, monkeypatch, capsys, config, named,
+                                             key):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "neg.cfg").write_text(config)
         capsys.readouterr()
         assert run_cli("--config", "neg.cfg", "gen-trace", "--rate", "2", "--duration", "5",
                        "--seed", "1", "--output", "t.csv") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert f"{named} must be finite and >= 0" in err
+        assert err.startswith(f"error: {key}: ") and len(err.splitlines()) == 1
+        assert named in err
         assert not (tmp_path / "t.csv").exists()
 
     def test_env_seed(self, tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ import math
 import weakref
 from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from splitsim import (
     ClusterConfig,
@@ -68,16 +70,32 @@ class TestPercentile:
 class TestReference:
     def test_coding_median_oracle(self):
         # (1500 prompt, 13 output) on A100: 185 / 52 / 185 + 12*52 = 809
-        ref = reference_latencies(Request(0, 0.0, 1500, 13),
-                                  get_calibration("llama2-70b", "A100"))
-        assert ref["ttft_ms"] == 185.0
-        assert ref["tbt_ms"] == 52.0
-        assert ref["e2e_ms"] == 809.0
+        ttft, tbt, e2e = reference_latencies([Request(0, 0.0, 1500, 13)],
+                                             get_calibration("llama2-70b", "A100"))
+        assert ttft.tolist() == [185.0]
+        assert tbt == 52.0
+        assert e2e.tolist() == [809.0]
 
     def test_single_output_token(self):
-        ref = reference_latencies(Request(0, 0.0, 100, 1),
-                                  get_calibration("llama2-70b", "A100"))
-        assert ref["e2e_ms"] == ref["ttft_ms"]
+        ttft, _, e2e = reference_latencies([Request(0, 0.0, 100, 1)],
+                                           get_calibration("llama2-70b", "A100"))
+        assert e2e.tolist() == ttft.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["A100", "H100"]),
+           st.lists(st.tuples(st.integers(1, 20000),
+                              st.integers(1, 5000) | st.integers(1, 3)), max_size=30))
+    def test_columns_are_the_per_request_floats(self, machine_type, sizes):
+        model = get_calibration("llama2-70b", machine_type)
+        requests = [Request(i, 0.0, p, o) for i, (p, o) in enumerate(sizes)]
+        ttft, tbt, e2e = reference_latencies(requests, model)
+        one = model.token_iter_time(1)
+        assert ttft.dtype == e2e.dtype == float and type(tbt) is float
+        assert tbt.hex() == one.hex()
+        assert [v.hex() for v in ttft.tolist()] == \
+            [model.prompt_time(p).hex() for p, _ in sizes]
+        assert [v.hex() for v in e2e.tolist()] == \
+            [(model.prompt_time(p) + (o - 1) * one).hex() for p, o in sizes]
 
 
 class TestSingleRequest:

@@ -34,7 +34,7 @@ from splitsim import (
     slo_pass_at_rate,
 )
 from splitsim.engine import SloLedger
-from splitsim.report import allowance
+from splitsim.report import RequestRecord, allowance, reference_latencies
 
 REFERENCE = get_calibration("llama2-70b", "A100")
 
@@ -192,14 +192,15 @@ class TestLedger:
 
     def test_count_at_allowance_passes_one_more_fails(self):
         requests = [Request(i, 0.0, 1000, 1) for i in range(10)]
-        ledger = SloLedger(SloTable(), requests, REFERENCE)
+        ledger = SloLedger(SloTable(), requests, *reference_latencies(requests, REFERENCE))
         assert [c[3] for c in ledger.constraints[:3]] == [5, 1, 0]  # 10 - ceil(p*10)
         slow = 2.5 * REFERENCE.prompt_time(1000)  # TTFT ratio 2.5: over P50's 2.0 only
-        for request in requests[:5]:
-            ledger.ttft(request, slow)
+        records = [RequestRecord(request, first_token_time=slow) for request in requests]
+        for rec in records[:5]:
+            ledger.ttft(rec)
         assert ledger.verdict()["pass"]
         with pytest.raises(SloViolated) as info:
-            ledger.ttft(requests[5], slow)
+            ledger.ttft(records[5])
         assert (info.value.metric, info.value.exceeded, info.value.allowed) == ("TTFT", 6, 5)
 
     def test_single_token_outputs_pass(self):

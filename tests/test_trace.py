@@ -387,6 +387,24 @@ class TestSizeDistribution:
         with pytest.raises(ValidationError):
             SizeDistribution.empirical([0.9, 0.5], [1, 2])
 
+    @pytest.mark.parametrize("quantiles, values", [([0.5, 1.0], [1.0, math.nan]),
+                                                   ([0.5, 1.0], [-math.inf, 2.0]),
+                                                   ([math.nan, 1.0], [1.0, 2.0])])
+    def test_empirical_rejects_non_finite(self, quantiles, values):
+        with pytest.raises(ValidationError):
+            SizeDistribution.empirical(quantiles, values)
+
+    def test_draws_beyond_int64_clamp_to_max(self):
+        # exp(50) ~ 5e21 overflows int64: clamped before the cast, not wrapped
+        dist = SizeDistribution.lognormal(50.0, 1.0, 1, 4096)
+        vals, clamped = dist.sample(np.random.Generator(np.random.Philox(0)), 10)
+        assert vals.tolist() == [4096] * 10 and clamped == 10
+
+    def test_empirical_extremes_reach_both_clamps(self):
+        dist = SizeDistribution.empirical([0.5, 1.0], [-30, 1e30], 3, 500)
+        vals, clamped = dist.sample(np.random.Generator(np.random.Philox(0)), 200)
+        assert set(vals.tolist()) == {3, 500} and clamped == 200
+
     @given(mu=st.floats(0.0, 8.0), sigma=st.floats(0.1, 2.0),
            lo=st.integers(1, 100), span=st.integers(1, 5000),
            seed=st.integers(0, 2**31))

@@ -6,6 +6,11 @@ Run from the repository root, with the parent commit checked out elsewhere:
         --workload search-aa-conversation --seeds 501 502 503 --seconds 25 \\
         --traced-seed 5 --claim wall_s --pr N
 
+Before the first run it byte-compiles each checkout's ``src/`` and
+``bench/``, so that both sides start in the same bytecode state: under
+``PYTHONDONTWRITEBYTECODE=1`` no import writes a ``.pyc``, and a checkout
+whose sources are newer than its ``__pycache__`` recompiles them in every
+fresh interpreter, which adds to its ``setup_s`` and ``peak_rss_mb``.
 For each seed it runs ``bench/run.py --trace 0`` once in each checkout,
 alternating which side runs first, and checks that both sides report the
 same simulated fingerprints and no failed operation.  ``--traced-seed``
@@ -38,6 +43,7 @@ every run of the parent.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -53,6 +59,13 @@ class BenchFailed(Exception):
     def __init__(self, run: dict):
         super().__init__(f"bench/run.py failed: {run}")
         self.run = run
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Byte-compile the checkout's ``src/`` and ``bench/``, where they exist."""
+    for name in ("src", "bench"):
+        if (checkout / name).is_dir():
+            compileall.compile_dir(checkout / name, quiet=1)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -179,6 +192,8 @@ def main(argv=None) -> int:
                                "returncode": exc.returncode,
                                "stderr_tail": exc.stderr.splitlines()[-20:]}) from None
 
+    for checkout in checkouts.values():
+        compile_checkout(checkout)
     pairs, commits, environment, mismatched, traced, failed_run = [], {}, {}, [], {}, None
     try:
         for i, seed in enumerate(args.seeds):
@@ -226,7 +241,8 @@ def main(argv=None) -> int:
     doc = json.loads(out.read_text()) if out.exists() else {
         "description": f"Paired bench/run.py runs (--seconds {args.seconds:g} --trace 0) of "
                        "the parent and the change, alternating which side runs first, "
-                       "plus the --trace 1 metrics of one seed.",
+                       "plus the --trace 1 metrics of one seed; both checkouts' src/ and "
+                       "bench/ were byte-compiled before the first run.",
         "workloads": {}}
     if pairs:  # a run that failed first reports no environment
         doc["environment"] = environment
