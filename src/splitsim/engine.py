@@ -19,7 +19,12 @@ iterations -> KV-cache transfer -> token iterations -> completion.  The
 report layer (``report.py``) turns its records into TTFT/TBT/E2E metrics
 and the nine-way SLO verdict against an unbatched reference machine, whose
 latencies ``reference_latencies`` evaluates once per run, when the
-simulator is built.
+simulator is built.  A probe (``stop_on_slo_fail``) stops early only on the
+per-request latencies: its ``SloLedger`` counts each TTFT and E2E ratio as
+it becomes final and raises ``SloViolated`` at the first count over its
+allowance.  TBT is judged by ``check_slo`` alone, when the run ends:
+``_build_report`` raises ``SloViolated`` for the first failing constraint
+of a probe's verdict, at the last completion.
 
 Only machines whose state an event changed are *dirty*; after each event
 ``_dispatch`` runs ``Cluster.update_pools`` on those machines alone and, in
@@ -72,7 +77,8 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 
 from .cluster import Cluster, ClusterConfig
-from .errors import ConfigurationError, HorizonExceeded, InvariantError, ValidationError
+from .errors import (ConfigurationError, HorizonExceeded, InvariantError, SloViolated,
+                     ValidationError)
 from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .report import (MetricsReport, RequestRecord, SimResult, SloLedger, SloTable, check_slo,
@@ -118,7 +124,8 @@ class Simulator:
         if stop_on_slo_fail:
             if self._references is None:
                 raise ConfigurationError("stop_on_slo_fail needs a reference model")
-            self._ledger = SloLedger(self.slo, trace.requests, *self._references)
+            ttft_ref, _, e2e_ref = self._references
+            self._ledger = SloLedger(self.slo, trace.requests, ttft_ref, e2e_ref)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -225,8 +232,6 @@ class Simulator:
                 self._finish(time, rec, task, mid)
         for task in finished:
             self._finish(time, records[task.request_id], task, mid)
-        if ledger is not None and batch.token_tasks:
-            ledger.iteration_gaps(machine.ends, batch, 1, records)
         self._dirty.add(mid)
 
     def _finish(self, time, rec: RequestRecord, task: Task, mid: int):
@@ -323,8 +328,6 @@ class Simulator:
         for _ in range(k):  # one addition per iteration, so the floats match
             busy += duration
         machine.busy_time = busy
-        if self._ledger is not None:
-            self._ledger.iteration_gaps(machine.ends, batch, k, self.records)
         machine.check_memory()  # memory only grew inside the window
 
     # -- reporting ---------------------------------------------------------
@@ -336,8 +339,11 @@ class Simulator:
         utilization = {m.id: (m.busy_time / makespan if makespan > 0 else 0.0)
                        for m in self.cluster.machines.values()}
         report = MetricsReport(records, throughput, utilization)
-        if self._ledger is not None and records:
-            report.slo = self._ledger.verdict()
-        elif self._references is not None and records:
+        if self._references is not None and records:
             report.slo = check_slo(report, self.slo, *self._references)
+            if self._ledger is not None and not report.slo["pass"]:
+                # a TBT constraint: a TTFT or E2E one would have stopped the run
+                c = next(c for c in report.slo["constraints"] if not c["pass"])
+                raise SloViolated(c["metric"], c["percentile"], c["exceeded"], c["allowed"],
+                                  makespan)
         return report

@@ -23,8 +23,7 @@ the batch: it entered at index ``a`` and left (finished or parked) at index
 ``finish`` is the length ``ends`` will have once its last token is out.  A
 batch keeps the earliest ``finish`` of its tasks, so an iteration in which
 no task finishes touches none of them; ``complete_iteration`` returns those
-that finish.  A batch lists the tasks that resumed or were admitted into it
-as ``joined``.  ``form_batch`` returns the batch that ran last, the same
+that finish.  ``form_batch`` returns the batch that ran last, the same
 object, when nothing joined, left or finished.  It keeps the capped
 residents in a list, rebuilt only when a parked task reaches the cap, in
 place of a scan of every resident on each call, and counts its parked
@@ -115,9 +114,7 @@ class Batch:
     iteration_time: float  # ms
     prompt_tokens: int = 0  # total prompt tokens
     prompt_ms: float = 0.0  # prompt compute, which a layer-wise transfer overlaps
-    first: int = 0   # index in its machine's ends of its first token iteration
     finish: int = 0  # the earliest finish of its token tasks
-    joined: list[Task] = field(default_factory=list)  # token tasks resumed or admitted
     _ids: tuple[tuple[int, ...], tuple[int, ...]] | None = field(default=None, repr=False)
 
     @property
@@ -261,7 +258,6 @@ class Machine:
                 self._queued_ids.discard((task.request_id, PROMPT))
 
         token_batch: list[Task] = []
-        joined: list[Task] = []
         if pool != PROMPT:
             slots = perf.max_token_batch - len(prompt_batch)
             # queued tasks come after every resident (FCFS) and have never
@@ -303,14 +299,12 @@ class Machine:
                     if task.parked:  # it resumes
                         task.parked = False
                         task.join(ends)
-                        joined.append(task)
                         self._parked -= 1
             for task in queue[:admitted]:
                 self._queued_ids.discard((task.request_id, TOKEN))
                 task.join(ends)
                 resident.append(task)
                 token_batch.append(task)
-                joined.append(task)
             del queue[:admitted]
 
         if not prompt_batch and not token_batch:
@@ -322,8 +316,7 @@ class Machine:
         else:
             iteration_ms = prompt_ms + token_ms
         finish = min([t.finish for t in token_batch]) if token_batch else 0
-        return Batch(prompt_batch, token_batch, iteration_ms, prompt_tokens, prompt_ms,
-                     len(self.ends), finish, joined)
+        return Batch(prompt_batch, token_batch, iteration_ms, prompt_tokens, prompt_ms, finish)
 
     # -- iteration completion ---------------------------------------------
 

@@ -140,9 +140,11 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int, workload:
                      sched: SchedulerConfig | None = None) -> bool:
     """True iff all nine SLOs pass on every seed at the given arrival rate.
 
-    Each run stops at the first constraint that can no longer hold
-    (``SloViolated``) or when it overruns its horizon (``HorizonExceeded``);
-    both read as a fail.  Any other error is a defect and propagates.
+    Each run raises ``SloViolated`` at the first TTFT or E2E constraint that
+    can no longer hold, or, when it ends, for the first constraint that
+    ``check_slo`` fails, a TBT one; it raises ``HorizonExceeded`` when it
+    overruns its horizon.  Both read as a fail.  Any other error is a defect
+    and propagates.
     """
     if not seeds:
         raise ConfigurationError("empty probe seed list")

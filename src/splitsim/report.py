@@ -1,27 +1,22 @@
 """The report layer: a run's metrics, its nine-way SLO verdict and its CSVs.
 
-Both SLO judges apply one rule: nearest-rank ``P_p <= m`` holds iff at
-most ``allowance(n, p)`` of the ``n`` ratios exceed ``m``, so each counts
-the ratios over each multiplier, and ``_verdict`` builds both verdicts from
-the counts, of the same inputs: the trace's ``reference_latencies``,
-evaluated once per run, and the records' ``ttft_ms`` and ``e2e_ms``.
-``check_slo`` counts a replay's ratio columns.  A probe runs with
-``stop_on_slo_fail``: ``n`` is known before the run, so its ``SloLedger``
-counts as latencies become final: TTFT at the first token
-(``_on_iteration``'s prompt loop), each TBT gap at its emission
-(``SloLedger.iteration_gaps``), E2E in ``_finish``.  On a batch's first
-iteration, each task that joined it is counted on its own, and the tasks
-that ran the previous iteration share its first gap, so that gap is
-counted once, weighted by their number.  On every later iteration of the
-same batch, reused or in a window, all its tasks share each gap, so each is
-counted once, weighted by the batch size.  The first count over its
-allowance raises ``SloViolated``: the run simulates no event after it, and
-invariants are checked up to that point.  ``simulate`` and the replays keep
-``check_slo``, because ``summary.csv`` needs the nearest-rank ratios
-(``observed_ratio``, for display only), and counting every gap as well
-would slow a log-on replay, where no window shares its gaps.  The ledger's
-agreement with ``check_slo`` is pinned by ``tests/test_slo_ledger.py``, not
-checked at run time.
+One rule judges the SLO: nearest-rank ``P_p <= m`` holds iff at most
+``allowance(n, p)`` of the ``n`` ratios exceed ``m``.  ``check_slo`` applies
+it to a run's ratio columns, of the trace's ``reference_latencies``,
+evaluated once per run, and the records' own latencies, and builds the only
+verdict, ``observed_ratio`` (for display only) included.  A probe runs with
+``stop_on_slo_fail`` and stops early where that is simple: ``n``, the
+request count, is known before the run, so its ``SloLedger`` counts each
+TTFT ratio at the first token (``_on_iteration``'s prompt loop) and each
+E2E ratio in ``_finish``, and raises ``SloViolated`` at the first count over
+its allowance; the run simulates no event after it, and invariants are
+checked up to that point.  Counts only grow, so that count fails
+``check_slo`` on the full run too.  TBT is judged once, by ``check_slo``,
+when the run ends: ``_build_report`` raises ``SloViolated`` for a failing
+probe verdict's first failing constraint, a TBT one, at the last
+completion.  So a probe passes iff ``check_slo`` passes its full run, and a
+passing probe's verdict is the replay's; ``tests/test_slo_ledger.py`` pins
+both.
 
 The report layer works on columns and cached text, reads each record's
 token phase from its machine's ``ends``, and gives the same bytes as a
@@ -97,9 +92,8 @@ def report_percentiles(values) -> list[tuple[str, float]]:
     return [(percentile_label(p), value) for p, value in zip(ps, _percentiles(values, ps))]
 
 
-def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
-    """Every record's token gaps, in record order, as one float64 column,
-    and each record's gap count.
+def _gap_column(records) -> np.ndarray:
+    """Every record's token gaps, in record order, as one float64 column.
 
     The emission times after each first token are gathered from one float64
     column of every token machine's ``ends``: the index steps by one inside
@@ -131,7 +125,7 @@ def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
     through = np.concatenate(([0], np.cumsum(lengths)))  # times before each segment
     counts = np.diff(through[np.cumsum(pairs)], prepend=0)
     if not len(lengths):
-        return np.empty(0), counts
+        return np.empty(0)
     index = np.ones(int(through[-1]), dtype=np.intp)
     index[0] = starts[0]
     index[through[1:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
@@ -142,7 +136,7 @@ def _gap_column(records) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(times[1:], times[:-1], out=gaps[1:])
     heads = (np.cumsum(counts) - counts)[counts > 0]  # each record's first time
     gaps[heads] = times[heads] - np.array(firsts, dtype=float)
-    return gaps, counts
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,8 @@ class SloTable:
     @property
     def constraints(self) -> tuple[tuple[str, float, float], ...]:
         """The nine ``(metric, percentile, multiplier)``, in verdict order;
-        ``check_slo`` and ``SloLedger`` read no other list of them."""
+        ``check_slo`` and ``SloLedger`` (its TTFT and E2E ones) read no other
+        list of them."""
         return tuple((metric, p, mult)
                      for metric, multipliers in (("TTFT", self.ttft), ("TBT", self.tbt),
                                                  ("E2E", self.e2e))
@@ -175,17 +170,6 @@ class SloTable:
 def allowance(n: int, p: float) -> int:
     """How many of ``n`` ratios may exceed ``m`` while nearest-rank ``P_p <= m``."""
     return n - math.ceil(p * n)
-
-
-def _verdict(constraints, exceeded, observed=()) -> dict:
-    """Both judges' verdict: each ``(metric, percentile, multiplier,
-    allowed)`` passes while its count is within its allowance."""
-    out = [{"metric": metric, "percentile": p, "multiplier": mult, "exceeded": count,
-            "allowed": allowed, "pass": count <= allowed}
-           for (metric, p, mult, allowed), count in zip(constraints, exceeded)]
-    for c, ratio in zip(out, observed):
-        c["observed_ratio"] = ratio
-    return {"constraints": out, "pass": all(c["pass"] for c in out)}
 
 
 def reference_latencies(requests, reference_model: PerfModel) -> tuple:
@@ -241,7 +225,7 @@ def _latency_columns(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The records' ``ttft_ms``, token gaps and ``e2e_ms``: float64 columns."""
     n = len(records)
     return (np.fromiter(map(operator.attrgetter("ttft_ms"), records), dtype=float, count=n),
-            _gap_column(records)[0],
+            _gap_column(records),
             np.fromiter(map(operator.attrgetter("e2e_ms"), records), dtype=float, count=n))
 
 
@@ -266,13 +250,14 @@ class MetricsReport:
 
 def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
               tbt_ref: float, e2e_ref: np.ndarray) -> dict:
-    """Evaluate the nine slowdown constraints.
+    """Evaluate the nine slowdown constraints: the only SLO verdict.
 
     The references are the records' ``reference_latencies``.  Each record's
     ``ttft_ms`` and ``e2e_ms``, and each token gap (pooled over all
     requests), is divided in place by its reference; the ratios are counted
     over each multiplier and percentiled for ``observed_ratio`` (see the
     module docstring for why they are the per-request floats, bit for bit).
+    Each constraint passes while its count is within its allowance.
     """
     columns = dict(zip(("TTFT", "TBT", "E2E"), _latency_columns(report.records)))
     for m, ref in zip(columns, (ttft_ref, tbt_ref, e2e_ref)):
@@ -281,95 +266,54 @@ def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
     ps = slo.percentiles
     observed = {m: dict(zip(ps, _percentiles(ratios, ps) if len(ratios) else [0.0] * len(ps)))
                 for m, ratios in columns.items()}  # m -> p -> observed ratio, for display only
-    constraints = [(m, p, mult, allowance(len(columns[m]), p)) for m, p, mult in slo.constraints]
-    exceeded = [int(np.count_nonzero(columns[m] > mult)) for m, _, mult in slo.constraints]
-    return _verdict(constraints, exceeded, [observed[m][p] for m, p, _ in slo.constraints])
+    out = []
+    for m, p, mult in slo.constraints:
+        count = int(np.count_nonzero(columns[m] > mult))
+        allowed = allowance(len(columns[m]), p)
+        out.append({"metric": m, "percentile": p, "multiplier": mult, "exceeded": count,
+                    "allowed": allowed, "pass": count <= allowed,
+                    "observed_ratio": observed[m][p]})
+    return {"constraints": out, "pass": all(c["pass"] for c in out)}
 
 
 class SloLedger:
-    """Exceedance counts of the nine constraints, kept as latencies become
-    final.
+    """The early stop of a probe run: exceedance counts of the six TTFT and
+    E2E constraints, kept as those latencies become final.
 
-    Its rule, verdict builder and inputs are ``check_slo``'s: the
-    ``reference_latencies`` of ``requests`` (a request's TTFT and E2E pair
-    looked up by its id) and the records' ``ttft_ms`` and ``e2e_ms``.  ``n``
-    is known from the trace: the request count for TTFT and E2E,
-    ``sum(output_tokens - 1)`` for TBT.  The ratios and the comparison are
-    ``check_slo``'s own float expressions, so the verdict is the same.  A
-    count over its allowance never comes back; ``violated`` raises at once.
+    It reads ``check_slo``'s inputs, the ``reference_latencies`` of
+    ``requests`` (a request's TTFT and E2E pair looked up by its id) and the
+    records' ``ttft_ms`` and ``e2e_ms``, and ``n``, the request count, is
+    known from the trace.  The ratios and the comparison are ``check_slo``'s
+    own float expressions.  A count only grows, so the first one over its
+    allowance raises ``SloViolated`` at once: ``check_slo`` would fail it on
+    the full run.  ``constraints`` lists ``SloTable.constraints``' TTFT and
+    E2E entries, in order, each with its allowance.
     """
 
-    def __init__(self, slo: SloTable, requests, ttft_ref, tbt_ref: float, e2e_ref):
+    def __init__(self, slo: SloTable, requests, ttft_ref, e2e_ref):
         self._ref = dict(zip((r.id for r in requests), zip(ttft_ref.tolist(), e2e_ref.tolist())))
-        self.tbt_ref = tbt_ref
-        sizes = {"TTFT": len(requests), "TBT": sum(r.output_tokens - 1 for r in requests),
-                 "E2E": len(requests)}
         # (metric, percentile, multiplier, allowed exceedances)
-        self.constraints = [(metric, p, mult, allowance(sizes[metric], p))
-                            for metric, p, mult in slo.constraints]
+        self.constraints = [(metric, p, mult, allowance(len(requests), p))
+                            for metric, p, mult in slo.constraints if metric != "TBT"]
         self.exceeded = [0] * len(self.constraints)
-        self._ttft, self._tbt, self._e2e = (
+        self._ttft, self._e2e = (
             [(i, mult, allowed) for i, (m, _, mult, allowed) in enumerate(self.constraints)
-             if m == metric] for metric in ("TTFT", "TBT", "E2E"))
-        self._tbt_floor = min(slo.tbt)
+             if m == metric] for metric in ("TTFT", "E2E"))
 
     def ttft(self, rec: RequestRecord):
-        self._count(self._ttft, rec.ttft_ms / self._ref[rec.request.id][0], 1, rec.first_token_time)
-
-    def tbt(self, gap: float, time: float, weight: int = 1):
-        """A gap emitted by ``weight`` requests at ``time``."""
-        ratio = gap / self.tbt_ref
-        if ratio > self._tbt_floor:
-            self._count(self._tbt, ratio, weight, time)
-
-    def iteration_gaps(self, ends: list[float], batch, k: int, records: dict):
-        """The TBT gaps of ``batch``'s iterations that ended at the last
-        ``k`` of its machine's ``ends``.
-
-        On the batch's first iteration, each task that joined it
-        (``Batch.joined``) counts its gap from its own last emission: its
-        first token (its record in ``records``, by request id) or the end of
-        its previous segment.  The tasks that ran the previous iteration
-        share its first gap, so it is counted once, weighted by their
-        number; every later gap is shared by the whole batch."""
-        i = len(ends) - k  # the first of the k iterations
-        shared = len(batch.token_tasks)
-        if i == batch.first:
-            for task in batch.joined:
-                segments = task.segments
-                # where its segment at i starts; complete_iteration closed it if it finished
-                j = len(segments) - 2 + len(segments) % 2
-                last = ends[segments[j - 1] - 1] if j else \
-                    records[task.request_id].first_token_time
-                self.tbt(ends[i] - last, ends[i])
-            shared -= len(batch.joined)
-        if shared:  # the tasks that ran the previous iteration
-            self.tbt(ends[i] - ends[i - 1], ends[i], shared)
-        ref, floor, weight = self.tbt_ref, self._tbt_floor, len(batch.token_tasks)
-        times = ends[i:]
-        for a, b in zip(times, times[1:]):
-            ratio = (b - a) / ref
-            if ratio > floor:
-                self._count(self._tbt, ratio, weight, b)
+        self._count(self._ttft, rec.ttft_ms / self._ref[rec.request.id][0], rec.first_token_time)
 
     def e2e(self, rec: RequestRecord):
-        self._count(self._e2e, rec.e2e_ms / self._ref[rec.request.id][1], 1, rec.completion)
+        self._count(self._e2e, rec.e2e_ms / self._ref[rec.request.id][1], rec.completion)
 
-    def _count(self, checks, ratio: float, weight: int, time: float):
+    def _count(self, checks, ratio: float, time: float):
         exceeded = self.exceeded
         for i, mult, allowed in checks:
             if ratio > mult:
-                exceeded[i] += weight
+                exceeded[i] += 1
                 if exceeded[i] > allowed:
-                    self.violated(i, time)
-
-    def violated(self, i: int, time: float):
-        metric, p, _, allowed = self.constraints[i]
-        raise SloViolated(metric, p, self.exceeded[i], allowed, time)
-
-    def verdict(self) -> dict:
-        """``check_slo``'s verdict, without the observed ratios."""
-        return _verdict(self.constraints, self.exceeded)
+                    metric, p, _, _ = self.constraints[i]
+                    raise SloViolated(metric, p, exceeded[i], allowed, time)
 
 
 @dataclass
@@ -454,8 +398,6 @@ def summary_csv(result: SimResult) -> str:
     buf.write("metric,percentile,observed_ratio,multiplier,verdict\n")
     if result.report.slo is not None:
         for c in result.report.slo["constraints"]:
-            if "observed_ratio" not in c:
-                raise ValidationError("a stop_on_slo_fail verdict holds exceedance counts")
             buf.write(f"{c['metric']},{percentile_label(c['percentile'])},"
                       f"{c['observed_ratio']:.6f},{c['multiplier']},"
                       f"{'pass' if c['pass'] else 'fail'}\n")

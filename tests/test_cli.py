@@ -319,6 +319,20 @@ class TestProvision:
         assert specs[0].sched == SchedulerConfig(prompt_token_cap=1024, max_preemptions=2,
                                                  queue_threshold_tokens=512, mixing_rule="max")
 
+    @pytest.mark.parametrize("key", ["transfer.bandwidth_gbps", "transfer.threshold_tokens",
+                                     "transfer.layerwise_constant_ms"])
+    def test_transfer_key_is_a_usage_error(self, tmp_path, monkeypatch, capsys, key):
+        """A search probes each design's default link, so a transfer key
+        would be ignored: it is rejected, named, before any probe runs."""
+        monkeypatch.setattr(provision, "search", None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert run_cli("--config", str(cfg), "provision", "--design", "Splitwise-AA",
+                       "--objective", "max_throughput", "--power-budget", "8",
+                       "--preset", "conversation", "--output-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
     def test_usage_error_without_constraint(self, tmp_path):
         assert run_cli("provision", "--design", "Splitwise-AA",
                        "--objective", "max_throughput", "--preset",

@@ -3,7 +3,6 @@ import gc
 import itertools
 import math
 import weakref
-from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -31,8 +30,8 @@ from splitsim import (
     PRESETS,
 )
 from splitsim.machine import PROMPT, Task
-from splitsim.report import (REQUEST_CSV_HEADER, MetricsReport, RequestRecord, SloLedger,
-                             event_log_csv, requests_csv, summary_csv, tbt_csv)
+from splitsim.report import (REQUEST_CSV_HEADER, MetricsReport, RequestRecord, event_log_csv,
+                             requests_csv, summary_csv, tbt_csv)
 
 
 def h100_models():
@@ -385,9 +384,9 @@ class TestParkedResidents:
 class TestLedgerWithPreemption:
     @pytest.mark.parametrize("record_log", [True, False])
     def test_ledger_counts_every_tbt_gap(self, record_log):
-        """With preempted tasks that resume, the ledger's TBT counts equal
-        the counts over every gap of the records: a resumed task's first gap
-        starts at its last emission before it was parked."""
+        """With preempted tasks that resume, the verdict's TBT counts equal
+        the counts over every gap of the records' ``tbt_ms()``: a resumed
+        task's first gap starts at its last emission before it was parked."""
         dist = SizeDistribution.lognormal
         trace = generate_trace(dist(math.log(256), 0.5, 16, 4096),
                                dist(math.log(400), 0.5, 16, 2048), 4.0, 20.0, seed=5)
@@ -402,8 +401,7 @@ class TestLedgerWithPreemption:
         assert sum(r.preempt_count for r in report.records) > 0
         tbt_ref = reference.token_iter_time(1)
         ratios = [gap / tbt_ref for rec in report.records for gap in rec.tbt_ms()]
-        with mock.patch.object(SloLedger, "violated", lambda self, i, time: None):
-            counted = run(stop_on_slo_fail=True).slo["constraints"]
+        counted = report.slo["constraints"]
         assert [c["exceeded"] for c in counted if c["metric"] == "TBT"] == \
             [sum(r > c["multiplier"] for r in ratios) for c in counted if c["metric"] == "TBT"]
 

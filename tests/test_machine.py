@@ -213,7 +213,7 @@ class TestMixedBatching:
         b2 = m.form_batch()
         assert any(tt.request_id == 0 for tt in b2.token_tasks)
 
-    def test_joined_lists_resumed_and_admitted_tasks(self):
+    def test_resumed_and_admitted_tasks_join_one_batch(self):
         m = make_machine(home=MIXED)
         slots = m.perf.max_token_batch
         m.enqueue(token_task(0, 100, out=3))  # finishes at its second iteration
@@ -226,17 +226,19 @@ class TestMixedBatching:
             return batch, [t.request_id for t in m.complete_iteration()]
 
         first, finished = run()
-        assert first.joined == first.token_tasks and finished == []
+        assert [t.request_id for t in first.token_tasks] == list(range(slots))
+        assert finished == []
         # the prompt takes the newest task's slot, and task 0 finishes
         m.enqueue(prompt_task(999, 500))
         second, finished = run()
         assert [t.request_id for t in m.resident if t.parked] == [slots - 1]
-        assert second.joined == [] and finished == [0]
+        assert [t.request_id for t in second.token_tasks] == list(range(slots - 1))
+        assert finished == [0]
         # in one form_batch, the parked task resumes and a queued one is admitted
         m.enqueue(token_task(100, 100, out=50, t=1.0))
         third, finished = run()
-        assert [t.request_id for t in third.joined] == [slots - 1, 100]
-        assert third.token_tasks[-2:] == third.joined and finished == []
+        assert [t.request_id for t in third.token_tasks[-2:]] == [slots - 1, 100]
+        assert finished == []
 
     def test_mixing_rule_sum_vs_max(self):
         for rule, combine in (("sum", lambda p, t: p + t), ("max", max)):

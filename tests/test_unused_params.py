@@ -1,11 +1,12 @@
 """Lint: every function parameter in ``src/splitsim`` is read by its body,
-and every ``_``-prefixed module-level name is read somewhere in the package.
+and every ``_``-prefixed module-level name, and every ``_``-prefixed
+attribute that the package stores, is read somewhere in the package.
 
 A parameter that no line reads cannot change a run, yet it reads as if it
 did (a ``now`` passed to a batching method suggests that batching depends
 on the clock).  ``self``, ``cls`` and ``_``-prefixed parameters are exempt.
-A private helper, constant or counter that nothing reads is left over from
-code that was removed.
+A private helper, constant, counter or attribute that nothing reads is left
+over from code that was removed.
 """
 
 import ast
@@ -66,6 +67,30 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             for name, where in private_names(source, filename) if name not in read]
 
 
+def stored_private_attributes(source: str, filename: str) -> list[tuple[str, str]]:
+    """``(name, "file:line name")`` for each ``_``-prefixed attribute that a
+    ``self._x = ...`` target or a class-level annotation ``_x: T`` stores."""
+    stored = []  # (name, line)
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ClassDef):
+            stored += [(s.target.id, s.lineno) for s in node.body
+                       if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            stored.append((node.attr, node.lineno))
+    return [(name, f"{filename}:{line} {name}") for name, line in sorted(stored, key=lambda s: s[1])
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_private_attributes(sources: dict[str, str]) -> list[str]:
+    """``file:line name`` for each stored private attribute that no source
+    loads; an augmented assignment (``self._n += 1``) is not a read."""
+    read = {n.attr for source in sources.values() for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [where for filename, source in sources.items()
+            for name, where in stored_private_attributes(source, filename) if name not in read]
+
+
 def test_finds_an_unread_parameter():
     source = "def f(a, b, _c, *args):\n    return a\n"
     assert unused_parameters(source, "x.py") == ["x.py:1 b", "x.py:1 args"]
@@ -87,3 +112,17 @@ def test_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_finds_an_unread_private_attribute():
+    sources = {"a.py": "class A:\n    _a: int = 0\n    _b: int = 0\n    pub: int = 0\n"
+                       "    def f(self, other):\n        self._c = other._c\n"
+                       "        self._d, self._e = 1, 2\n        self._f += 1\n"
+                       "        return self._a\n",
+               "b.py": "def g(x):\n    x._g = 0\n    return x._e\n"}
+    assert unread_private_attributes(sources) == ["a.py:3 _b", "a.py:7 _d", "a.py:8 _f"]
+
+
+def test_every_private_attribute_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_attributes(sources) == []
