@@ -165,10 +165,13 @@ def _parse_counts(flag: str, text: str) -> list[int]:
 
 
 def cmd_provision(args) -> int:
+    # a search takes its design and counts from its flags, and probes each
+    # design's default link: a cluster or transfer key would be ignored
+    for key in cfgmod.read_config(args.config):
+        section = key.partition(".")[0]
+        if section in ("cluster", "transfer"):
+            raise ConfigurationError(f"{key}: provision does not take {section} keys")
     cfg = cfgmod.load_config(args.config)
-    for key in cfgmod.TRANSFER_KEYS:  # a search probes each design's default link
-        if cfg[key] is not None:
-            raise ConfigurationError(f"{key}: provision does not take transfer keys")
     constraints = [c for c in (("power_budget", args.power_budget),
                                ("cost_budget", args.cost_budget),
                                ("throughput_target", args.throughput)) if c[1] is not None]

@@ -74,10 +74,14 @@ def parse_config(text: str) -> dict:
     return values
 
 
+def read_config(path: str | None) -> dict:
+    """The keys a config file (or nothing) sets, typed."""
+    if path is None:
+        return {}
+    with open(path) as fh:
+        return parse_config(fh.read())
+
+
 def load_config(path: str | None) -> dict:
     """Load a config file (or nothing) on top of the registry defaults."""
-    values = {k: d for k, (_t, d) in KNOWN_KEYS.items()}
-    if path is not None:
-        with open(path) as fh:
-            values.update(parse_config(fh.read()))
-    return values
+    return {**{k: d for k, (_t, d) in KNOWN_KEYS.items()}, **read_config(path)}

@@ -19,12 +19,10 @@ iterations -> KV-cache transfer -> token iterations -> completion.  The
 report layer (``report.py``) turns its records into TTFT/TBT/E2E metrics
 and the nine-way SLO verdict against an unbatched reference machine, whose
 latencies ``reference_latencies`` evaluates once per run, when the
-simulator is built.  A probe (``stop_on_slo_fail``) stops early only on the
-per-request latencies: its ``SloLedger`` counts each TTFT and E2E ratio as
-it becomes final and raises ``SloViolated`` at the first count over its
-allowance.  TBT is judged by ``check_slo`` alone, when the run ends:
-``_build_report`` raises ``SloViolated`` for the first failing constraint
-of a probe's verdict, at the last completion.
+simulator is built.  A probe (``stop_on_slo_fail``) has one early stop:
+its ``SloLedger`` counts each E2E ratio in ``_finish`` and raises
+``SloViolated`` at the first count over its allowance.  A probe that is not
+stopped ends as any run does, with ``check_slo``'s verdict in its report.
 
 Only machines whose state an event changed are *dirty*; after each event
 ``_dispatch`` runs ``Cluster.update_pools`` on those machines alone and, in
@@ -77,8 +75,7 @@ from bisect import bisect_left
 from itertools import accumulate, repeat
 
 from .cluster import Cluster, ClusterConfig
-from .errors import (ConfigurationError, HorizonExceeded, InvariantError, SloViolated,
-                     ValidationError)
+from .errors import ConfigurationError, HorizonExceeded, InvariantError, ValidationError
 from .machine import PROMPT, TOKEN, Machine, Task
 from .perf import PerfModel
 from .report import (MetricsReport, RequestRecord, SimResult, SloLedger, SloTable, check_slo,
@@ -124,8 +121,7 @@ class Simulator:
         if stop_on_slo_fail:
             if self._references is None:
                 raise ConfigurationError("stop_on_slo_fail needs a reference model")
-            ttft_ref, _, e2e_ref = self._references
-            self._ledger = SloLedger(self.slo, trace.requests, ttft_ref, e2e_ref)
+            self._ledger = SloLedger(self.slo, trace.requests, self._references[2])
 
     # -- plumbing ----------------------------------------------------------
 
@@ -218,12 +214,10 @@ class Simulator:
         record_log = self.record_log
         if record_log:
             self._emit(time, "iteration_complete", mid)
-        records, ledger = self.records, self._ledger
+        records = self.records
         for task in batch.prompt_tasks:
             rec = records[task.request_id]
             rec.first_token_time = time
-            if ledger is not None:
-                ledger.ttft(rec)
             if record_log:
                 self._emit(time, "prompt_finished", task.request_id, mid, task.context)
             if task.outputs > 1:
@@ -341,9 +335,4 @@ class Simulator:
         report = MetricsReport(records, throughput, utilization)
         if self._references is not None and records:
             report.slo = check_slo(report, self.slo, *self._references)
-            if self._ledger is not None and not report.slo["pass"]:
-                # a TBT constraint: a TTFT or E2E one would have stopped the run
-                c = next(c for c in report.slo["constraints"] if not c["pass"])
-                raise SloViolated(c["metric"], c["percentile"], c["exceeded"], c["allowed"],
-                                  makespan)
         return report

@@ -140,10 +140,10 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int, workload:
                      sched: SchedulerConfig | None = None) -> bool:
     """True iff all nine SLOs pass on every seed at the given arrival rate.
 
-    Each run raises ``SloViolated`` at the first TTFT or E2E constraint that
-    can no longer hold, or, when it ends, for the first constraint that
-    ``check_slo`` fails, a TBT one; it raises ``HorizonExceeded`` when it
-    overruns its horizon.  Both read as a fail.  Any other error is a defect
+    A seed fails when its run raises ``SloViolated`` (its early stop, at the
+    first E2E constraint that can no longer hold) or ``HorizonExceeded``
+    (it overran its horizon), or when the run ends with a failing
+    ``check_slo`` verdict in ``report.slo``.  Any other error is a defect
     and propagates.
     """
     if not seeds:
@@ -157,9 +157,11 @@ def slo_pass_at_rate(design: str, prompt_count: int, token_count: int, workload:
         if not trace.requests:
             return False  # a probe that simulates nothing shows nothing
         try:
-            Simulator(config, models, trace, reference_model=reference,
-                      record_log=False, slo=slo, stop_on_slo_fail=True).run()
+            result = Simulator(config, models, trace, reference_model=reference,
+                               record_log=False, slo=slo, stop_on_slo_fail=True).run()
         except (SloViolated, HorizonExceeded):
+            return False
+        if not result.report.slo["pass"]:
             return False
     return True
 

@@ -5,18 +5,15 @@ One rule judges the SLO: nearest-rank ``P_p <= m`` holds iff at most
 it to a run's ratio columns, of the trace's ``reference_latencies``,
 evaluated once per run, and the records' own latencies, and builds the only
 verdict, ``observed_ratio`` (for display only) included.  A probe runs with
-``stop_on_slo_fail`` and stops early where that is simple: ``n``, the
-request count, is known before the run, so its ``SloLedger`` counts each
-TTFT ratio at the first token (``_on_iteration``'s prompt loop) and each
-E2E ratio in ``_finish``, and raises ``SloViolated`` at the first count over
-its allowance; the run simulates no event after it, and invariants are
-checked up to that point.  Counts only grow, so that count fails
-``check_slo`` on the full run too.  TBT is judged once, by ``check_slo``,
-when the run ends: ``_build_report`` raises ``SloViolated`` for a failing
-probe verdict's first failing constraint, a TBT one, at the last
-completion.  So a probe passes iff ``check_slo`` passes its full run, and a
-passing probe's verdict is the replay's; ``tests/test_slo_ledger.py`` pins
-both.
+``stop_on_slo_fail`` and has one early stop: ``n``, the request count, is
+known before the run, so its ``SloLedger`` counts each E2E ratio in
+``_finish`` and raises ``SloViolated`` at the first count over its
+allowance; the run simulates no event after it, and invariants are checked
+up to that point.  Counts only grow, so that count fails ``check_slo`` on
+the full run too.  A request's E2E includes its TTFT, so a prompt-side
+overload trips this stop as well.  Every other verdict, pass or fail, is
+``check_slo``'s on the full run, which the probe returns as the replay
+does; ``tests/test_slo_ledger.py`` pins both outcomes.
 
 The report layer works on columns and cached text, reads each record's
 token phase from its machine's ``ends``, and gives the same bytes as a
@@ -159,8 +156,8 @@ class SloTable:
     @property
     def constraints(self) -> tuple[tuple[str, float, float], ...]:
         """The nine ``(metric, percentile, multiplier)``, in verdict order;
-        ``check_slo`` and ``SloLedger`` (its TTFT and E2E ones) read no other
-        list of them."""
+        ``check_slo`` and ``SloLedger`` (its E2E ones) read no other list of
+        them."""
         return tuple((metric, p, mult)
                      for metric, multipliers in (("TTFT", self.ttft), ("TBT", self.tbt),
                                                  ("E2E", self.e2e))
@@ -277,43 +274,34 @@ def check_slo(report: MetricsReport, slo: SloTable, ttft_ref: np.ndarray,
 
 
 class SloLedger:
-    """The early stop of a probe run: exceedance counts of the six TTFT and
-    E2E constraints, kept as those latencies become final.
+    """The early stop of a probe run: exceedance counts of the three E2E
+    constraints, kept as each request completes.
 
-    It reads ``check_slo``'s inputs, the ``reference_latencies`` of
-    ``requests`` (a request's TTFT and E2E pair looked up by its id) and the
-    records' ``ttft_ms`` and ``e2e_ms``, and ``n``, the request count, is
-    known from the trace.  The ratios and the comparison are ``check_slo``'s
-    own float expressions.  A count only grows, so the first one over its
-    allowance raises ``SloViolated`` at once: ``check_slo`` would fail it on
-    the full run.  ``constraints`` lists ``SloTable.constraints``' TTFT and
-    E2E entries, in order, each with its allowance.
+    It reads ``check_slo``'s inputs, the E2E column of ``requests``'
+    ``reference_latencies`` (looked up by request id) and the records'
+    ``e2e_ms``, and ``n``, the request count, is known from the trace.  The
+    ratio and the comparison are ``check_slo``'s own float expressions.  A
+    count only grows, so the first one over its allowance raises
+    ``SloViolated`` at once: ``check_slo`` would fail it on the full run.
+    ``constraints`` lists ``SloTable.constraints``' E2E entries, in order,
+    each with its allowance.
     """
 
-    def __init__(self, slo: SloTable, requests, ttft_ref, e2e_ref):
-        self._ref = dict(zip((r.id for r in requests), zip(ttft_ref.tolist(), e2e_ref.tolist())))
+    def __init__(self, slo: SloTable, requests, e2e_ref):
+        self._ref = dict(zip((r.id for r in requests), e2e_ref.tolist()))
         # (metric, percentile, multiplier, allowed exceedances)
         self.constraints = [(metric, p, mult, allowance(len(requests), p))
-                            for metric, p, mult in slo.constraints if metric != "TBT"]
+                            for metric, p, mult in slo.constraints if metric == "E2E"]
         self.exceeded = [0] * len(self.constraints)
-        self._ttft, self._e2e = (
-            [(i, mult, allowed) for i, (m, _, mult, allowed) in enumerate(self.constraints)
-             if m == metric] for metric in ("TTFT", "E2E"))
-
-    def ttft(self, rec: RequestRecord):
-        self._count(self._ttft, rec.ttft_ms / self._ref[rec.request.id][0], rec.first_token_time)
 
     def e2e(self, rec: RequestRecord):
-        self._count(self._e2e, rec.e2e_ms / self._ref[rec.request.id][1], rec.completion)
-
-    def _count(self, checks, ratio: float, time: float):
+        ratio = rec.e2e_ms / self._ref[rec.request.id]
         exceeded = self.exceeded
-        for i, mult, allowed in checks:
+        for i, (metric, p, mult, allowed) in enumerate(self.constraints):
             if ratio > mult:
                 exceeded[i] += 1
                 if exceeded[i] > allowed:
-                    metric, p, _, _ = self.constraints[i]
-                    raise SloViolated(metric, p, exceeded[i], allowed, time)
+                    raise SloViolated(metric, p, exceeded[i], allowed, rec.completion)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from splitsim import (
     Trace,
 )
 from splitsim.cli import _cluster_config, _parse_counts, _sched_config, build_parser, main
-from splitsim.config import load_config
+from splitsim.config import KNOWN_KEYS, load_config
 from splitsim.report import REQUEST_CSV_HEADER, TBT_CSV_HEADER
 from splitsim.perf import PROFILE_HEADER
 from splitsim.trace import TRACE_HEADER
@@ -327,6 +327,21 @@ class TestProvision:
         monkeypatch.setattr(provision, "search", None)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 1\n")
+        assert run_cli("--config", str(cfg), "provision", "--design", "Splitwise-AA",
+                       "--objective", "max_throughput", "--power-budget", "8",
+                       "--preset", "conversation", "--output-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("key", ["cluster.design", "cluster.prompt_machines",
+                                     "cluster.token_machines"])
+    def test_cluster_key_is_a_usage_error(self, tmp_path, monkeypatch, capsys, key):
+        """A search takes its design and counts from its flags, so a cluster
+        key would be ignored: it is rejected, named, before any probe runs,
+        even when the file sets it to its default value."""
+        monkeypatch.setattr(provision, "search", None)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {KNOWN_KEYS[key][1]}\n")
         assert run_cli("--config", str(cfg), "provision", "--design", "Splitwise-AA",
                        "--objective", "max_throughput", "--power-budget", "8",
                        "--preset", "conversation", "--output-dir", str(tmp_path)) == 2

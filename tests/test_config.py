@@ -105,17 +105,19 @@ def test_every_key_is_read(tmp_path, monkeypatch):
                         lambda spec: provision.SearchResult([], [], None, "not run"))
     trace = tmp_path / "trace.csv"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("output_dist.kind = bimodal-lognormal\n"
-                   "output_dist.weight2 = 0.2\n"
-                   "output_dist.mu2 = 4.0\n"
-                   f"run.trace = {trace}\n"
-                   f"run.output_dir = {tmp_path / 'out'}\n"
-                   "cluster.design = Splitwise-HH\n"
+    common = ("output_dist.kind = bimodal-lognormal\n"
+              "output_dist.weight2 = 0.2\n"
+              "output_dist.mu2 = 4.0\n"
+              f"run.trace = {trace}\n"
+              f"run.output_dir = {tmp_path / 'out'}\n")
+    cfg.write_text(common + "cluster.design = Splitwise-HH\n"
                    "cluster.prompt_machines = 2\n"
                    "cluster.token_machines = 1\n")
     assert main(["--config", str(cfg), "gen-trace", "--rate", "1", "--duration", "5",
                  "--output", str(trace)]) == 0
     assert main(["--config", str(cfg), "simulate"]) in (0, 1)
+    # provision rejects cluster keys: its flags name the design and counts
+    cfg.write_text(common)
     assert main(["--config", str(cfg), "provision", "--design", "Splitwise-AA",
                  "--objective", "max_throughput", "--power-budget", "4"]) == 1
     assert sorted(set(KNOWN_KEYS) - seen) == []

@@ -1,11 +1,13 @@
 """The SLO ledger of probe-mode runs, against ``check_slo``.
 
-A probe-mode run (``Simulator(stop_on_slo_fail=True)``) counts, per TTFT
-and E2E constraint, the ratios that exceed the multiplier as each latency
-becomes final, and stops at the first count that goes over
-``allowance(n, p)``.  A run that ends is judged by ``check_slo``, whose
-first failing constraint, always a TBT one, stops the probe at the last
-completion.  The probe must pass iff ``check_slo`` passes the full run.
+A probe-mode run (``Simulator(stop_on_slo_fail=True)``) counts, per E2E
+constraint, the ratios that exceed the multiplier as each request
+completes, and stops at the first count that goes over ``allowance(n, p)``.
+A run that is not stopped ends with ``check_slo``'s verdict, which must be
+the replay's, pass or fail; a stopped one must name an E2E constraint that
+the replay fails.  Since a ledger that never fires would meet both, two
+overloaded probes, one prompt-side and one token-side, must be stopped well
+before their traces end: that early stop is what the ledger is for.
 """
 
 import dataclasses
@@ -89,25 +91,22 @@ def test_probe_verdict_matches_check_slo(probe):
     # the same outcome whether windows are fast-forwarded (log off) or not
     outcome = probe_outcome(config, trace, slo, record_log=False)
     assert probe_outcome(config, trace, slo, record_log=True) == outcome
-    if expected["pass"]:
+    if isinstance(outcome, dict):  # the run ended: its verdict is the replay's
         assert outcome == expected
         return
-    assert isinstance(outcome, tuple)
     metric, p, exceeded, allowed, _ = outcome
-    # the probe stopped on a constraint that the full run fails, with a
-    # count over its allowance and at most the full run's count: the ledger
-    # stops at the first TTFT or E2E count over, and a TBT constraint is
-    # only judged on the full run
+    # the probe stopped at the first E2E count over its allowance, on a
+    # constraint that the full run fails with at least that count
+    assert metric == "E2E" and exceeded == allowed + 1
     assert any((c["metric"], c["percentile"], c["allowed"]) == (metric, p, allowed)
-               and allowed < exceeded <= c["exceeded"]
-               and exceeded == (c["exceeded"] if metric == "TBT" else allowed + 1)
+               and exceeded <= c["exceeded"]
                for c in expected["constraints"] if not c["pass"])
 
 
 def test_both_judges_read_one_constraint_table():
     """The replay verdict lists the table's (metric, percentile,
-    multiplier) in its order, and the ledger its TTFT and E2E ones, under a
-    table whose multipliers and percentiles are all distinct."""
+    multiplier) in its order, and the ledger its E2E ones, under a table
+    whose multipliers and percentiles are all distinct."""
     slo = SloTable(ttft=(2.5, 3.5, 6.5), tbt=(1.1, 1.7, 4.5), e2e=(1.3, 2.2, 5.5),
                    percentiles=(0.6, 0.8, 0.95))
     assert slo.constraints == (
@@ -121,10 +120,10 @@ def test_both_judges_read_one_constraint_table():
     replay = simulate(config, trace, record_log=False, slo=slo).report.slo
     assert tuple((c["metric"], c["percentile"], c["multiplier"])
                  for c in replay["constraints"]) == slo.constraints
-    ttft_ref, _, e2e_ref = reference_latencies(trace.requests, REFERENCE)
-    ledger = SloLedger(slo, trace.requests, ttft_ref, e2e_ref)
+    _, _, e2e_ref = reference_latencies(trace.requests, REFERENCE)
+    ledger = SloLedger(slo, trace.requests, e2e_ref)
     assert tuple(c[:3] for c in ledger.constraints) == \
-        tuple(c for c in slo.constraints if c[0] != "TBT")
+        tuple(c for c in slo.constraints if c[0] == "E2E")
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,27 +175,26 @@ class TestLedger:
         # loose E2E multipliers let the run end, where check_slo judges TBT
         slo = dataclasses.replace(UNIT, e2e=(10.0, 10.0, 10.0))
         config = ClusterConfig("Splitwise-AA", 1, 1)
-        with pytest.raises(SloViolated) as info:
-            simulate(config, one_request(), slo=slo, stop_on_slo_fail=True)
-        err = info.value
+        verdict = simulate(config, one_request(), slo=slo, stop_on_slo_fail=True).report.slo
+        assert verdict == simulate(config, one_request(), slo=slo).report.slo
+        assert not verdict["pass"]
         # 12 gaps, so P99 allows none
-        assert (err.metric, err.percentile, err.exceeded, err.allowed) == ("TBT", 0.99, 1, 0)
-        assert err.time_ms == simulate(config, one_request()).report.records[0].completion
-        assert "TBT P99" in str(err) and "ms" in str(err)
+        assert [(c["exceeded"], c["allowed"]) for c in verdict["constraints"]
+                if (c["metric"], c["percentile"]) == ("TBT", 0.99)] == [(1, 0)]
 
     def test_count_at_allowance_passes_one_more_fails(self):
         requests = [Request(i, 0.0, 1000, 1) for i in range(10)]
-        ttft_ref, _, e2e_ref = reference_latencies(requests, REFERENCE)
-        ledger = SloLedger(SloTable(), requests, ttft_ref, e2e_ref)
-        assert [c[3] for c in ledger.constraints[:3]] == [5, 1, 0]  # 10 - ceil(p*10)
-        slow = 2.5 * REFERENCE.prompt_time(1000)  # TTFT ratio 2.5: over P50's 2.0 only
-        records = [RequestRecord(request, first_token_time=slow) for request in requests]
+        _, _, e2e_ref = reference_latencies(requests, REFERENCE)
+        ledger = SloLedger(SloTable(), requests, e2e_ref)
+        assert [c[3] for c in ledger.constraints] == [5, 1, 0]  # 10 - ceil(p*10)
+        slow = 1.4 * REFERENCE.prompt_time(1000)  # E2E ratio 1.4: over P50's 1.25 only
+        records = [RequestRecord(request, completion=slow) for request in requests]
         for rec in records[:5]:
-            ledger.ttft(rec)
-        assert ledger.exceeded[0] == 5
+            ledger.e2e(rec)
+        assert ledger.exceeded == [5, 0, 0]
         with pytest.raises(SloViolated) as info:
-            ledger.ttft(records[5])
-        assert (info.value.metric, info.value.exceeded, info.value.allowed) == ("TTFT", 6, 5)
+            ledger.e2e(records[5])
+        assert (info.value.metric, info.value.exceeded, info.value.allowed) == ("E2E", 6, 5)
 
     def test_single_token_outputs_pass(self):
         # n_TBT = 0: no gap is ever counted and the TBT constraints hold
@@ -213,11 +211,43 @@ class TestLedger:
                       {"A100": REFERENCE}, one_request(), stop_on_slo_fail=True)
 
 
+class TestEarlyStop:
+    @pytest.mark.parametrize("prompt_machines, rate", [
+        (1, 20.0),  # prompt-side overload: queueing before the first token
+        (8, 8.0),  # token-side overload: one token machine behind eight
+    ])
+    def test_overloaded_probe_stops_on_e2e_early(self, prompt_machines, rate):
+        """An overloaded probe of a 120-s trace is stopped by an E2E count
+        before 60 s of simulated time, not run to its end."""
+        conversation = PRESETS["conversation"]
+        trace = generate_trace(conversation["prompt"], conversation["output"], rate, 120.0, 1)
+        with pytest.raises(SloViolated) as info:
+            simulate(ClusterConfig("Splitwise-AA", prompt_machines, 1), trace,
+                     record_log=False, stop_on_slo_fail=True)
+        err = info.value
+        assert err.metric == "E2E" and err.exceeded == err.allowed + 1
+        assert err.time_ms < 60_000.0
+        assert str(err).startswith("E2E P") and str(err).endswith(" ms")
+
+
 class TestProbeOutcome:
     @staticmethod
     def probe():
         w = Workload(PRESETS["conversation"]["prompt"], PRESETS["conversation"]["output"])
         return slo_pass_at_rate("Baseline-A100", 1, 0, w, 1.0, duration=10.0, seeds=(1,))
+
+    def test_run_that_ends_with_a_failing_verdict_fails_the_probe(self):
+        """E2E multipliers that no request reaches leave the probe unstopped;
+        a TBT multiplier of 1 fails its verdict, which the probe reads."""
+        slo = dataclasses.replace(UNIT, e2e=(100.0, 100.0, 100.0))
+        conversation = PRESETS["conversation"]
+        w = Workload(conversation["prompt"], conversation["output"])
+        trace = generate_trace(w.prompt_dist, w.output_dist, 1.0, 10.0, 1)
+        verdict = simulate(ClusterConfig("Splitwise-AA", 1, 1), trace, record_log=False,
+                           slo=slo, stop_on_slo_fail=True).report.slo
+        assert not verdict["pass"]
+        assert slo_pass_at_rate("Splitwise-AA", 1, 1, w, 1.0, duration=10.0, seeds=(1,),
+                                slo=slo) is False
 
     @pytest.mark.parametrize("error", [SloViolated("TTFT", 0.5, 3, 2, 10.0),
                                        HorizonExceeded("simulation exceeded horizon")])
